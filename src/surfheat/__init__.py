@@ -9,11 +9,12 @@ Public layers
 -------------
 ``geometry``    signed-distance surfaces, closest-point lift, geometric
                 operators of the lifted setting
-``mesh``        oriented triangulations, adjacency, metrics, OFF/VTK I/O
+``mesh``        oriented triangulations, lazily cached adjacency and metrics,
+                OFF/VTK I/O
 ``refinement``  bisection/red-green-blue refinement, coarsening, marking,
                 nodal transfer
-``fem``         P1 assembly, implicit Euler step, preconditioned CG, lifted
-                error norms
+``fem``         the per-mesh P1 operator cache, implicit Euler step,
+                preconditioned CG, lifted error norms
 ``estimator``   per-element spatial/temporal/coarsening indicators
 ``adaptive``    the space-time adaptive driver
 ``problems``    benchmark problems and structured mesh generators
@@ -26,14 +27,15 @@ from . import errors  # noqa: F401
 from .adaptive import AdaptiveConfig, RunLog, StepRecord, run  # noqa: F401
 from .errors import (  # noqa: F401
     DofCapExceeded, GenerationMismatch, MetadataMissing, NonConvergence,
-    NonManifold, OutsideTube, SpatialStagnation, SurfheatError, TauUnderflow)
+    NonFiniteValue, NonManifold, OutsideTube, SpatialStagnation,
+    SurfheatError, TauUnderflow)
 from .estimator import (  # noqa: F401
     Indicators, coarsening_indicator, combined, compute_indicators,
     spatial_indicator, temporal_indicator)
 from .fem import (  # noqa: F401
     ErrorEvaluator, FeFunction, QuadratureRule, assemble,
     backward_euler_step, errors_vs_exact, interpolate, jacobi_cg,
-    lifted_l2_distance, lifted_l2_norm)
+    lifted_l2_distance, lifted_l2_norm, p1_operators)
 from .geometry import (  # noqa: F401
     GeometricOperators, LevelSetSurface, geometric_operators, lift,
     measure_ratio, torus, unit_sphere)

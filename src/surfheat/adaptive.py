@@ -161,7 +161,6 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     mesh = initial_mesh
     n_initial = initial_mesh.n_nodes
     log.peak_dofs = mesh.n_nodes
-    matrices = (None, None, None)  # (mesh object, mass, stiffness)
     t = 0.0
     tau = config.tau0
     step = 0
@@ -180,12 +179,10 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
             target = t + tau
 
             for _ in range(config.max_spatial_iters):
-                if matrices[0] is not work_mesh:
-                    mass, stiffness = assemble(work_mesh)
-                    matrices = (work_mesh, mass, stiffness)
+                mass, stiffness = assemble(work_mesh)  # cached per mesh
                 f_h = interpolate(work_mesh, problem.f, time=target)
                 u_new, iters = backward_euler_step(
-                    matrices[1], matrices[2], work_uprev, f_h, tau)
+                    mass, stiffness, work_uprev, f_h, tau)
                 step_spatial_iters += 1
                 step_cg_iters += iters
                 log.cum_dof_steps += work_mesh.n_nodes
@@ -229,7 +226,7 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
         dofs = mesh.n_nodes
         tau = 2.0 * accepted_tau
 
-        coarsening_sq, eta_c_sq = coarsening_indicator(mesh, u, work_uprev)
+        coarsening_sq, eta_c_sq = ind.coarsening_sq, ind.eta_c_sq
         coarsen_iters = 0
         nodes_removed = 0
         if config.coarsening == "matching":

@@ -53,6 +53,10 @@ class SolverDivergence(SurfheatError):
     """Conjugate gradients exceeded the iteration budget."""
 
 
+class NonFiniteValue(SurfheatError):
+    """A NaN or an infinity reached the linear solver."""
+
+
 # --- adaptive ---------------------------------------------------------------
 
 class TauUnderflow(SurfheatError):

@@ -5,12 +5,21 @@ Three element-wise quantities steer the adaptive driver: a spatial indicator
 indicator (full H1 norm of the discrete time increment), and a coarsening
 indicator (its L2 part, bounding what nodal coarsening may spoil).  All are
 exact integrals of piecewise polynomials -- no quadrature error enters.
+
+``compute_indicators`` evaluates all three in one pass over the mesh's cached
+P1 operators (``fem.p1_operators``, built on the first solve of a mesh): the
+increment, its element L2 part and its gradient are formed once, and the
+edge jumps are one sparse product.  ``coarsening_indicator`` needs only the
+element areas, so a mesh that is only tested for coarsening builds no
+operators.
 """
 
 import numpy as np
 
-from .mesh import conormal_flux_jumps
-from .fem import basis_gradients
+# ``conormal_flux_jumps`` and ``basis_gradients`` are no longer called here;
+# the benchmark's layer trace (perfbench/tracer.py) wraps them by these names.
+from .mesh import conormal_flux_jumps  # noqa: F401
+from .fem import basis_gradients, p1_operators  # noqa: F401
 
 
 class Indicators:
@@ -41,14 +50,25 @@ class Indicators:
 
 def _element_l2_sq(mesh, values):
     """Exact integral of the square of a P1 function, per element."""
-    v = values[mesh.triangles]
-    return mesh.metrics.area / 12.0 * (v.sum(axis=1) ** 2
-                                       + (v ** 2).sum(axis=1))
+    v = values[mesh.triangles.T]  # (3, M): one contiguous row per corner
+    total = v[0] + v[1] + v[2]
+    v *= v
+    return mesh.metrics.area / 12.0 * (total * total + (v[0] + v[1] + v[2]))
 
 
-def _element_gradients(mesh, values):
-    return np.einsum("mi,mij->mj", values[mesh.triangles],
-                     basis_gradients(mesh))
+def _increment(mesh, u_n, u_prev):
+    """The time increment ``w = u_n - u_prev`` and its element L2 squares."""
+    u_n.check(mesh)
+    u_prev.check(mesh)
+    w = u_n.coefficients - u_prev.coefficients
+    return w, _element_l2_sq(mesh, w)
+
+
+def _h1_semi_sq(mesh, ops, w):
+    """Element squares of the H1 seminorm of ``w``."""
+    g = (ops.grad @ w).reshape(3, -1)  # one row per component
+    g *= g
+    return mesh.metrics.area * (g[0] + g[1] + g[2])
 
 
 def spatial_indicator(mesh, u_n, u_prev, f_h, tau):
@@ -59,39 +79,21 @@ def spatial_indicator(mesh, u_n, u_prev, f_h, tau):
     adjacent elements.  Element part: ``h_T^2`` times the exact square
     integral of the strong residual ``(u_n - u_prev)/tau - f_h``.
     """
-    u_n.check(mesh)
-    u_prev.check(mesh)
-    f_h.check(mesh)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    grads = _element_gradients(mesh, u_n.coefficients)
-    jumps = conormal_flux_jumps(mesh, grads)
-    edge_sq = mesh.edge_geometry.length ** 2 * jumps ** 2
-    residual = ((u_n.coefficients - u_prev.coefficients) / tau
-                - f_h.coefficients)
-    per_element = (mesh.metrics.h_T ** 2 * _element_l2_sq(mesh, residual)
-                   + 0.5 * edge_sq[mesh.tri_edges].sum(axis=1))
+    per_element = compute_indicators(mesh, u_n, u_prev, f_h, tau).spatial_sq
     return per_element, float(per_element.sum())
 
 
 def temporal_indicator(mesh, u_n, u_prev):
     """Squared H1(T) norms of the time increment ``u_n - u_prev``."""
-    u_n.check(mesh)
-    u_prev.check(mesh)
-    w = u_n.coefficients - u_prev.coefficients
-    g = _element_gradients(mesh, w)
-    per_element = (_element_l2_sq(mesh, w)
-                   + mesh.metrics.area * np.einsum("mi,mi->m", g, g))
+    w, l2_sq = _increment(mesh, u_n, u_prev)
+    per_element = l2_sq + _h1_semi_sq(mesh, p1_operators(mesh), w)
     return per_element, float(per_element.sum())
 
 
 def coarsening_indicator(mesh, u_n, u_prev):
     """Squared L2(T) norms of the time increment (the part of the temporal
     indicator that nodal coarsening can increase)."""
-    u_n.check(mesh)
-    u_prev.check(mesh)
-    w = u_n.coefficients - u_prev.coefficients
-    per_element = _element_l2_sq(mesh, w)
+    _, per_element = _increment(mesh, u_n, u_prev)
     return per_element, float(per_element.sum())
 
 
@@ -105,9 +107,21 @@ def combined(eta_h, eta_tau, tau, h):
 
 
 def compute_indicators(mesh, u_n, u_prev, f_h, tau):
-    """All indicators of one accepted or tentative step, bundled."""
-    spatial_sq, _ = spatial_indicator(mesh, u_n, u_prev, f_h, tau)
-    temporal_sq, _ = temporal_indicator(mesh, u_n, u_prev)
-    coarsening_sq, _ = coarsening_indicator(mesh, u_n, u_prev)
-    return Indicators(spatial_sq, temporal_sq, coarsening_sq, tau,
-                      mesh.metrics.h)
+    """All indicators of one accepted or tentative step, in one pass.
+
+    The increment's element L2 squares are both the coarsening indicator and
+    the L2 part of the temporal one; the jump operator turns ``u_n`` into
+    ``|e| [d_n u_n]`` for every edge with one sparse product.
+    """
+    f_h.check(mesh)
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    w, coarsening_sq = _increment(mesh, u_n, u_prev)
+    ops = p1_operators(mesh, edges=True)
+    met = mesh.metrics
+    temporal_sq = coarsening_sq + _h1_semi_sq(mesh, ops, w)
+    weighted_jumps = ops.jump @ u_n.coefficients
+    spatial_sq = (met.h_T ** 2 * _element_l2_sq(mesh,
+                                                w / tau - f_h.coefficients)
+                  + ops.half_incidence @ weighted_jumps ** 2)
+    return Indicators(spatial_sq, temporal_sq, coarsening_sq, tau, met.h)

@@ -4,12 +4,26 @@ Element matrices use exact closed forms (the integrands are polynomial on
 flat triangles); quadrature enters only for error norms against an exact
 solution, where integrands live on the curved surface via the closest-point
 lift.
+
+Everything that depends on the mesh alone is built once per mesh and cached
+on it (meshes are immutable):
+
+- ``p1_operators`` builds the P1 operator bundle on the first assembly,
+  indicator pass or error evaluation of a mesh: basis gradients, element
+  stiffness blocks, mass and stiffness, and a sparse gradient operator.  The
+  co-normal jump and half-incidence operators, which need the closed-surface
+  adjacency, join it on the first indicator pass.  ``assemble`` is a lookup.
+- the lifted quadrature of a rule on a surface is built on the first lifted
+  norm or ``ErrorEvaluator`` of a mesh and shared by all later ones.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateTriangle, GenerationMismatch, SolverDivergence
+from .errors import (DegenerateTriangle, GenerationMismatch, NonFiniteValue,
+                     SolverDivergence)
 from .geometry import geometric_operators, lift
 
 
@@ -138,15 +152,98 @@ def element_gradient(corners, values):
     return g
 
 
+class P1Operators:
+    """The P1 operators of one mesh, built by :func:`p1_operators`.
+
+    Attributes
+    ----------
+    grads : (M, 3, 3) array
+        Basis gradients, see :func:`basis_gradients`.
+    blocks : (M, 3, 3) array
+        Element stiffness blocks ``A_T = |T| G_T G_T^T``.
+    mass, stiffness : (N, N) csr_array
+        The assembled matrices.
+    grad : (3M, N) csr_array
+        ``(grad @ u).reshape(3, M)`` holds component k of the tangential
+        gradient of ``u`` on every triangle in row k.
+    jump : (E, N) csr_array or None
+        ``jump @ u`` is the length-weighted co-normal flux jump
+        ``|e| [d_n u]`` of every edge, in edge-id order.
+    half_incidence : (M, E) csr_array or None
+        ``half_incidence @ q`` gives every element half of the edge quantity
+        ``q`` of each of its three edges.
+
+    ``jump`` and ``half_incidence`` need the closed-surface adjacency; they
+    stay None until ``p1_operators(mesh, edges=True)`` asks for them, so the
+    element part also works on open triangle sets.
+    """
+
+    __slots__ = ("grads", "blocks", "mass", "stiffness", "grad", "jump",
+                 "half_incidence")
+
+
+def _fixed_width_csr(data, indices, shape):
+    """CSR array with ``indices.shape[1]`` entries in every row, built from
+    its arrays directly (no COO conversion, no sort)."""
+    rows, width = indices.shape
+    indptr = np.arange(0, rows * width + 1, width)
+    return sp.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
+
+
+def p1_operators(mesh, edges=False):
+    """The cached :class:`P1Operators` of ``mesh``, built on first use.
+
+    Meshes are immutable, so the bundle lives as long as the mesh and never
+    needs invalidating.  ``edges=True`` also builds the edge operators.
+    """
+    ops = mesh._operators
+    if ops is None:
+        ops = P1Operators()
+        tri = mesh.triangles
+        m, n = mesh.n_triangles, mesh.n_nodes
+        area = mesh.metrics.area
+        G = basis_gradients(mesh)
+        ops.grads = G
+        ops.blocks = area[:, None, None] * np.einsum("mik,mjk->mij", G, G)
+        m_loc = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+        rows = np.repeat(tri, 3, axis=1).ravel()
+        cols = np.tile(tri, (1, 3)).ravel()
+        ops.mass, ops.stiffness = (
+            sp.csr_array(sp.coo_array((loc.ravel(), (rows, cols)),
+                                      shape=(n, n)))
+            for loc in (m_loc, ops.blocks))
+        # row k M + t holds G[t, i, k] at column tri[t, i]
+        ops.grad = _fixed_width_csr(G.transpose(2, 0, 1),
+                                    np.tile(tri, (3, 1)), (3 * m, n))
+        ops.jump = ops.half_incidence = None
+        mesh._operators = ops
+    if edges and ops.jump is None:
+        # The outward co-normal of edge e in triangle T is
+        # -2 |T| grad(phi_o) / |e|, o the vertex opposite e, so
+        # |e| d_n u = -2 sum_i A_T[o, i] u_i; the jump sums both sides.  The
+        # edge's two nodes appear once per side, and products sum duplicates.
+        et = mesh.edge_tris
+        opposite = (mesh.edge_local + 2) % 3
+        ops.jump = _fixed_width_csr(
+            -2.0 * ops.blocks[et, opposite],
+            mesh.triangles[et].reshape(len(et), 6), (len(et), mesh.n_nodes))
+        ops.half_incidence = _fixed_width_csr(
+            np.full(mesh.tri_edges.shape, 0.5), mesh.tri_edges,
+            (mesh.n_triangles, len(et)))
+    return ops
+
+
 def all_element_gradients(mesh, u):
     """Tangential gradient of ``u`` on every triangle, shape (M, 3)."""
     u.check(mesh)
-    vals = u.coefficients[mesh.triangles]  # (M, 3)
-    return np.einsum("mi,mij->mj", vals, basis_gradients(mesh))
+    return (p1_operators(mesh).grad @ u.coefficients).reshape(3, -1).T
 
 
 def assemble(mesh):
     """Mass and stiffness matrices of the P1 space on the flat triangulation.
+
+    The matrices are built once per mesh (see :func:`p1_operators`); later
+    calls return the same objects, which callers must not modify.
 
     Returns
     -------
@@ -156,20 +253,8 @@ def assemble(mesh):
         both symmetric, mass positive definite, stiffness with constants in
         its kernel.
     """
-    met = mesh.metrics
-    G = basis_gradients(mesh)
-    area = met.area
-    m_loc = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    a_loc = area[:, None, None] * np.einsum("mik,mjk->mij", G, G)
-    tri = mesh.triangles
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    n = mesh.n_nodes
-    mass = sp.csr_array(
-        sp.coo_array((m_loc.ravel(), (rows, cols)), shape=(n, n)))
-    stiffness = sp.csr_array(
-        sp.coo_array((a_loc.ravel(), (rows, cols)), shape=(n, n)))
-    return mass, stiffness
+    ops = p1_operators(mesh)
+    return ops.mass, ops.stiffness
 
 
 def interpolate(mesh, field, time=None):
@@ -196,6 +281,9 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
 
     Raises
     ------
+    NonFiniteValue
+        As soon as the right-hand side or the residual holds a NaN or an
+        infinity, before any further iteration is spent.
     SolverDivergence
         If the relative residual does not reach ``rtol`` within
         ``max_iter`` iterations (default ``10 n``).
@@ -205,6 +293,9 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
     if max_iter is None:
         max_iter = 10 * n
     b_norm = np.linalg.norm(b)
+    if not math.isfinite(b_norm):
+        raise NonFiniteValue("PCG right-hand side is not finite "
+                             "(0 iterations spent)")
     if b_norm == 0.0:
         return np.zeros(n), 0
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -214,8 +305,12 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
     p = z.copy()
     rz = float(r @ z)
     for k in range(max_iter + 1):
-        if np.linalg.norm(r) <= rtol * b_norm:
+        r_norm = math.sqrt(r @ r)  # what np.linalg.norm computes, less overhead
+        if r_norm <= rtol * b_norm:
             return x, k
+        if not math.isfinite(r_norm):
+            raise NonFiniteValue(f"PCG residual is not finite after {k} "
+                                 "iterations")
         if k == max_iter:
             break
         q = matrix @ p
@@ -228,7 +323,7 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
         rz = rz_new
     raise SolverDivergence(
         f"PCG did not reach rtol={rtol:g} within {max_iter} iterations "
-        f"(relative residual {np.linalg.norm(r) / b_norm:.3g})")
+        f"(relative residual {r_norm / b_norm:.3g})")
 
 
 def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
@@ -256,30 +351,39 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
 # ------------------------------------------------------------- lifted norms
 
 def _lifted_quadrature(mesh, surface, rule):
-    """Lift a quadrature rule to the exact surface.
+    """A quadrature rule lifted to the exact surface, cached on the mesh.
 
-    Returns per-(triangle, point): flat points ``x`` (M, Q, 3), lifted points
-    ``y``, measure-ratio weights ``mu`` (M, Q), and the scaled weights
-    ``w[m, q] = area_m * w_q * mu[m, q]`` integrating over the exact surface.
+    Returns per-(triangle, point): the lifted points ``y`` (M, Q, 3), the
+    weights ``w[m, q] = area_m * w_q * mu[m, q]`` integrating over the exact
+    surface (``mu`` the measure ratio), and the lifted-gradient transforms
+    (M, Q, 3, 3).  One entry per surface and rule lives in the mesh's
+    ``_lifted`` dictionary and dies with the mesh.
     """
-    x = rule.physical_points(mesh)
-    m, q = x.shape[:2]
-    y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
-    nu_h = np.broadcast_to(mesh.metrics.normal[:, None, :], x.shape)
-    ops = geometric_operators(surface, x.reshape(-1, 3),
-                              nu_h.reshape(-1, 3))
-    mu = ops.mu.reshape(m, q)
-    w = mesh.metrics.area[:, None] * rule.weights[None, :] * mu
-    return x, y, ops, w
+    key = (surface, rule.degree, rule.points.tobytes(),
+           rule.weights.tobytes())
+    cached = mesh._lifted.get(key)
+    if cached is None:
+        x = rule.physical_points(mesh)
+        m, q = x.shape[:2]
+        y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
+        nu_h = np.broadcast_to(mesh.metrics.normal[:, None, :], x.shape)
+        ops = geometric_operators(surface, x.reshape(-1, 3),
+                                  nu_h.reshape(-1, 3))
+        w = mesh.metrics.area[:, None] * rule.weights[None, :] \
+            * ops.mu.reshape(m, q)
+        cached = (y, w, ops.grad_transform.reshape(m, q, 3, 3))
+        mesh._lifted[key] = cached
+    return cached
+
+
+def _point_values(mesh, rule, u):
+    """Values of ``u`` at the rule's points of every triangle, (M, Q)."""
+    return u.coefficients[mesh.triangles] @ rule.points.T
 
 
 def lifted_l2_norm(mesh, surface, u, rule=None):
     """L2 norm of the lifted finite element function over the exact surface."""
-    u.check(mesh)
-    rule = rule or QuadratureRule.degree4()
-    _, _, _, w = _lifted_quadrature(mesh, surface, rule)
-    vals = np.einsum("qi,mi->mq", rule.points, u.coefficients[mesh.triangles])
-    return float(np.sqrt(np.sum(w * vals ** 2)))
+    return lifted_l2_distance(mesh, surface, u, lambda y: 0.0, rule=rule)
 
 
 def flat_l2_norm(mass, u):
@@ -295,26 +399,25 @@ def flat_h1_seminorm(stiffness, u):
 
 
 class ErrorEvaluator:
-    """Reusable lifted-quadrature context for error norms on a fixed mesh.
+    """Lifted-quadrature context for error norms on a fixed mesh.
 
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
-    repeats it identically every step.  This precomputes the lifted points,
-    measure weights and gradient transforms once, so repeated evaluations
-    pay only for the integrand arithmetic.
+    would repeat it identically every step.  The lifted quadrature and the
+    basis gradients come from the mesh's caches, so construction after the
+    first is cheap and repeated evaluations pay only for the integrand
+    arithmetic.  Works on open triangle sets too: nothing here needs the
+    adjacency.
     """
 
-    __slots__ = ("mesh", "rule", "_y", "_w", "_trans", "_basis")
+    __slots__ = ("mesh", "rule", "_y", "_w", "_trans", "_grad")
 
     def __init__(self, mesh, surface, rule=None):
         self.mesh = mesh
         self.rule = rule or QuadratureRule.degree4()
-        x, y, ops, w = _lifted_quadrature(mesh, surface, self.rule)
-        m, q = x.shape[:2]
-        self._y = y
-        self._w = w
-        self._trans = ops.grad_transform.reshape(m, q, 3, 3)
-        self._basis = basis_gradients(mesh)
+        self._y, self._w, self._trans = _lifted_quadrature(mesh, surface,
+                                                           self.rule)
+        self._grad = p1_operators(mesh).grad
 
     def errors(self, u_h, exact_u, exact_grad, time):
         """L2 and H1-seminorm errors of the lifted discrete solution.
@@ -329,15 +432,13 @@ class ErrorEvaluator:
         (l2_error, h1_semi_error)
         """
         u_h.check(self.mesh)
-        tri = self.mesh.triangles
-        vals = np.einsum("qi,mi->mq", self.rule.points,
-                         u_h.coefficients[tri])
-        diff = vals - exact_u(self._y, time)
+        diff = (_point_values(self.mesh, self.rule, u_h)
+                - exact_u(self._y, time))
         l2_sq = float(np.sum(self._w * diff ** 2))
-        grads = np.einsum("mi,mij->mj", u_h.coefficients[tri],
-                          self._basis)  # (M, 3) flat gradients
-        lifted_grad = np.einsum("mqij,mj->mqi", self._trans, grads)
-        gdiff = lifted_grad - exact_grad(self._y, time)
+        m, q = self._w.shape
+        grads = (self._grad @ u_h.coefficients).reshape(3, m)  # flat
+        lifted_grad = self._trans.reshape(m, 3 * q, 3) @ grads.T[:, :, None]
+        gdiff = lifted_grad.reshape(m, q, 3) - exact_grad(self._y, time)
         h1_sq = float(np.sum(self._w * np.einsum("mqi,mqi->mq",
                                                  gdiff, gdiff)))
         return np.sqrt(l2_sq), np.sqrt(h1_sq)
@@ -354,15 +455,11 @@ def lifted_l2_distance(mesh, surface, u_h, field, time=None, rule=None):
     """L2(Gamma) distance between the lifted discrete function and a field.
 
     ``field`` takes ``(points)`` when ``time`` is None, else ``(points, t)``.
+    Works on open triangle sets: nothing here needs the adjacency.
     """
-    if time is None:
-        exact = lambda y, t: field(y)  # noqa: E731
-    else:
-        exact = field
-
-    def zero_grad(y, t):
-        return np.zeros_like(y)
-
-    l2, _ = errors_vs_exact(mesh, surface, u_h, exact, zero_grad, time,
-                            rule=rule)
-    return l2
+    u_h.check(mesh)
+    rule = rule or QuadratureRule.degree4()
+    y, w, _ = _lifted_quadrature(mesh, surface, rule)
+    exact = field(y) if time is None else field(y, time)
+    diff = _point_values(mesh, rule, u_h) - exact
+    return float(np.sqrt(np.sum(w * diff ** 2)))

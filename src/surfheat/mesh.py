@@ -1,9 +1,22 @@
 """Closed-surface triangle meshes.
 
 The mesh is the single shared data structure of the package: a node array, an
-oriented triangle array, and per-triangle refinement metadata.  Connectivity
-is immutable -- refinement and coarsening build new meshes -- so adjacency,
-element metrics, and edge geometry are computed lazily and cached.
+oriented triangle array, and per-triangle refinement metadata.  A mesh is
+immutable -- refinement, coarsening and node lifting build new meshes -- so
+every derived quantity is computed lazily, on first use, and cached on the
+mesh for its lifetime; nothing ever needs invalidating:
+
+- the adjacency (edge table) and the element metrics, built here;
+- the edge geometry (lengths and co-normals), built here; the solver no
+  longer uses it, it serves as a reference;
+- the P1 operator bundle (basis gradients, element stiffness blocks, mass
+  and stiffness, the gradient, co-normal jump and half-incidence operators),
+  built by ``fem.p1_operators`` when a mesh is first assembled, estimated
+  or used for error norms;
+- the lifted quadrature per surface and rule, built by ``fem`` on the first
+  lifted error norm.
+
+A mesh that is only tested for coarsening builds neither of the last two.
 
 Triangle storage convention
 ---------------------------
@@ -215,6 +228,8 @@ class SurfaceMesh:
         self._adjacency = None
         self._metrics = None
         self._edge_geom = None
+        self._operators = None  # fem.P1Operators, filled by fem.p1_operators
+        self._lifted = {}  # lifted quadratures, filled by fem
 
     # ------------------------------------------------------------------ basic
 

@@ -7,10 +7,13 @@ import pytest
 
 from surfheat import estimator
 from surfheat.errors import GenerationMismatch
-from surfheat.fem import FeFunction, assemble
-from surfheat.mesh import SurfaceMesh
-from surfheat.problems import icosphere
-from surfheat.refinement import (MarkSet, init_reference_edges, refine,
+from surfheat.fem import (FeFunction, all_element_gradients, assemble,
+                          basis_gradients, p1_operators)
+from surfheat.geometry import unit_sphere
+from surfheat.mesh import SurfaceMesh, conormal_flux_jumps
+from surfheat.problems import icosphere, torus_grid
+from surfheat.refinement import (MarkSet, coarsen, init_reference_edges,
+                                 lift_new_nodes, mark_coarsen, refine,
                                  transfer)
 
 
@@ -258,3 +261,110 @@ class TestBundle:
         npt.assert_array_equal(
             ind.coarsening_sq,
             estimator.coarsening_indicator(mesh, u_n, u_prev)[0])
+
+
+# ------------------------------------------------------- one-pass oracles
+
+def reference_indicators(mesh, u_n, u_prev, f_h, tau):
+    """The per-indicator formulas the one-pass evaluation replaced: element
+    gradients from ``basis_gradients``, flux jumps from the ``edge_geometry``
+    co-normals, each indicator computed on its own."""
+    tri, met = mesh.triangles, mesh.metrics
+    G = basis_gradients(mesh)
+
+    def l2_sq(values):
+        v = values[tri]
+        return met.area / 12.0 * (v.sum(axis=1) ** 2 + (v ** 2).sum(axis=1))
+
+    def gradients(values):
+        return np.einsum("mi,mij->mj", values[tri], G)
+
+    jumps = conormal_flux_jumps(mesh, gradients(u_n))
+    edge_sq = mesh.edge_geometry.length ** 2 * jumps ** 2
+    w = u_n - u_prev
+    spatial = (met.h_T ** 2 * l2_sq(w / tau - f_h)
+               + 0.5 * edge_sq[mesh.tri_edges].sum(axis=1))
+    g = gradients(w)
+    temporal = l2_sq(w) + met.area * np.einsum("mi,mi->m", g, g)
+    return spatial, temporal, l2_sq(w)
+
+
+def graded_sphere():
+    """NVB-refined icosphere, graded towards one pole over four rounds."""
+    surface = unit_sphere()
+    mesh = icosphere(2)
+    pole = np.array([0.0, 0.0, 1.0])
+    for round_ in range(4):
+        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+        near = np.flatnonzero(centroids @ pole > 0.6 + 0.1 * round_)
+        refined, _ = refine(mesh, MarkSet(near, "bulk", 0.5), "nvb")
+        mesh = lift_new_nodes(refined, surface)
+    return mesh
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
+                             ids=["graded-sphere", "torus"])
+    def test_matches_per_indicator_formulas(self, make):
+        mesh = make()
+        rng = np.random.default_rng(16)
+        u_n, u_prev, f_h = rng.standard_normal((3, mesh.n_nodes))
+        tau = 0.03
+        ind = estimator.compute_indicators(mesh, fe(mesh, u_n),
+                                           fe(mesh, u_prev), fe(mesh, f_h),
+                                           tau)
+        spatial, temporal, coarsening = reference_indicators(
+            mesh, u_n, u_prev, f_h, tau)
+        npt.assert_allclose(ind.spatial_sq, spatial, rtol=1e-12)
+        npt.assert_allclose(ind.temporal_sq, temporal, rtol=1e-12)
+        npt.assert_allclose(ind.coarsening_sq, coarsening, rtol=1e-12)
+        npt.assert_allclose(ind.eta_h_sq, spatial.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
+                             ids=["graded-sphere", "torus"])
+    def test_jump_operator_identity(self, make):
+        mesh = make()
+        u = fe(mesh, np.random.default_rng(17).standard_normal(mesh.n_nodes))
+        grads = all_element_gradients(mesh, u)
+        expected = (mesh.edge_geometry.length
+                    * conormal_flux_jumps(mesh, grads))
+        ops = p1_operators(mesh, edges=True)
+        npt.assert_allclose(ops.jump @ u.coefficients, expected,
+                            atol=1e-12 * np.abs(expected).max())
+
+    def test_coarsening_only_mesh_builds_no_operators(self):
+        mesh = init_reference_edges(icosphere(1))
+        fine, tmap = refine(mesh, all_marks(mesh), "nvb")
+        fine = lift_new_nodes(fine, unit_sphere())
+        rng = np.random.default_rng(18)
+        u_n = fe(fine, rng.standard_normal(fine.n_nodes))
+        u_prev = fe(fine, rng.standard_normal(fine.n_nodes))
+        per, _ = estimator.coarsening_indicator(fine, u_n, u_prev)
+        marks = mark_coarsen(np.sqrt(per), 0.5)
+        coarse, (c_n, c_prev), removed = coarsen(fine, marks, [u_n, u_prev],
+                                                 "nvb")
+        assert removed > 0
+        estimator.coarsening_indicator(coarse, c_n, c_prev)
+        assert fine._operators is None
+        assert coarse._operators is None
+        assert coarse._lifted == {}
+
+    def test_lifted_mesh_has_its_own_gradients(self):
+        mesh = init_reference_edges(icosphere(1))
+        refined, _ = refine(mesh, all_marks(mesh), "nvb")
+        before = p1_operators(refined).grads
+        lifted = lift_new_nodes(refined, unit_sphere())
+        after = p1_operators(lifted).grads
+        assert lifted._operators is not refined._operators
+        assert not np.allclose(before, after)
+        npt.assert_array_equal(after, basis_gradients(lifted))
+
+    def test_operators_are_built_once(self):
+        mesh = icosphere(2)
+        first = assemble(mesh)
+        u = fe(mesh, np.ones(mesh.n_nodes))
+        estimator.compute_indicators(mesh, u, u, u, 0.5)
+        ops = p1_operators(mesh)
+        assert ops.mass is first[0] and ops.stiffness is first[1]
+        assert ops.jump is not None
+        assert assemble(mesh)[0] is first[0]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from surfheat.errors import GenerationMismatch, SolverDivergence
-from surfheat.fem import (FeFunction, QuadratureRule, all_element_gradients,
-                          assemble, backward_euler_step, basis_gradients,
+from surfheat.errors import (GenerationMismatch, NonFiniteValue,
+                             SolverDivergence)
+from surfheat.fem import (ErrorEvaluator, FeFunction, QuadratureRule,
+                          all_element_gradients, assemble,
+                          backward_euler_step, basis_gradients,
                           element_gradient, errors_vs_exact, flat_h1_seminorm,
                           flat_l2_norm, interpolate, jacobi_cg,
                           lifted_l2_distance, lifted_l2_norm)
@@ -226,6 +228,32 @@ class TestSolver:
         with pytest.raises(SolverDivergence):
             jacobi_cg(a, RNG.standard_normal(40), rtol=1e-14, max_iter=2)
 
+    def test_nonfinite_rhs_fails_before_any_product(self):
+        class Counting:
+            def __init__(self, a):
+                self.a, self.products = a, 0
+
+            def __matmul__(self, x):
+                self.products += 1
+                return self.a @ x
+
+            def diagonal(self):
+                return self.a.diagonal()
+
+        for bad in (np.nan, np.inf):
+            a = Counting(self.spd(10))
+            rhs = RNG.standard_normal(10)
+            rhs[3] = bad
+            with pytest.raises(NonFiniteValue, match="0 iterations"):
+                jacobi_cg(a, rhs)
+            assert a.products == 0
+
+    def test_nonfinite_start_vector_fails_at_first_residual(self):
+        x0 = np.zeros(10)
+        x0[0] = np.nan
+        with pytest.raises(NonFiniteValue, match="after 0 iterations"):
+            jacobi_cg(self.spd(10), RNG.standard_normal(10), x0=x0)
+
     def test_sparse_system(self):
         m = icosphere(2)
         mass, stiffness = assemble(m)
@@ -287,6 +315,16 @@ class TestTimeStepping:
         with pytest.raises(GenerationMismatch):
             backward_euler_step(mass, stiffness, u0, f, tau=0.1)
 
+    def test_nan_source_raises_with_no_cg_iterations(self):
+        m = icosphere(3)  # 642 dofs: the old budget was 6,420 iterations
+        mass, stiffness = assemble(m)
+        u0 = FeFunction.on_mesh(m, np.ones(m.n_nodes))
+        values = np.zeros(m.n_nodes)
+        values[17] = np.nan
+        f = FeFunction.on_mesh(m, values)
+        with pytest.raises(NonFiniteValue, match=r"\(0 iterations spent\)"):
+            backward_euler_step(mass, stiffness, u0, f, tau=0.01)
+
     def test_tau_must_be_positive(self):
         m = icosphere(0)
         mass, stiffness = assemble(m)
@@ -345,3 +383,39 @@ class TestLiftedNorms:
         _, stiffness = assemble(m)
         u = FeFunction.on_mesh(m, np.full(m.n_nodes, 4.0))
         assert flat_h1_seminorm(stiffness, u) < 1e-6
+
+    def test_lifted_quadrature_is_cached_per_surface(self):
+        m = icosphere(2)
+        surface = unit_sphere()
+        u = interpolate(m, lambda x: x[:, 0])
+        first = lifted_l2_norm(m, surface, u)
+        evaluator = ErrorEvaluator(m, surface)
+        assert len(m._lifted) == 1
+        assert lifted_l2_norm(m, surface, u) == first
+        assert ErrorEvaluator(m, surface)._w is evaluator._w
+        lifted_l2_norm(m, unit_sphere(), u)  # a second surface object
+        lifted_l2_norm(m, surface, u, rule=QuadratureRule.edge_midpoints())
+        assert len(m._lifted) == 3
+
+    def test_error_evaluator_on_open_triangle_subsets(self):
+        m = icosphere(2)
+        surface = unit_sphere()
+        problem = sphere_decay()
+        u = interpolate(m, problem.u0)
+        t = 0.3
+        l2, h1 = ErrorEvaluator(m, surface).errors(u, problem.u,
+                                                   problem.grad_u, t)
+        l2_parts, h1_parts, dist_parts = [], [], []
+        for chunk in (slice(0, 100), slice(100, None)):
+            part = SurfaceMesh(m.nodes, m.triangles[chunk])
+            u_part = FeFunction.on_mesh(part, u.coefficients)
+            e_l2, e_h1 = ErrorEvaluator(part, surface).errors(
+                u_part, problem.u, problem.grad_u, t)
+            l2_parts.append(e_l2 ** 2)
+            h1_parts.append(e_h1 ** 2)
+            dist_parts.append(lifted_l2_distance(part, surface, u_part,
+                                                 problem.u, time=t) ** 2)
+            assert part._adjacency is None
+        assert np.sqrt(sum(l2_parts)) == pytest.approx(l2, rel=1e-12)
+        assert np.sqrt(sum(h1_parts)) == pytest.approx(h1, rel=1e-12)
+        assert np.sqrt(sum(dist_parts)) == pytest.approx(l2, rel=1e-12)
