@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DofCapExceeded, MetadataMissing, SpatialStagnation,
-                     TauUnderflow)
+from .errors import (DofCapExceeded, MetadataMissing, NonFiniteValue,
+                     SpatialStagnation, TauUnderflow)
 from .estimator import coarsening_indicator, compute_indicators
 from .fem import (FeFunction, assemble, backward_euler_step, interpolate,
                   lifted_l2_distance)
@@ -144,7 +144,8 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
 
     Raises ``ValueError`` when the interpolated initial datum misses the
     tolerance, ``SpatialStagnation``/``TauUnderflow``/``DofCapExceeded``
-    when a safety guard trips.
+    when a safety guard trips, ``NonFiniteValue`` when a solve meets a NaN;
+    each names the step, its start t, tau and the working mesh's dofs.
     """
     if not initial_mesh.refedge_ready:
         raise MetadataMissing("initial mesh carries no reference edges")
@@ -165,6 +166,10 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     tau = config.tau0
     step = 0
 
+    def where():  # the context an abort names
+        return (f"[step {step}, t = {t:.6g}, tau = {tau:.6g}, "
+                f"dofs = {work_mesh.n_nodes}]")
+
     while config.t_end - t > eps:
         step += 1
         started = time.perf_counter()
@@ -181,8 +186,11 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
             for _ in range(config.max_spatial_iters):
                 mass, stiffness = assemble(work_mesh)  # cached per mesh
                 f_h = interpolate(work_mesh, problem.f, time=target)
-                u_new, iters = backward_euler_step(
-                    mass, stiffness, work_uprev, f_h, tau)
+                try:
+                    u_new, iters = backward_euler_step(
+                        mass, stiffness, work_uprev, f_h, tau)
+                except NonFiniteValue as exc:
+                    raise NonFiniteValue(f"{exc} {where()}") from exc
                 step_spatial_iters += 1
                 step_cg_iters += iters
                 log.cum_dof_steps += work_mesh.n_nodes
@@ -197,25 +205,26 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                 if refined is work_mesh:
                     raise SpatialStagnation(
                         "marking selected no element while the spatial "
-                        "indicator is above tolerance")
+                        f"indicator is above tolerance {where()}")
                 if refined.n_nodes > config.dof_cap:
                     raise DofCapExceeded(
                         f"refinement to {refined.n_nodes} nodes exceeds the "
-                        f"cap of {config.dof_cap}")
+                        f"cap of {config.dof_cap} {where()}")
                 work_uprev = transfer(work_uprev, tmap)
                 work_mesh = lift_new_nodes(refined, surface)
                 log.peak_dofs = max(log.peak_dofs, work_mesh.n_nodes)
             else:
                 raise SpatialStagnation(
                     f"spatial indicator still at {ind.eta_h_sq:.3e} after "
-                    f"{config.max_spatial_iters} solves (tol {config.tol:.3e})")
+                    f"{config.max_spatial_iters} solves "
+                    f"(tol {config.tol:.3e}) {where()}")
 
             if ind.eta_tau_sq >= config.tol:
                 tau = 0.5 * tau
                 if tau < config.tau_min:
                     raise TauUnderflow(
                         f"time step {tau:.3e} fell below {config.tau_min:.3e};"
-                        " tolerance unreachable in time")
+                        f" tolerance unreachable in time {where()}")
                 continue  # retry on the refined mesh, fresh spatial loop
             break
 

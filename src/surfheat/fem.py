@@ -9,9 +9,11 @@ Everything that depends on the mesh alone is built once per mesh and cached
 on it (meshes are immutable):
 
 - ``p1_operators`` builds the P1 operator bundle on the first assembly,
-  indicator pass or error evaluation of a mesh: basis gradients, element
-  stiffness blocks, mass and stiffness, and a sparse gradient operator.  The
-  co-normal jump and half-incidence operators, which need the closed-surface
+  indicator pass or error evaluation of a mesh: basis gradients and element
+  stiffness blocks on contiguous coordinate rows, mass and stiffness written
+  straight into CSR on the pattern of the mesh's half-edge sort
+  (``mesh.half_edges``), and a sparse gradient operator.  The co-normal
+  jump and half-incidence operators, which need the closed-surface
   adjacency, join it on the first indicator pass.  ``assemble`` is a lookup.
 - the lifted quadrature of a rule on a surface is built on the first lifted
   norm or ``ErrorEvaluator`` of a mesh and shared by all later ones.
@@ -22,9 +24,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (DegenerateTriangle, GenerationMismatch, NonFiniteValue,
-                     SolverDivergence)
+from .errors import GenerationMismatch, NonFiniteValue, SolverDivergence
 from .geometry import geometric_operators, lift
+from .mesh import cross_rows, edge_rows
 
 
 class FeFunction:
@@ -88,12 +90,6 @@ class QuadratureRule:
             raise ValueError("quadrature weights must sum to 1")
 
     @classmethod
-    def edge_midpoints(cls):
-        """Three-point edge-midpoint rule, exact for degree 2."""
-        pts = [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
-        return cls(pts, [1.0 / 3.0] * 3, degree=2)
-
-    @classmethod
     def degree4(cls):
         """Six-point symmetric rule, exact for degree 4."""
         a1, w1 = 0.445948490915965, 0.223381589678011
@@ -117,39 +113,14 @@ def basis_gradients(mesh):
     Returns
     -------
     (M, 3, 3) array ``G`` with ``G[t, i]`` the (constant) surface gradient of
-    the barycentric basis function of local vertex i on triangle t.
+    the barycentric basis function of local vertex i on triangle t, a view
+    of the contiguous rows ``G.transpose(2, 1, 0)[k, i]``.
     """
-    p = mesh.nodes[mesh.triangles]
     met = mesh.metrics
-    two_area = (2.0 * met.area)[:, None]
-    G = np.empty((mesh.n_triangles, 3, 3))
-    for i in range(3):
-        edge_opp = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-        G[:, i] = np.cross(met.normal, edge_opp) / two_area
-    return G
-
-
-def element_gradient(corners, values):
-    """Constant tangential gradient of a P1 function on one flat triangle.
-
-    Parameters
-    ----------
-    corners : (3, 3) array of vertex coordinates.
-    values : (3,) nodal values.
-    """
-    corners = np.asarray(corners, dtype=float)
-    values = np.asarray(values, dtype=float)
-    cr = np.cross(corners[1] - corners[0], corners[2] - corners[0])
-    two_area = np.linalg.norm(cr)
-    if two_area <= 1e-14 * max(np.linalg.norm(corners[1] - corners[0]),
-                               np.linalg.norm(corners[2] - corners[0])) ** 2:
-        raise DegenerateTriangle("triangle with (near) zero area")
-    n = cr / two_area
-    g = np.zeros(3)
-    for i in range(3):
-        edge_opp = corners[(i + 2) % 3] - corners[(i + 1) % 3]
-        g += values[i] * np.cross(n, edge_opp) / two_area
-    return g
+    # grad(phi_i) = n x (edge opposite vertex i) / (2 |T|)
+    opposite = np.roll(edge_rows(mesh), -1, axis=1)
+    G = cross_rows(met.normal.T[:, None], opposite) / (2.0 * met.area)
+    return G.transpose(2, 1, 0)
 
 
 class P1Operators:
@@ -162,7 +133,7 @@ class P1Operators:
     blocks : (M, 3, 3) array
         Element stiffness blocks ``A_T = |T| G_T G_T^T``.
     mass, stiffness : (N, N) csr_array
-        The assembled matrices.
+        The assembled matrices; they share one ``indptr`` and ``indices``.
     grad : (3M, N) csr_array
         ``(grad @ u).reshape(3, M)`` holds component k of the tangential
         gradient of ``u`` on every triangle in row k.
@@ -190,11 +161,38 @@ def _fixed_width_csr(data, indices, shape):
     return sp.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
 
 
+def _p1_pattern(edges, n):
+    """Sorted CSR pattern of the P1 matrices: the diagonal plus both
+    orientations of the lexicographically sorted edges ``lo < hi``.
+
+    Returns ``indptr``, ``indices`` and ``source``; the entries of a matrix
+    with diagonal ``d`` and edge values ``v`` are ``concat(d, v, v)[source]``.
+    """
+    lo, hi = edges.T
+    n_edges = len(lo)
+    below = np.cumsum(np.bincount(hi, minlength=n))  # edges with hi <= i
+    above = np.searchsorted(lo, np.arange(n + 1))    # edges with lo < i
+    # row i: lower neighbours (edges (j, i), in the transpose order), i,
+    # then upper neighbours (edges (i, j), in edge order)
+    by_hi = np.argsort(hi, kind="stable")
+    slot = np.empty(n + 2 * n_edges, dtype=np.int64)
+    slot[:n] = np.arange(n) + below + above[:-1]
+    slot[n:n + n_edges] = lo + below[lo] + np.arange(1, n_edges + 1)
+    slot[n + n_edges + by_hi] = (hi[by_hi] + above[hi[by_hi]]
+                                 + np.arange(n_edges))
+    source = np.empty_like(slot)
+    source[slot] = np.arange(len(slot))
+    indptr = np.arange(n + 1) + np.concatenate(([0], below)) + above
+    return indptr, np.concatenate((np.arange(n), hi, lo))[source], source
+
+
 def p1_operators(mesh, edges=False):
     """The cached :class:`P1Operators` of ``mesh``, built on first use.
 
     Meshes are immutable, so the bundle lives as long as the mesh and never
-    needs invalidating.  ``edges=True`` also builds the edge operators.
+    needs invalidating.  ``edges=True`` also builds the edge operators.  An
+    off-diagonal matrix entry sums the element blocks of its edge's
+    half-edges, a diagonal one those of its node's triangle corners.
     """
     ops = mesh._operators
     if ops is None:
@@ -202,16 +200,31 @@ def p1_operators(mesh, edges=False):
         tri = mesh.triangles
         m, n = mesh.n_triangles, mesh.n_nodes
         area = mesh.metrics.area
+        he = mesh.half_edges
         G = basis_gradients(mesh)
         ops.grads = G
-        ops.blocks = area[:, None, None] * np.einsum("mik,mjk->mij", G, G)
-        m_loc = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        ops.mass, ops.stiffness = (
-            sp.csr_array(sp.coo_array((loc.ravel(), (rows, cols)),
-                                      shape=(n, n)))
-            for loc in (m_loc, ops.blocks))
+        g = G.transpose(2, 1, 0)  # (component, vertex, triangle) rows
+        ops.blocks = np.einsum("kit,kjt->tij", g, g)
+        ops.blocks *= area[:, None, None]
+        # (t, j) order, as in tri.ravel() and tri_edges.ravel(): local edge j
+        # joins vertices j and j + 1, so it carries block entry (j, j + 1)
+        entries = ops.blocks.reshape(m, 9)
+        corners, half = tri.ravel(), he.tri_edges.ravel()
+        n_edges = len(he.edges)
+        indptr, indices, source = _p1_pattern(he.edges, n)
+
+        def on_pattern(diag, off):
+            data = np.concatenate((diag, off, off))[source]
+            return sp.csr_array((data, indices, indptr), shape=(n, n))
+
+        weights = np.repeat(area, 3)
+        ops.mass = on_pattern(
+            np.bincount(corners, weights, minlength=n) / 6.0,
+            np.bincount(half, weights, minlength=n_edges) / 12.0)
+        ops.stiffness = on_pattern(
+            np.bincount(corners, entries[:, ::4].ravel(), minlength=n),
+            np.bincount(half, entries[:, [1, 5, 6]].ravel(),
+                        minlength=n_edges))
         # row k M + t holds G[t, i, k] at column tri[t, i]
         ops.grad = _fixed_width_csr(G.transpose(2, 0, 1),
                                     np.tile(tri, (3, 1)), (3 * m, n))
@@ -224,9 +237,10 @@ def p1_operators(mesh, edges=False):
         # edge's two nodes appear once per side, and products sum duplicates.
         et = mesh.edge_tris
         opposite = (mesh.edge_local + 2) % 3
+        rows = np.take(ops.blocks.reshape(-1, 3), 3 * et + opposite, axis=0)
         ops.jump = _fixed_width_csr(
-            -2.0 * ops.blocks[et, opposite],
-            mesh.triangles[et].reshape(len(et), 6), (len(et), mesh.n_nodes))
+            -2.0 * rows, np.take(mesh.triangles, et, axis=0).reshape(-1, 6),
+            (len(et), mesh.n_nodes))
         ops.half_incidence = _fixed_width_csr(
             np.full(mesh.tri_edges.shape, 0.5), mesh.tri_edges,
             (mesh.n_triangles, len(et)))

@@ -209,30 +209,6 @@ def _tangent_pair(nu_h):
     return t1, t2
 
 
-def lifted_gradient_transform(surface, points, nu_h):
-    """Matrix mapping flat tangential gradients to lifted surface gradients.
-
-    Returns ``(I - d A)^{-1} (I - nu_h nu^T / (nu_h . nu))`` evaluated at each
-    point, where ``A`` is the extended Weingarten map.
-    """
-    p = np.asarray(points, dtype=float)
-    nu_h = np.broadcast_to(np.asarray(nu_h, dtype=float), p.shape)
-    d = surface.distance(p)
-    nu = surface.gradient(p)
-    nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
-    dot = np.sum(nu_h * nu, axis=-1)
-    if np.any(dot <= 0.0):
-        raise ValueError("element normal points away from the surface normal")
-    Q = _EYE3 - nu_h[..., :, None] * nu[..., None, :] / dot[..., None, None]
-    A = surface.hessian(p)
-    IdA = _EYE3 - d[..., None, None] * A
-    det = np.linalg.det(IdA)
-    if np.any(np.abs(det) < 1e-12):
-        raise SingularShapeOperator("I - d*Weingarten is singular")
-    B = np.linalg.inv(IdA)
-    return B @ Q
-
-
 class GeometricOperators:
     """Bundle of pointwise geometric quantities.
 
@@ -244,7 +220,8 @@ class GeometricOperators:
     - ``mu`` : measure ratio of the closest-point map on the element plane
     - ``projector`` : tangential projector P of the exact surface
     - ``projector_h`` : tangential projector of the flat element
-    - ``grad_transform`` : matrix of :func:`lifted_gradient_transform`
+    - ``grad_transform`` : ``(I - d A)^{-1} (I - nu_h nu^T / (nu_h . nu))``,
+      mapping flat tangential gradients to lifted surface gradients
     - ``r_tilde`` : weighted transform whose quadratic form turns flat
       Dirichlet integrands into exact-surface ones
     - ``a_tilde`` : ``r_tilde`` composed with ``projector_h``; close to

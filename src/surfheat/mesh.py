@@ -6,13 +6,16 @@ immutable -- refinement, coarsening and node lifting build new meshes -- so
 every derived quantity is computed lazily, on first use, and cached on the
 mesh for its lifetime; nothing ever needs invalidating:
 
-- the adjacency (edge table) and the element metrics, built here;
-- the edge geometry (lengths and co-normals), built here; the solver no
-  longer uses it, it serves as a reference;
+- the half-edge sort (:class:`HalfEdges`), the mesh's one sort: edge ids
+  and ``tri_edges`` for open and closed triangle sets alike;
+- the adjacency (edge table): that sort plus the closed-surface checks;
+- the element metrics, computed on contiguous coordinate rows;
+- the edge geometry (lengths and co-normals), kept as a reference;
 - the P1 operator bundle (basis gradients, element stiffness blocks, mass
-  and stiffness, the gradient, co-normal jump and half-incidence operators),
-  built by ``fem.p1_operators`` when a mesh is first assembled, estimated
-  or used for error norms;
+  and stiffness on the pattern of the half-edge sort, the gradient,
+  co-normal jump and half-incidence operators), built by
+  ``fem.p1_operators`` when a mesh is first assembled, estimated or used
+  for error norms;
 - the lifted quadrature per surface and rule, built by ``fem`` on the first
   lifted error norm.
 
@@ -37,6 +40,7 @@ position among the siblings (``tri_slot``).
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
@@ -80,42 +84,58 @@ class Genealogy:
                          self.slot.copy(), self.nchild.copy())
 
 
-class ElementMetrics:
-    """Per-element geometry: diameters, inradii, areas, unit normals."""
+# Per-element geometry: diameters, inradii, areas, unit normals, h and rho.
+ElementMetrics = namedtuple("ElementMetrics", "h_T r_T area normal h rho")
 
-    __slots__ = ("h_T", "r_T", "area", "normal", "h", "rho")
-
-    def __init__(self, h_T, r_T, area, normal, h, rho):
-        self.h_T = h_T
-        self.r_T = r_T
-        self.area = area
-        self.normal = normal
-        self.h = h
-        self.rho = rho
+# Per-edge geometry: lengths and in-plane outward co-normals.
+# ``conormal[e, k]`` is the unit vector lying in the plane of the k-th
+# adjacent triangle, orthogonal to the edge, pointing away from the
+# triangle's opposite vertex.
+EdgeGeometry = namedtuple("EdgeGeometry", "length conormal")
 
 
-class EdgeGeometry:
-    """Per-edge geometry: lengths and in-plane outward co-normals.
+class HalfEdges:
+    """The 3M half-edges ``3 t + j`` (local vertex j to j + 1 of triangle t),
+    sorted by one stable argsort of their keys ``lo * N + hi``.
 
-    ``conormal[e, k]`` is the unit vector lying in the plane of the k-th
-    adjacent triangle, orthogonal to the edge, pointing away from the
-    triangle's opposite vertex.
+    ``order`` (3M,) lists the edges lexicographically, each with its
+    ``counts`` (E,) half-edges in index order; ``edges`` (E, 2) holds the
+    endpoints ``lo < hi``, ``tri_edges`` (M, 3) the edge of each half-edge,
+    ``forward`` (3M,) whether a half-edge runs from ``lo`` to ``hi``.  No
+    closed surface is assumed.
     """
 
-    __slots__ = ("length", "conormal")
+    __slots__ = ("order", "counts", "edges", "tri_edges", "forward")
 
-    def __init__(self, length, conormal):
-        self.length = length
-        self.conormal = conormal
+    def __init__(self, triangles, n_nodes):
+        tri = np.asarray(triangles, dtype=np.int64)
+        a, b = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
+        self.forward = a < b
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * np.int64(n_nodes) + hi
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        new_edge = np.empty(len(key) + 1, dtype=bool)
+        new_edge[0] = new_edge[-1] = True
+        np.not_equal(key[1:], key[:-1], out=new_edge[1:-1])
+        start = np.flatnonzero(new_edge)
+        self.counts = np.diff(start)
+        first = self.order[start[:-1]]
+        self.edges = np.stack([lo[first], hi[first]], axis=1)
+        edge_of = np.empty(len(key), dtype=np.int64)
+        edge_of[self.order] = np.cumsum(new_edge[:-1], dtype=np.int64) - 1
+        self.tri_edges = edge_of.reshape(tri.shape)
 
 
-def build_adjacency(triangles, n_nodes):
+def build_adjacency(triangles, n_nodes, half_edges=None):
     """Edge table of an oriented closed triangle mesh.
 
     Parameters
     ----------
     triangles : (M, 3) int array
     n_nodes : int
+    half_edges : HalfEdges, optional
+        The sorted half-edges of ``triangles``, if already built.
 
     Returns
     -------
@@ -140,46 +160,22 @@ def build_adjacency(triangles, n_nodes):
     InconsistentOrientation
         If two triangles traverse a shared edge in the same direction.
     """
-    tri = np.asarray(triangles, dtype=np.int64)
-    m = len(tri)
-    a = tri[:, [0, 1, 2]].ravel()
-    b = tri[:, [1, 2, 0]].ravel()
-    tri_of = np.repeat(np.arange(m, dtype=np.int64), 3)
-    local = np.tile(np.arange(3, dtype=np.int64), m)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    key = lo * np.int64(n_nodes) + hi
-    uniq, inverse, counts = np.unique(key, return_inverse=True,
-                                      return_counts=True)
-    if np.any(counts != 2):
-        bad = int(np.argmax(counts != 2))
-        v0, v1 = divmod(int(uniq[bad]), n_nodes)
-        raise NonManifold(
-            f"edge ({v0}, {v1}) has {int(counts[bad])} incident triangles")
-    n_edges = len(uniq)
-    order = np.argsort(inverse, kind="stable")
-    # after sorting by edge id, incidences come in pairs
-    first, second = order[0::2], order[1::2]
-    t1, t2 = tri_of[first], tri_of[second]
-    l1, l2 = local[first], local[second]
-    f1 = a[first] < b[first]
-    f2 = a[second] < b[second]
-    if np.any(f1 == f2):
-        bad = int(np.argmax(f1 == f2))
+    he = half_edges or HalfEdges(triangles, n_nodes)
+    if np.any(he.counts != 2):
+        bad = int(np.argmax(he.counts != 2))
+        raise NonManifold(f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) "
+                          f"has {he.counts[bad]} incident triangles")
+    # every edge owns two consecutive half-edges, the smaller index first
+    pair = he.order.reshape(-1, 2)
+    forward = he.forward[pair]
+    if np.any(forward[:, 0] == forward[:, 1]):
+        bad = int(np.argmax(forward[:, 0] == forward[:, 1]))
         raise InconsistentOrientation(
-            f"triangles {int(t1[bad])} and {int(t2[bad])} traverse edge "
-            f"({int(lo[first[bad]])}, {int(hi[first[bad]])}) in the same direction")
-    swap = t2 < t1
-    edge_tris = np.where(swap[:, None], np.stack([t2, t1], axis=1),
-                         np.stack([t1, t2], axis=1))
-    edge_local = np.where(swap[:, None], np.stack([l2, l1], axis=1),
-                          np.stack([l1, l2], axis=1))
-    edge_forward = np.where(swap, f2, f1)
-    edge_nodes = np.stack([lo[first], hi[first]], axis=1)
-    tri_edges = np.empty((m, 3), dtype=np.int64)
-    tri_edges[tri_of, local] = inverse
-    assert n_edges == 3 * m // 2
-    return edge_nodes, edge_tris, edge_local, edge_forward, tri_edges
+            f"triangles {pair[bad, 0] // 3} and {pair[bad, 1] // 3} traverse "
+            f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) in the same "
+            "direction")
+    edge_tris, edge_local = np.divmod(pair, 3)
+    return he.edges, edge_tris, edge_local, forward[:, 0], he.tri_edges
 
 
 class SurfaceMesh:
@@ -225,6 +221,7 @@ class SurfaceMesh:
         self.strategy = strategy
         self.refedge_ready = bool(refedge_ready)
         self.generation = next(_generation_counter)
+        self._half_edges = None
         self._adjacency = None
         self._metrics = None
         self._edge_geom = None
@@ -260,9 +257,17 @@ class SurfaceMesh:
 
     # -------------------------------------------------------------- adjacency
 
+    @property
+    def half_edges(self):
+        """The sorted half-edges (cached); see :class:`HalfEdges`."""
+        if self._half_edges is None:
+            self._half_edges = HalfEdges(self.triangles, self.n_nodes)
+        return self._half_edges
+
     def _ensure_adjacency(self):
         if self._adjacency is None:
-            self._adjacency = build_adjacency(self.triangles, self.n_nodes)
+            self._adjacency = build_adjacency(self.triangles, self.n_nodes,
+                                              self.half_edges)
         return self._adjacency
 
     @property
@@ -279,11 +284,6 @@ class SurfaceMesh:
     def edge_local(self):
         """(E, 2) local edge index within each incident triangle."""
         return self._ensure_adjacency()[2]
-
-    @property
-    def edge_forward(self):
-        """(E,) orientation bit of the first incident triangle."""
-        return self._ensure_adjacency()[3]
 
     @property
     def tri_edges(self):
@@ -315,35 +315,50 @@ class SurfaceMesh:
         return self._edge_geom
 
 
+def edge_rows(mesh):
+    """Edge vectors of every triangle as contiguous coordinate rows.
+
+    Returns a (3, 3, M) array ``e`` with ``e[k, j]`` the k-th coordinate of
+    local edge j, ``p[(j + 1) % 3] - p[j]``, on every triangle.
+    """
+    # (coordinate, corner, triangle)
+    p = np.take(np.ascontiguousarray(mesh.nodes.T), mesh.triangles.T, axis=1)
+    return np.roll(p, -1, axis=1) - p
+
+
+def cross_rows(a, b):
+    """Cross products of vectors stored as coordinate rows ``a[k]``, ``b[k]``
+    (broadcasting over the trailing axes)."""
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def element_metrics(mesh):
     """Per-triangle diameter, inradius, area, unit normal; global h and rho.
 
     ``h_T`` is the longest edge, ``r_T = 2 area / perimeter`` the inradius,
-    ``rho = max h_T / r_T`` the shape-regularity measure.
+    ``rho = max h_T / r_T`` the shape-regularity measure.  ``normal`` is an
+    (M, 3) view of contiguous coordinate rows (``normal.T``).
 
     Raises
     ------
     DegenerateTriangle
         If some triangle's area is not above ``1e-14 * h**2``.
     """
-    p = mesh.nodes[mesh.triangles]  # (M, 3, 3)
-    e0 = p[:, 1] - p[:, 0]
-    e1 = p[:, 2] - p[:, 1]
-    e2 = p[:, 0] - p[:, 2]
-    lengths = np.stack([np.linalg.norm(e0, axis=1),
-                        np.linalg.norm(e1, axis=1),
-                        np.linalg.norm(e2, axis=1)], axis=1)
-    h_T = lengths.max(axis=1)
-    perimeter = lengths.sum(axis=1)
-    cr = np.cross(e0, -e2)
-    two_area = np.linalg.norm(cr, axis=1)
+    e = edge_rows(mesh)
+    lengths = np.sqrt((e * e).sum(axis=0))  # (3, M): one row per local edge
+    h_T = lengths.max(axis=0)
+    perimeter = lengths.sum(axis=0)
+    cr = cross_rows(e[:, 2], e[:, 0])  # (p1 - p0) x (p2 - p0)
+    two_area = np.sqrt((cr * cr).sum(axis=0))
     area = 0.5 * two_area
     h = float(h_T.max()) if len(h_T) else 0.0
     if np.any(area <= 1e-14 * h * h):
         bad = int(np.argmin(area))
         raise DegenerateTriangle(
             f"triangle {bad} has area {area[bad]:.3g} (h = {h:.3g})")
-    normal = cr / two_area[:, None]
+    normal = (cr / two_area).T
     r_T = 2.0 * area / perimeter
     rho = float((h_T / r_T).max()) if len(h_T) else 0.0
     return ElementMetrics(h_T=h_T, r_T=r_T, area=area, normal=normal,
@@ -372,19 +387,6 @@ def _compute_edge_geometry(mesh):
         co *= (sign / np.linalg.norm(co, axis=1))[:, None]
         conormal[:, k] = co
     return EdgeGeometry(length=length, conormal=conormal)
-
-
-def conormal_flux_jump(mesh, edge, grad_t1, grad_t2):
-    """Co-normal flux jump of a P1 function across one edge.
-
-    ``grad_t1``/``grad_t2`` are the constant tangential gradients on the two
-    triangles adjacent to ``edge`` (in ``edge_tris`` order).  Returns the sum
-    of the outward co-normal fluxes; for coplanar triangles this equals the
-    usual difference of normal derivatives up to sign.
-    """
-    geom = mesh.edge_geometry
-    return float(np.dot(grad_t1, geom.conormal[edge, 0])
-                 + np.dot(grad_t2, geom.conormal[edge, 1]))
 
 
 def conormal_flux_jumps(mesh, tri_grads):

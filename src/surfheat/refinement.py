@@ -106,16 +106,13 @@ class TransferMap:
     receives the endpoint average, otherwise it copies ``source_a[i]``.
     """
 
-    __slots__ = ("source_a", "source_b", "src_generation", "dst_generation",
-                 "direction")
+    __slots__ = ("source_a", "source_b", "src_generation", "dst_generation")
 
-    def __init__(self, source_a, source_b, src_generation, dst_generation,
-                 direction):
+    def __init__(self, source_a, source_b, src_generation, dst_generation):
         self.source_a = np.asarray(source_a, dtype=np.int64)
         self.source_b = np.asarray(source_b, dtype=np.int64)
         self.src_generation = int(src_generation)
         self.dst_generation = int(dst_generation)
-        self.direction = direction
 
 
 def transfer(u_old, tmap):
@@ -234,7 +231,7 @@ def refine(mesh, marks, strategy, birth=None):
                               or marks.marked[-1] >= m_tris):
         raise ValueError("mark refers to a nonexistent triangle")
     identity = TransferMap(np.arange(mesh.n_nodes), np.full(mesh.n_nodes, -1),
-                           mesh.generation, mesh.generation, "refine")
+                           mesh.generation, mesh.generation)
     if len(marks.marked) == 0:
         return mesh, identity
 
@@ -327,7 +324,7 @@ def refine(mesh, marks, strategy, birth=None):
         np.concatenate([np.arange(n_old), endpoints[:, 0]]),
         np.concatenate([np.full(n_old, -1, dtype=np.int64),
                         endpoints[:, 1]]),
-        mesh.generation, refined.generation, "refine")
+        mesh.generation, refined.generation)
     return refined, tmap
 
 

@@ -10,7 +10,7 @@ import pytest
 from surfheat import adaptive
 from surfheat.adaptive import AdaptiveConfig, RunLog, StepRecord, run
 from surfheat.errors import (DofCapExceeded, MetadataMissing,
-                             SpatialStagnation, TauUnderflow)
+                             NonFiniteValue, SpatialStagnation, TauUnderflow)
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh
 from surfheat.problems import Problem, get_problem, icosphere
@@ -127,21 +127,35 @@ class TestGuards:
         problem = constant_source()
         config = AdaptiveConfig(tol=1e-10, tau0=0.1, t_end=1.0,
                                 tau_min=1e-4)
-        with pytest.raises(TauUnderflow):
+        with pytest.raises(TauUnderflow, match=r"\[step 1, t = 0, "
+                           r"tau = 9\.76563e-05, dofs = 42\]"):
             run(problem, problem.surface, icosphere(1), config)
 
     def test_spatial_stagnation(self):
         problem = get_problem("sphere-decay")
         config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0,
                                 max_spatial_iters=1)
-        with pytest.raises(SpatialStagnation):
+        with pytest.raises(SpatialStagnation, match=r"\[step 1, t = 0, "
+                           r"tau = 0\.01, dofs = \d+\]"):
             run(problem, problem.surface, icosphere(2), config)
 
     def test_dof_cap(self):
         problem = get_problem("sphere-decay")
         config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0, dof_cap=200)
-        with pytest.raises(DofCapExceeded):
+        with pytest.raises(DofCapExceeded, match=r"\[step 1, t = 0, "
+                           r"tau = 0\.01, dofs = 162\]"):
             run(problem, problem.surface, icosphere(2), config)
+
+    def test_non_finite_source_names_step_and_keeps_iterations(self):
+        problem = Problem(
+            name="nan-source", surface=unit_sphere(),
+            f=lambda x, t: np.full(x.shape[:-1], np.nan),
+            u0=lambda x: np.zeros(x.shape[:-1]), t_end=1.0)
+        config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
+        with pytest.raises(NonFiniteValue,
+                           match=r"\(0 iterations spent\) \[step 1, t = 0, "
+                           r"tau = 0\.5, dofs = 42\]"):
+            run(problem, problem.surface, icosphere(1), config)
 
     def test_initial_interpolation_must_meet_tolerance(self):
         problem = get_problem("sphere-decay")

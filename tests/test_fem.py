@@ -4,19 +4,21 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from surfheat.errors import (GenerationMismatch, NonFiniteValue,
-                             SolverDivergence)
+from surfheat.errors import (DegenerateTriangle, GenerationMismatch,
+                             NonFiniteValue, SolverDivergence)
 from surfheat.fem import (ErrorEvaluator, FeFunction, QuadratureRule,
                           all_element_gradients, assemble,
                           backward_euler_step, basis_gradients,
-                          element_gradient, errors_vs_exact, flat_h1_seminorm,
+                          errors_vs_exact, flat_h1_seminorm,
                           flat_l2_norm, interpolate, jacobi_cg,
                           lifted_l2_distance, lifted_l2_norm)
 from surfheat.geometry import unit_sphere
-from surfheat.mesh import SurfaceMesh
-from surfheat.problems import icosphere, sphere_decay
+from surfheat.mesh import SurfaceMesh, element_metrics
+from surfheat.problems import icosphere, sphere_decay, torus_grid
+from test_estimator import graded_sphere
 
 RNG = np.random.default_rng(7151)
 
@@ -30,8 +32,32 @@ def equilateral():
                             (0.5, np.sqrt(3.0) / 2.0, 0.0)])
 
 
+def edge_midpoints():
+    """Three-point edge-midpoint rule, exact for degree 2."""
+    pts = [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
+    return QuadratureRule(pts, [1.0 / 3.0] * 3, degree=2)
+
+
+def element_gradient(corners, values):
+    """Reference: constant tangential gradient of a P1 function on one flat
+    triangle, from its (3, 3) corner coordinates and (3,) nodal values."""
+    corners = np.asarray(corners, dtype=float)
+    values = np.asarray(values, dtype=float)
+    cr = np.cross(corners[1] - corners[0], corners[2] - corners[0])
+    two_area = np.linalg.norm(cr)
+    if two_area <= 1e-14 * max(np.linalg.norm(corners[1] - corners[0]),
+                               np.linalg.norm(corners[2] - corners[0])) ** 2:
+        raise DegenerateTriangle("triangle with (near) zero area")
+    n = cr / two_area
+    g = np.zeros(3)
+    for i in range(3):
+        edge_opp = corners[(i + 2) % 3] - corners[(i + 1) % 3]
+        g += values[i] * np.cross(n, edge_opp) / two_area
+    return g
+
+
 class TestQuadrature:
-    @pytest.mark.parametrize("rule", [QuadratureRule.edge_midpoints(),
+    @pytest.mark.parametrize("rule", [edge_midpoints(),
                                       QuadratureRule.degree4()],
                              ids=["midpoint", "degree4"])
     def test_exact_for_declared_degree(self, rule):
@@ -51,7 +77,7 @@ class TestQuadrature:
                         (alpha, beta, gamma)
 
     @pytest.mark.parametrize("rule,monomial", [
-        (QuadratureRule.edge_midpoints(), (3, 0, 0)),
+        (edge_midpoints(), (3, 0, 0)),
         (QuadratureRule.degree4(), (5, 0, 0)),
     ], ids=["midpoint", "degree4"])
     def test_degree_is_tight(self, rule, monomial):
@@ -70,7 +96,7 @@ class TestQuadrature:
     def test_physical_points(self):
         m = single_triangle([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0),
                              (0.0, 2.0, 0.0)])
-        pts = QuadratureRule.edge_midpoints().physical_points(m)
+        pts = edge_midpoints().physical_points(m)
         assert pts.shape == (1, 3, 3)
         np.testing.assert_allclose(
             sorted(map(tuple, pts[0])),
@@ -113,6 +139,75 @@ class TestGradients:
             expected = element_gradient(m.nodes[m.triangles[t]],
                                         u.coefficients[m.triangles[t]])
             np.testing.assert_allclose(G[t], expected, atol=1e-13)
+
+
+# ------------------------------------------------- gather and COO oracles
+
+def gather_geometry(mesh):
+    """Reference area, normal, h_T, r_T and basis gradients from (M, 3, 3)
+    corner gathers with ``np.cross`` and ``np.linalg.norm``."""
+    p = mesh.nodes[mesh.triangles]
+    edges = [p[:, (j + 1) % 3] - p[:, j] for j in range(3)]
+    lengths = np.stack([np.linalg.norm(e, axis=1) for e in edges], axis=1)
+    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    two_area = np.linalg.norm(cr, axis=1)
+    normal = cr / two_area[:, None]
+    G = np.stack([np.cross(normal, edges[(i + 1) % 3]) / two_area[:, None]
+                  for i in range(3)], axis=1)
+    return (0.5 * two_area, normal, lengths.max(axis=1),
+            two_area / lengths.sum(axis=1), G)
+
+
+def coo_assembly(mesh):
+    """Reference mass and stiffness: element blocks summed by scipy's
+    COO -> CSR conversion."""
+    tri, n = mesh.triangles, mesh.n_nodes
+    area, *_, G = gather_geometry(mesh)
+    blocks = area[:, None, None] * np.einsum("mik,mjk->mij", G, G)
+    m_loc = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return tuple(sp.csr_array(sp.coo_array((loc.ravel(), (rows, cols)),
+                                           shape=(n, n)))
+                 for loc in (m_loc, blocks))
+
+
+def open_half_icosphere():
+    m = icosphere(2)
+    return SurfaceMesh(m.nodes, m.triangles[:m.n_triangles // 2])
+
+
+ORACLE_MESHES = pytest.mark.parametrize(
+    "make", [graded_sphere, lambda: torus_grid(12), equilateral,
+             open_half_icosphere],
+    ids=["graded-sphere", "torus", "equilateral", "open-half"])
+
+
+class TestDirectCsrAssembly:
+    @ORACLE_MESHES
+    def test_matches_coo_reference(self, make):
+        m = make()
+        for got, expected in zip(assemble(m), coo_assembly(m)):
+            assert got.has_sorted_indices
+            scale = abs(expected).max()
+            assert abs(got - expected).max() <= 1e-14 * scale
+
+    @ORACLE_MESHES
+    def test_mass_and_stiffness_share_the_pattern(self, make):
+        mass, stiffness = assemble(make())
+        assert np.shares_memory(mass.indptr, stiffness.indptr)
+        assert np.shares_memory(mass.indices, stiffness.indices)
+
+    @ORACLE_MESHES
+    def test_geometry_matches_gather_formulas(self, make):
+        m = make()
+        met = element_metrics(m)
+        area, normal, h_T, r_T, G = gather_geometry(m)
+        for got, expected in ((met.area, area), (met.normal, normal),
+                              (met.h_T, h_T), (met.r_T, r_T),
+                              (basis_gradients(m), G)):
+            np.testing.assert_allclose(got, expected, rtol=1e-13,
+                                       atol=1e-13 * abs(expected).max())
 
 
 class TestAssembly:
@@ -394,7 +489,7 @@ class TestLiftedNorms:
         assert lifted_l2_norm(m, surface, u) == first
         assert ErrorEvaluator(m, surface)._w is evaluator._w
         lifted_l2_norm(m, unit_sphere(), u)  # a second surface object
-        lifted_l2_norm(m, surface, u, rule=QuadratureRule.edge_midpoints())
+        lifted_l2_norm(m, surface, u, rule=edge_midpoints())
         assert len(m._lifted) == 3
 
     def test_error_evaluator_on_open_triangle_subsets(self):

@@ -8,7 +8,6 @@ from surfheat.geometry import (
     geometric_operators,
     lift,
     lift_jacobian,
-    lifted_gradient_transform,
     measure_ratio,
     torus,
     unit_sphere,
@@ -34,6 +33,22 @@ def random_near_surface(surface, n, scale=0.05):
     off = RNG.uniform(-scale, scale, size=(n, 1))
     g = surface.gradient(pts)
     return pts + off * g
+
+
+def lifted_gradient_transform(surface, points, nu_h):
+    """Reference: ``(I - d A)^{-1} (I - nu_h nu^T / (nu_h . nu))`` at each
+    point, the matrix mapping flat tangential gradients to lifted surface
+    gradients (``A`` the extended Weingarten map)."""
+    p = np.asarray(points, dtype=float)
+    nu_h = np.broadcast_to(np.asarray(nu_h, dtype=float), p.shape)
+    d = surface.distance(p)
+    nu = surface.gradient(p)
+    nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+    dot = np.sum(nu_h * nu, axis=-1)
+    Q = np.eye(3) - (nu_h[..., :, None] * nu[..., None, :]
+                     / dot[..., None, None])
+    B = np.linalg.inv(np.eye(3) - d[..., None, None] * surface.hessian(p))
+    return B @ Q
 
 
 def fd_gradient(f, p, h=1e-6):

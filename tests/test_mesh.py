@@ -6,10 +6,11 @@ import pytest
 from surfheat import fem, mesh as meshmod
 from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
                              NonManifold)
-from surfheat.mesh import (SurfaceMesh, build_adjacency, conormal_flux_jump,
-                           conormal_flux_jumps, element_metrics, read_off,
-                           validate_mesh, write_off, write_vtk)
-from surfheat.problems import icosahedron, icosphere
+from surfheat.mesh import (SurfaceMesh, build_adjacency, conormal_flux_jumps,
+                           element_metrics, read_off, validate_mesh, write_off,
+                           write_vtk)
+from surfheat.problems import icosahedron, icosphere, torus_grid
+from test_estimator import graded_sphere
 
 RNG = np.random.default_rng(20240811)
 
@@ -22,6 +23,18 @@ def tetrahedron():
     normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
     assert (np.einsum("ij,ij->i", normal, p.mean(axis=1)) > 0).all()
     return SurfaceMesh(nodes, tris)
+
+
+def conormal_flux_jump(mesh, edge, grad_t1, grad_t2):
+    """Reference: co-normal flux jump of a P1 function across one edge.
+
+    ``grad_t1``/``grad_t2`` are the constant tangential gradients on the two
+    triangles adjacent to ``edge`` (in ``edge_tris`` order).  Returns the sum
+    of the outward co-normal fluxes.
+    """
+    geom = mesh.edge_geometry
+    return float(np.dot(grad_t1, geom.conormal[edge, 0])
+                 + np.dot(grad_t2, geom.conormal[edge, 1]))
 
 
 class TestAdjacency:
@@ -67,7 +80,8 @@ class TestAdjacency:
         # closed oriented surface: each undirected edge appears once per
         # direction, which is exactly what edge_forward encodes
         m = tetrahedron()
-        assert m.edge_forward.dtype == bool
+        edge_forward = build_adjacency(m.triangles, m.n_nodes)[3]
+        assert edge_forward.dtype == bool
 
     def test_nonmanifold_rejected(self):
         m = tetrahedron()
@@ -95,6 +109,66 @@ class TestAdjacency:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tris, m.triangles)
+
+
+def two_sort_adjacency(triangles, n_nodes):
+    """Reference edge table: ``np.unique`` of the half-edge keys, then a
+    stable argsort of its inverse (two sorts of the 3M keys)."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    m = len(tri)
+    a = tri[:, [0, 1, 2]].ravel()
+    b = tri[:, [1, 2, 0]].ravel()
+    tri_of = np.repeat(np.arange(m, dtype=np.int64), 3)
+    local = np.tile(np.arange(3, dtype=np.int64), m)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    _, inverse, counts = np.unique(lo * np.int64(n_nodes) + hi,
+                                   return_inverse=True, return_counts=True)
+    assert (counts == 2).all()
+    order = np.argsort(inverse, kind="stable")
+    first, second = order[0::2], order[1::2]
+    t1, t2 = tri_of[first], tri_of[second]
+    l1, l2 = local[first], local[second]
+    f1, f2 = a[first] < b[first], a[second] < b[second]
+    assert (f1 != f2).all()
+    swap = t2 < t1
+    edge_tris = np.where(swap[:, None], np.stack([t2, t1], axis=1),
+                         np.stack([t1, t2], axis=1))
+    edge_local = np.where(swap[:, None], np.stack([l2, l1], axis=1),
+                          np.stack([l1, l2], axis=1))
+    edge_forward = np.where(swap, f2, f1)
+    edge_nodes = np.stack([lo[first], hi[first]], axis=1)
+    tri_edges = np.empty((m, 3), dtype=np.int64)
+    tri_edges[tri_of, local] = inverse
+    return edge_nodes, edge_tris, edge_local, edge_forward, tri_edges
+
+
+class TestOneSortAdjacency:
+    @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
+                             ids=["graded-sphere", "torus"])
+    def test_matches_two_sort_reference(self, make):
+        m = make()
+        expected = two_sort_adjacency(m.triangles, m.n_nodes)
+        for got in (build_adjacency(m.triangles, m.n_nodes),
+                    m._ensure_adjacency()):
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_adjacency_and_p1_pattern_share_one_sort(self):
+        m = icosphere(2)
+        he = m.half_edges
+        mass, _ = fem.assemble(m)
+        assert mass.nnz == m.n_nodes + 2 * m.n_edges
+        assert m.half_edges is he
+        assert m.tri_edges is he.tri_edges
+        assert m.edges is he.edges
+
+    def test_four_triangles_on_an_edge_is_nonmanifold(self):
+        # the sorted keys still come in equal pairs, so only the count check
+        # tells this apart from a pair with clashing orientations
+        m = tetrahedron()
+        with pytest.raises(NonManifold, match="has 4 incident triangles"):
+            build_adjacency(np.vstack([m.triangles, m.triangles]), m.n_nodes)
 
 
 class TestMetrics:
