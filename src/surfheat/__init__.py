@@ -14,8 +14,12 @@ Public layers
 ``refinement``  bisection/red-green-blue refinement, coarsening, marking,
                 nodal transfer
 ``fem``         the per-mesh P1 operator cache, implicit Euler step,
-                preconditioned CG, lifted error norms
-``estimator``   per-element spatial/temporal/coarsening indicators
+                preconditioned CG, lifted error norms (``ErrorEvaluator``
+                against an exact solution, ``lifted_l2_distance`` against a
+                field)
+``estimator``   per-element spatial/temporal/coarsening indicators in one
+                pass (``compute_indicators``); ``coarsening_indicator`` for
+                coarsening trials
 ``adaptive``    the space-time adaptive driver
 ``problems``    benchmark problems and structured mesh generators
 ``cli``         experiment drivers (``surfheat`` console script)
@@ -30,15 +34,14 @@ from .errors import (  # noqa: F401
     NonFiniteValue, NonManifold, OutsideTube, SpatialStagnation,
     SurfheatError, TauUnderflow)
 from .estimator import (  # noqa: F401
-    Indicators, coarsening_indicator, combined, compute_indicators,
-    spatial_indicator, temporal_indicator)
+    Indicators, coarsening_indicator, combined, compute_indicators)
 from .fem import (  # noqa: F401
     ErrorEvaluator, FeFunction, QuadratureRule, assemble,
-    backward_euler_step, errors_vs_exact, interpolate, jacobi_cg,
-    lifted_l2_distance, lifted_l2_norm, p1_operators)
+    backward_euler_step, interpolate, jacobi_cg, lifted_l2_distance,
+    p1_operators)
 from .geometry import (  # noqa: F401
-    GeometricOperators, LevelSetSurface, geometric_operators, lift,
-    measure_ratio, torus, unit_sphere)
+    GeometricOperators, LevelSetSurface, geometric_operators, lift, torus,
+    unit_sphere)
 from .mesh import (  # noqa: F401
     SurfaceMesh, read_off, validate_mesh, write_off, write_vtk)
 from .problems import (  # noqa: F401

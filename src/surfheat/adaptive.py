@@ -183,7 +183,7 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                 tau = config.t_end - t
             target = t + tau
 
-            for _ in range(config.max_spatial_iters):
+            for spatial_iter in range(1, config.max_spatial_iters + 1):
                 mass, stiffness = assemble(work_mesh)  # cached per mesh
                 f_h = interpolate(work_mesh, problem.f, time=target)
                 try:
@@ -198,6 +198,11 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                                          tau)
                 if ind.eta_h_sq < config.tol:
                     break
+                if spatial_iter == config.max_spatial_iters:
+                    raise SpatialStagnation(
+                        f"spatial indicator still at {ind.eta_h_sq:.3e} after "
+                        f"{config.max_spatial_iters} solves "
+                        f"(tol {config.tol:.3e}) {where()}")
                 marks = mark_refine(np.sqrt(ind.spatial_sq), config.theta,
                                     config.criterion)
                 refined, tmap = refine(work_mesh, marks, config.strategy,
@@ -213,11 +218,6 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                 work_uprev = transfer(work_uprev, tmap)
                 work_mesh = lift_new_nodes(refined, surface)
                 log.peak_dofs = max(log.peak_dofs, work_mesh.n_nodes)
-            else:
-                raise SpatialStagnation(
-                    f"spatial indicator still at {ind.eta_h_sq:.3e} after "
-                    f"{config.max_spatial_iters} solves "
-                    f"(tol {config.tol:.3e}) {where()}")
 
             if ind.eta_tau_sq >= config.tol:
                 tau = 0.5 * tau

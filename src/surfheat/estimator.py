@@ -64,32 +64,6 @@ def _increment(mesh, u_n, u_prev):
     return w, _element_l2_sq(mesh, w)
 
 
-def _h1_semi_sq(mesh, ops, w):
-    """Element squares of the H1 seminorm of ``w``."""
-    g = (ops.grad @ w).reshape(3, -1)  # one row per component
-    g *= g
-    return mesh.metrics.area * (g[0] + g[1] + g[2])
-
-
-def spatial_indicator(mesh, u_n, u_prev, f_h, tau):
-    """Squared spatial indicator: per-element vector and its sum.
-
-    Edge part: squared co-normal flux jump times ``h_S^2`` (the jump is
-    constant along an edge of length ``h_S``), attributed half/half to the
-    adjacent elements.  Element part: ``h_T^2`` times the exact square
-    integral of the strong residual ``(u_n - u_prev)/tau - f_h``.
-    """
-    per_element = compute_indicators(mesh, u_n, u_prev, f_h, tau).spatial_sq
-    return per_element, float(per_element.sum())
-
-
-def temporal_indicator(mesh, u_n, u_prev):
-    """Squared H1(T) norms of the time increment ``u_n - u_prev``."""
-    w, l2_sq = _increment(mesh, u_n, u_prev)
-    per_element = l2_sq + _h1_semi_sq(mesh, p1_operators(mesh), w)
-    return per_element, float(per_element.sum())
-
-
 def coarsening_indicator(mesh, u_n, u_prev):
     """Squared L2(T) norms of the time increment (the part of the temporal
     indicator that nodal coarsening can increase)."""
@@ -109,6 +83,11 @@ def combined(eta_h, eta_tau, tau, h):
 def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     """All indicators of one accepted or tentative step, in one pass.
 
+    Spatial: the squared co-normal flux jump times ``h_S^2`` on every edge
+    (the jump is constant along an edge of length ``h_S``), attributed
+    half/half to the adjacent elements, plus ``h_T^2`` times the exact
+    square integral of the strong residual ``(u_n - u_prev)/tau - f_h``.
+    Temporal: the squared H1(T) norms of the increment ``u_n - u_prev``.
     The increment's element L2 squares are both the coarsening indicator and
     the L2 part of the temporal one; the jump operator turns ``u_n`` into
     ``|e| [d_n u_n]`` for every edge with one sparse product.
@@ -119,7 +98,9 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     w, coarsening_sq = _increment(mesh, u_n, u_prev)
     ops = p1_operators(mesh, edges=True)
     met = mesh.metrics
-    temporal_sq = coarsening_sq + _h1_semi_sq(mesh, ops, w)
+    g = (ops.grad @ w).reshape(3, -1)  # one row per gradient component
+    g *= g
+    temporal_sq = coarsening_sq + met.area * (g[0] + g[1] + g[2])
     weighted_jumps = ops.jump @ u_n.coefficients
     spatial_sq = (met.h_T ** 2 * _element_l2_sq(mesh,
                                                 w / tau - f_h.coefficients)

@@ -15,8 +15,9 @@ on it (meshes are immutable):
   (``mesh.half_edges``), and a sparse gradient operator.  The co-normal
   jump and half-incidence operators, which need the closed-surface
   adjacency, join it on the first indicator pass.  ``assemble`` is a lookup.
-- the lifted quadrature of a rule on a surface is built on the first lifted
-  norm or ``ErrorEvaluator`` of a mesh and shared by all later ones.
+- the lifted degree-4 quadrature on a surface is built on the first
+  ``ErrorEvaluator`` or ``lifted_l2_distance`` of a mesh and shared by all
+  later ones.
 """
 
 import math
@@ -105,6 +106,9 @@ class QuadratureRule:
         """Map the rule onto every triangle: returns (M, Q, 3) coordinates."""
         corners = mesh.nodes[mesh.triangles]  # (M, 3, 3)
         return np.einsum("qi,mij->mqj", self.points, corners)
+
+
+_RULE = QuadratureRule.degree4()  # the rule of every lifted error norm
 
 
 def basis_gradients(mesh):
@@ -247,12 +251,6 @@ def p1_operators(mesh, edges=False):
     return ops
 
 
-def all_element_gradients(mesh, u):
-    """Tangential gradient of ``u`` on every triangle, shape (M, 3)."""
-    u.check(mesh)
-    return (p1_operators(mesh).grad @ u.coefficients).reshape(3, -1).T
-
-
 def assemble(mesh):
     """Mass and stiffness matrices of the P1 space on the flat triangulation.
 
@@ -364,52 +362,33 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
 
 # ------------------------------------------------------------- lifted norms
 
-def _lifted_quadrature(mesh, surface, rule):
-    """A quadrature rule lifted to the exact surface, cached on the mesh.
+def _lifted_quadrature(mesh, surface):
+    """The degree-4 rule lifted to the exact surface, cached on the mesh.
 
     Returns per-(triangle, point): the lifted points ``y`` (M, Q, 3), the
     weights ``w[m, q] = area_m * w_q * mu[m, q]`` integrating over the exact
     surface (``mu`` the measure ratio), and the lifted-gradient transforms
-    (M, Q, 3, 3).  One entry per surface and rule lives in the mesh's
-    ``_lifted`` dictionary and dies with the mesh.
+    (M, Q, 3, 3).  One entry per surface lives in the mesh's ``_lifted``
+    dictionary and dies with the mesh.
     """
-    key = (surface, rule.degree, rule.points.tobytes(),
-           rule.weights.tobytes())
-    cached = mesh._lifted.get(key)
+    cached = mesh._lifted.get(surface)
     if cached is None:
-        x = rule.physical_points(mesh)
+        x = _RULE.physical_points(mesh)
         m, q = x.shape[:2]
         y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
         nu_h = np.broadcast_to(mesh.metrics.normal[:, None, :], x.shape)
         ops = geometric_operators(surface, x.reshape(-1, 3),
                                   nu_h.reshape(-1, 3))
-        w = mesh.metrics.area[:, None] * rule.weights[None, :] \
+        w = mesh.metrics.area[:, None] * _RULE.weights[None, :] \
             * ops.mu.reshape(m, q)
         cached = (y, w, ops.grad_transform.reshape(m, q, 3, 3))
-        mesh._lifted[key] = cached
+        mesh._lifted[surface] = cached
     return cached
 
 
-def _point_values(mesh, rule, u):
+def _point_values(mesh, u):
     """Values of ``u`` at the rule's points of every triangle, (M, Q)."""
-    return u.coefficients[mesh.triangles] @ rule.points.T
-
-
-def lifted_l2_norm(mesh, surface, u, rule=None):
-    """L2 norm of the lifted finite element function over the exact surface."""
-    return lifted_l2_distance(mesh, surface, u, lambda y: 0.0, rule=rule)
-
-
-def flat_l2_norm(mass, u):
-    """Exact L2 norm over the flat triangulation via the mass matrix."""
-    c = u.coefficients
-    return float(np.sqrt(c @ (mass @ c)))
-
-
-def flat_h1_seminorm(stiffness, u):
-    """Exact H1 seminorm over the flat triangulation."""
-    c = u.coefficients
-    return float(np.sqrt(max(c @ (stiffness @ c), 0.0)))
+    return u.coefficients[mesh.triangles] @ _RULE.points.T
 
 
 class ErrorEvaluator:
@@ -424,13 +403,11 @@ class ErrorEvaluator:
     adjacency.
     """
 
-    __slots__ = ("mesh", "rule", "_y", "_w", "_trans", "_grad")
+    __slots__ = ("mesh", "_y", "_w", "_trans", "_grad")
 
-    def __init__(self, mesh, surface, rule=None):
+    def __init__(self, mesh, surface):
         self.mesh = mesh
-        self.rule = rule or QuadratureRule.degree4()
-        self._y, self._w, self._trans = _lifted_quadrature(mesh, surface,
-                                                           self.rule)
+        self._y, self._w, self._trans = _lifted_quadrature(mesh, surface)
         self._grad = p1_operators(mesh).grad
 
     def errors(self, u_h, exact_u, exact_grad, time):
@@ -446,8 +423,7 @@ class ErrorEvaluator:
         (l2_error, h1_semi_error)
         """
         u_h.check(self.mesh)
-        diff = (_point_values(self.mesh, self.rule, u_h)
-                - exact_u(self._y, time))
+        diff = _point_values(self.mesh, u_h) - exact_u(self._y, time)
         l2_sq = float(np.sum(self._w * diff ** 2))
         m, q = self._w.shape
         grads = (self._grad @ u_h.coefficients).reshape(3, m)  # flat
@@ -458,22 +434,14 @@ class ErrorEvaluator:
         return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
-def errors_vs_exact(mesh, surface, u_h, exact_u, exact_grad, time,
-                    rule=None):
-    """One-shot form of ``ErrorEvaluator.errors`` (see there)."""
-    return ErrorEvaluator(mesh, surface, rule).errors(u_h, exact_u,
-                                                      exact_grad, time)
-
-
-def lifted_l2_distance(mesh, surface, u_h, field, time=None, rule=None):
+def lifted_l2_distance(mesh, surface, u_h, field, time=None):
     """L2(Gamma) distance between the lifted discrete function and a field.
 
     ``field`` takes ``(points)`` when ``time`` is None, else ``(points, t)``.
     Works on open triangle sets: nothing here needs the adjacency.
     """
     u_h.check(mesh)
-    rule = rule or QuadratureRule.degree4()
-    y, w, _ = _lifted_quadrature(mesh, surface, rule)
+    y, w, _ = _lifted_quadrature(mesh, surface)
     exact = field(y) if time is None else field(y, time)
-    diff = _point_values(mesh, rule, u_h) - exact
+    diff = _point_values(mesh, u_h) - exact
     return float(np.sqrt(np.sum(w * diff ** 2)))

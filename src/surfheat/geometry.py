@@ -169,46 +169,6 @@ def lift(surface, points, tol=1e-12, max_iter=100):
     return y
 
 
-def lift_jacobian(surface, points):
-    """Jacobian of the closest-point map, ``I - grad d grad d^T - d Hess d``."""
-    p = np.asarray(points, dtype=float)
-    d = surface.distance(p)[..., None, None]
-    g = surface.gradient(p)
-    H = surface.hessian(p)
-    outer = g[..., :, None] * g[..., None, :]
-    return _EYE3 - outer - d * H
-
-
-def measure_ratio(surface, points, t1, t2):
-    """Surface-measure ratio d(sigma) / d(sigma_h) on a flat element.
-
-    ``t1``/``t2`` span the element plane at each point; the ratio is the area
-    distortion of the closest-point map restricted to that plane, i.e.
-    ``|Dp t1 x Dp t2| / |t1 x t2|``.
-    """
-    Dp = lift_jacobian(surface, points)
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    im1 = np.einsum("...ij,...j->...i", Dp, t1)
-    im2 = np.einsum("...ij,...j->...i", Dp, t2)
-    num = np.linalg.norm(np.cross(im1, im2), axis=-1)
-    den = np.linalg.norm(np.cross(t1, t2), axis=-1)
-    return num / den
-
-
-def _tangent_pair(nu_h):
-    """A deterministic orthonormal basis of the plane orthogonal to nu_h."""
-    nu_h = np.asarray(nu_h, dtype=float)
-    # pick the coordinate axis least aligned with nu_h, then Gram-Schmidt
-    axis = np.argmin(np.abs(nu_h), axis=-1)
-    a = np.zeros(nu_h.shape)
-    np.put_along_axis(a, axis[..., None], 1.0, axis=-1)
-    t1 = a - np.sum(a * nu_h, axis=-1, keepdims=True) * nu_h
-    t1 = t1 / np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(nu_h, t1)
-    return t1, t2
-
-
 class GeometricOperators:
     """Bundle of pointwise geometric quantities.
 
@@ -217,7 +177,8 @@ class GeometricOperators:
     - ``distance`` : signed distance d
     - ``normal`` : exact unit normal
     - ``weingarten`` : extended Weingarten map (Hessian of d)
-    - ``mu`` : measure ratio of the closest-point map on the element plane
+    - ``mu`` : measure ratio ``(nu_h . nu) det(I - d A)`` of the
+      closest-point map on the element plane
     - ``projector`` : tangential projector P of the exact surface
     - ``projector_h`` : tangential projector of the flat element
     - ``grad_transform`` : ``(I - d A)^{-1} (I - nu_h nu^T / (nu_h . nu))``,
@@ -247,6 +208,12 @@ def geometric_operators(surface, points, nu_h):
     nu_h : array, shape (..., 3) or (3,)
         Unit normal of the element, broadcast over the points.
 
+    The measure ratio is the area distortion ``|Dp t1 x Dp t2| / |t1 x t2|``
+    of the closest-point map, ``Dp = I - nu nu^T - d A``, on the element
+    plane spanned by ``t1, t2``.  Like :func:`lift`, it assumes an exact
+    signed distance, ``|grad d| = 1`` and ``A nu = 0``; then
+    ``Dp = (I - d A) P`` and the ratio is ``(nu_h . nu) det(I - d A)``.
+
     Raises
     ------
     SingularShapeOperator
@@ -271,8 +238,7 @@ def geometric_operators(surface, points, nu_h):
     Q = _EYE3 - nu_h[..., :, None] * nu[..., None, :] / dot[..., None, None]
     P = _EYE3 - nu[..., :, None] * nu[..., None, :]
     P_h = _EYE3 - nu_h[..., :, None] * nu_h[..., None, :]
-    t1, t2 = _tangent_pair(nu_h)
-    mu = measure_ratio(surface, p, t1, t2)
+    mu = dot * det
     QT = np.swapaxes(Q, -1, -2)
     r_tilde = mu[..., None, None] * (P_h @ QT @ B @ B @ Q)
     a_tilde = r_tilde @ P_h

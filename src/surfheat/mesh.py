@@ -16,8 +16,8 @@ mesh for its lifetime; nothing ever needs invalidating:
   co-normal jump and half-incidence operators), built by
   ``fem.p1_operators`` when a mesh is first assembled, estimated or used
   for error norms;
-- the lifted quadrature per surface and rule, built by ``fem`` on the first
-  lifted error norm.
+- the lifted quadrature per surface, built by ``fem`` on the first lifted
+  error norm.
 
 A mesh that is only tested for coarsening builds neither of the last two.
 

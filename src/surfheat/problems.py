@@ -9,7 +9,7 @@ parametric grid for the torus).
 import numpy as np
 
 from .geometry import unit_sphere
-from .mesh import SurfaceMesh
+from .mesh import HalfEdges, SurfaceMesh
 from .refinement import init_reference_edges
 
 
@@ -172,15 +172,13 @@ def red_subdivide(nodes, triangles):
 
     Genealogy-free helper for generating initial meshes; returns the new node
     and triangle arrays (orientation preserved, midpoints not projected).
+    Midpoints are numbered in the edge order of :class:`mesh.HalfEdges`.
     """
     tri = np.asarray(triangles, dtype=np.int64)
     n = len(nodes)
-    a = tri[:, [0, 1, 2]].ravel()
-    b = tri[:, [1, 2, 0]].ravel()
-    key = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
-    uniq, inverse = np.unique(key, return_inverse=True)
-    mids = 0.5 * (nodes[uniq // n] + nodes[uniq % n])
-    m = (n + inverse).reshape(-1, 3)  # m[:, j] = midpoint of local edge j
+    he = HalfEdges(tri, n)
+    mids = 0.5 * (nodes[he.edges[:, 0]] + nodes[he.edges[:, 1]])
+    m = n + he.tri_edges  # m[:, j] = midpoint of local edge j
     v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
     m0, m1, m2 = m[:, 0], m[:, 1], m[:, 2]
     children = np.empty((4 * len(tri), 3), dtype=np.int64)

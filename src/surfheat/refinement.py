@@ -25,20 +25,16 @@ from .mesh import Genealogy, SurfaceMesh
 class MarkSet:
     """Set of triangle ids selected by a marking criterion."""
 
-    __slots__ = ("marked", "criterion", "theta")
+    __slots__ = ("marked",)
 
-    def __init__(self, marked, criterion, theta):
-        m = np.unique(np.asarray(marked, dtype=np.int64))
-        self.marked = m
-        self.criterion = criterion
-        self.theta = float(theta)
+    def __init__(self, marked):
+        self.marked = np.unique(np.asarray(marked, dtype=np.int64))
 
     def __len__(self):
         return len(self.marked)
 
     def __repr__(self):
-        return (f"MarkSet({len(self.marked)} elements, {self.criterion}, "
-                f"theta={self.theta})")
+        return f"MarkSet({len(self.marked)} elements)"
 
 
 def _check_indicators(indicators, theta):
@@ -62,17 +58,17 @@ def mark_refine(indicators, theta, criterion="bulk"):
     if criterion == "bulk":
         eta_max = eta.max(initial=0.0)
         if eta_max == 0.0:
-            return MarkSet([], criterion, theta)
-        return MarkSet(np.nonzero(eta >= theta * eta_max)[0], criterion, theta)
+            return MarkSet([])
+        return MarkSet(np.nonzero(eta >= theta * eta_max)[0])
     if criterion == "doerfler":
         total = float(np.sum(eta ** 2))
         if total == 0.0:
-            return MarkSet([], criterion, theta)
+            return MarkSet([])
         order = np.lexsort((np.arange(len(eta)), -eta))
         csum = np.cumsum(eta[order] ** 2)
         target = (1.0 - theta) * total
         k = int(np.argmax(csum >= target - 1e-12 * total)) + 1
-        return MarkSet(order[:k], criterion, theta)
+        return MarkSet(order[:k])
     raise ValueError(f"unknown marking criterion {criterion!r}")
 
 
@@ -86,15 +82,14 @@ def mark_coarsen(indicators, theta_star, criterion="bulk"):
     eta = _check_indicators(indicators, theta_star)
     if criterion == "bulk":
         eta_max = eta.max(initial=0.0)
-        return MarkSet(np.nonzero(eta <= theta_star * eta_max)[0],
-                       criterion, theta_star)
+        return MarkSet(np.nonzero(eta <= theta_star * eta_max)[0])
     if criterion == "doerfler":
         total = float(np.sum(eta ** 2))
         budget = theta_star * total
         order = np.lexsort((np.arange(len(eta)), eta))
         csum = np.cumsum(eta[order] ** 2)
         k = int(np.searchsorted(csum, budget * (1.0 + 1e-12), side="right"))
-        return MarkSet(order[:k], criterion, theta_star)
+        return MarkSet(order[:k])
     raise ValueError(f"unknown marking criterion {criterion!r}")
 
 

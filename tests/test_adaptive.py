@@ -14,6 +14,7 @@ from surfheat.errors import (DofCapExceeded, MetadataMissing,
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh
 from surfheat.problems import Problem, get_problem, icosphere
+from surfheat.refinement import refine
 
 
 def constant_source(value=10.0):
@@ -131,13 +132,23 @@ class TestGuards:
                            r"tau = 9\.76563e-05, dofs = 42\]"):
             run(problem, problem.surface, icosphere(1), config)
 
-    def test_spatial_stagnation(self):
+    def test_spatial_stagnation(self, monkeypatch):
+        # the last permitted solve ran on icosphere(2)'s 162 nodes; the
+        # guard names that mesh and refines nothing further
+        refines = []
+
+        def counted_refine(mesh, *args, **kwargs):
+            refines.append(mesh.n_nodes)
+            return refine(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "refine", counted_refine)
         problem = get_problem("sphere-decay")
         config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0,
                                 max_spatial_iters=1)
         with pytest.raises(SpatialStagnation, match=r"\[step 1, t = 0, "
-                           r"tau = 0\.01, dofs = \d+\]"):
+                           r"tau = 0\.01, dofs = 162\]"):
             run(problem, problem.surface, icosphere(2), config)
+        assert refines == []
 
     def test_dof_cap(self):
         problem = get_problem("sphere-decay")

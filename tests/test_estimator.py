@@ -7,8 +7,7 @@ import pytest
 
 from surfheat import estimator
 from surfheat.errors import GenerationMismatch
-from surfheat.fem import (FeFunction, all_element_gradients, assemble,
-                          basis_gradients, p1_operators)
+from surfheat.fem import FeFunction, assemble, basis_gradients, p1_operators
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh, conormal_flux_jumps
 from surfheat.problems import icosphere, torus_grid
@@ -18,7 +17,7 @@ from surfheat.refinement import (MarkSet, coarsen, init_reference_edges,
 
 
 def all_marks(mesh):
-    return MarkSet(np.arange(mesh.n_triangles), "bulk", 0.5)
+    return MarkSet(np.arange(mesh.n_triangles))
 
 
 def pyramid():
@@ -43,6 +42,18 @@ def pyramid():
 
 def fe(mesh, values):
     return FeFunction.on_mesh(mesh, np.asarray(values, dtype=float))
+
+
+def element_gradients(mesh, u):
+    """Tangential gradient of ``u`` on every triangle, shape (M, 3)."""
+    return (p1_operators(mesh).grad @ u.coefficients).reshape(3, -1).T
+
+
+def increment_indicators(mesh, u_n, u_prev):
+    """The one pass with no source and tau = 1: its temporal and coarsening
+    parts read neither."""
+    zero = fe(mesh, np.zeros(mesh.n_nodes))
+    return estimator.compute_indicators(mesh, u_n, u_prev, zero, 1.0)
 
 
 def brute_force_spatial(mesh, u_n, u_prev, f_h, tau):
@@ -97,7 +108,8 @@ class TestSpatial:
         mesh = icosphere(2)
         u = fe(mesh, np.ones(mesh.n_nodes))
         zero = fe(mesh, np.zeros(mesh.n_nodes))
-        per, total = estimator.spatial_indicator(mesh, u, u, zero, 0.25)
+        ind = estimator.compute_indicators(mesh, u, u, zero, 0.25)
+        per, total = ind.spatial_sq, ind.eta_h_sq
         # The gradient of a nodally constant function is zero only up to
         # rounding, so the squared indicator sits at the epsilon**2 floor.
         assert total < 1e-24
@@ -108,8 +120,9 @@ class TestSpatial:
         u_n = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         u_prev = np.zeros(5)
         f_h = np.zeros(5)
-        per, total = estimator.spatial_indicator(
+        ind = estimator.compute_indicators(
             mesh, fe(mesh, u_n), fe(mesh, u_prev), fe(mesh, f_h), 1.0)
+        per, total = ind.spatial_sq, ind.eta_h_sq
         expected = brute_force_spatial(mesh, u_n, u_prev, f_h, 1.0)
         npt.assert_allclose(total, expected, rtol=1e-12)
         npt.assert_allclose(per.sum(), total, rtol=1e-12)
@@ -121,8 +134,8 @@ class TestSpatial:
         u_prev = rng.standard_normal(mesh.n_nodes)
         f_h = rng.standard_normal(mesh.n_nodes)
         tau = 0.37
-        _, total = estimator.spatial_indicator(
-            mesh, fe(mesh, u_n), fe(mesh, u_prev), fe(mesh, f_h), tau)
+        total = estimator.compute_indicators(
+            mesh, fe(mesh, u_n), fe(mesh, u_prev), fe(mesh, f_h), tau).eta_h_sq
         expected = brute_force_spatial(mesh, u_n, u_prev, f_h, tau)
         npt.assert_allclose(total, expected, rtol=1e-11)
 
@@ -132,12 +145,14 @@ class TestSpatial:
         u_n = rng.standard_normal(mesh.n_nodes)
         u_prev = rng.standard_normal(mesh.n_nodes)
         f_h = rng.standard_normal(mesh.n_nodes)
-        per, total = estimator.spatial_indicator(
+        ind = estimator.compute_indicators(
             mesh, fe(mesh, u_n), fe(mesh, u_prev), fe(mesh, f_h), 0.5)
         lam = 3.5
-        per2, total2 = estimator.spatial_indicator(
+        ind2 = estimator.compute_indicators(
             mesh, fe(mesh, lam * u_n), fe(mesh, lam * u_prev),
             fe(mesh, lam * f_h), 0.5)
+        per, total, per2, total2 = (ind.spatial_sq, ind.eta_h_sq,
+                                    ind2.spatial_sq, ind2.eta_h_sq)
         npt.assert_allclose(per2, lam ** 2 * per, rtol=1e-12)
         npt.assert_allclose(total2, lam ** 2 * total, rtol=1e-12)
 
@@ -145,16 +160,16 @@ class TestSpatial:
         mesh = pyramid()
         u = fe(mesh, np.zeros(5))
         with pytest.raises(ValueError, match="tau"):
-            estimator.spatial_indicator(mesh, u, u, u, 0.0)
+            estimator.compute_indicators(mesh, u, u, u, 0.0)
         with pytest.raises(ValueError, match="tau"):
-            estimator.spatial_indicator(mesh, u, u, u, -1.0)
+            estimator.compute_indicators(mesh, u, u, u, -1.0)
 
     def test_rejects_stale_function(self):
         mesh = init_reference_edges(pyramid())
         u = fe(mesh, np.zeros(5))
         fine, _ = refine(mesh, all_marks(mesh), "nvb")
         with pytest.raises(GenerationMismatch):
-            estimator.spatial_indicator(fine, u, u, u, 1.0)
+            estimator.compute_indicators(fine, u, u, u, 1.0)
 
 
 class TestTemporal:
@@ -165,8 +180,8 @@ class TestTemporal:
             rng = np.random.default_rng(11)
             w = rng.standard_normal(mesh.n_nodes)
             u_prev = rng.standard_normal(mesh.n_nodes)
-            _, total = estimator.temporal_indicator(
-                mesh, fe(mesh, u_prev + w), fe(mesh, u_prev))
+            total = increment_indicators(
+                mesh, fe(mesh, u_prev + w), fe(mesh, u_prev)).eta_tau_sq
             expected = w @ (mass @ w) + w @ (stiffness @ w)
             npt.assert_allclose(total, expected, rtol=1e-12)
 
@@ -175,7 +190,8 @@ class TestTemporal:
         c = 0.6
         u_prev = fe(mesh, np.full(mesh.n_nodes, 0.2))
         u_n = fe(mesh, np.full(mesh.n_nodes, 0.2 + c))
-        per, total = estimator.temporal_indicator(mesh, u_n, u_prev)
+        ind = increment_indicators(mesh, u_n, u_prev)
+        per, total = ind.temporal_sq, ind.eta_tau_sq
         npt.assert_allclose(per, c ** 2 * mesh.metrics.area, rtol=1e-12)
         npt.assert_allclose(total, c ** 2 * mesh.metrics.area.sum(),
                             rtol=1e-12)
@@ -188,10 +204,10 @@ class TestTemporal:
         rng = np.random.default_rng(12)
         u_n = fe(mesh, rng.standard_normal(mesh.n_nodes))
         u_prev = fe(mesh, rng.standard_normal(mesh.n_nodes))
-        _, before = estimator.temporal_indicator(mesh, u_n, u_prev)
+        before = increment_indicators(mesh, u_n, u_prev).eta_tau_sq
         fine, tmap = refine(mesh, all_marks(mesh), "nvb")
-        _, after = estimator.temporal_indicator(
-            fine, transfer(u_n, tmap), transfer(u_prev, tmap))
+        after = increment_indicators(
+            fine, transfer(u_n, tmap), transfer(u_prev, tmap)).eta_tau_sq
         npt.assert_allclose(after, before, rtol=1e-12)
 
 
@@ -202,7 +218,8 @@ class TestCoarsening:
         u_n = fe(mesh, rng.standard_normal(mesh.n_nodes))
         u_prev = fe(mesh, rng.standard_normal(mesh.n_nodes))
         c_per, c_total = estimator.coarsening_indicator(mesh, u_n, u_prev)
-        t_per, t_total = estimator.temporal_indicator(mesh, u_n, u_prev)
+        ind = increment_indicators(mesh, u_n, u_prev)
+        t_per, t_total = ind.temporal_sq, ind.eta_tau_sq
         assert np.all(c_per <= t_per + 1e-15)
         assert c_total <= t_total
         mass, _ = assemble(mesh)
@@ -253,12 +270,6 @@ class TestBundle:
         f_h = fe(mesh, rng.standard_normal(mesh.n_nodes))
         ind = estimator.compute_indicators(mesh, u_n, u_prev, f_h, 0.25)
         npt.assert_array_equal(
-            ind.spatial_sq,
-            estimator.spatial_indicator(mesh, u_n, u_prev, f_h, 0.25)[0])
-        npt.assert_array_equal(
-            ind.temporal_sq,
-            estimator.temporal_indicator(mesh, u_n, u_prev)[0])
-        npt.assert_array_equal(
             ind.coarsening_sq,
             estimator.coarsening_indicator(mesh, u_n, u_prev)[0])
 
@@ -297,7 +308,7 @@ def graded_sphere():
     for round_ in range(4):
         centroids = mesh.nodes[mesh.triangles].mean(axis=1)
         near = np.flatnonzero(centroids @ pole > 0.6 + 0.1 * round_)
-        refined, _ = refine(mesh, MarkSet(near, "bulk", 0.5), "nvb")
+        refined, _ = refine(mesh, MarkSet(near), "nvb")
         mesh = lift_new_nodes(refined, surface)
     return mesh
 
@@ -325,7 +336,7 @@ class TestOnePass:
     def test_jump_operator_identity(self, make):
         mesh = make()
         u = fe(mesh, np.random.default_rng(17).standard_normal(mesh.n_nodes))
-        grads = all_element_gradients(mesh, u)
+        grads = element_gradients(mesh, u)
         expected = (mesh.edge_geometry.length
                     * conormal_flux_jumps(mesh, grads))
         ops = p1_operators(mesh, edges=True)

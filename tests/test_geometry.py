@@ -7,8 +7,6 @@ from surfheat.geometry import (
     LevelSetSurface,
     geometric_operators,
     lift,
-    lift_jacobian,
-    measure_ratio,
     torus,
     unit_sphere,
 )
@@ -49,6 +47,25 @@ def lifted_gradient_transform(surface, points, nu_h):
                      / dot[..., None, None])
     B = np.linalg.inv(np.eye(3) - d[..., None, None] * surface.hessian(p))
     return B @ Q
+
+
+def lift_jacobian(surface, points):
+    """Reference: Jacobian of the closest-point map,
+    ``I - grad d grad d^T - d Hess d``."""
+    p = np.asarray(points, dtype=float)
+    d = surface.distance(p)[..., None, None]
+    g = surface.gradient(p)
+    outer = g[..., :, None] * g[..., None, :]
+    return np.eye(3) - outer - d * surface.hessian(p)
+
+
+def area_distortion(surface, points, t1, t2):
+    """Reference measure ratio ``|Dp t1 x Dp t2| / |t1 x t2|``."""
+    Dp = lift_jacobian(surface, points)
+    im1 = np.einsum("...ij,...j->...i", Dp, t1)
+    im2 = np.einsum("...ij,...j->...i", Dp, t2)
+    return (np.linalg.norm(np.cross(im1, im2), axis=-1)
+            / np.linalg.norm(np.cross(t1, t2), axis=-1))
 
 
 def fd_gradient(f, p, h=1e-6):
@@ -206,11 +223,18 @@ class TestLiftJacobian:
             assert np.allclose(lift_jacobian(s, p), J, atol=1e-5)
 
 
+def plane_mu(surface, points, t1, t2):
+    """``geometric_operators(...).mu`` on the plane spanned by t1, t2."""
+    nu_h = np.cross(t1, t2)
+    return geometric_operators(surface, points,
+                               nu_h / np.linalg.norm(nu_h)).mu
+
+
 class TestMeasureRatio:
     def test_tangent_plane_on_surface_is_one(self):
         s = unit_sphere()
         p = np.array([0.0, 0.0, 1.0])
-        r = measure_ratio(s, p, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+        r = plane_mu(s, p, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
         assert r == pytest.approx(1.0, abs=1e-14)
 
     def test_shrinks_for_chord_plane(self):
@@ -223,7 +247,7 @@ class TestMeasureRatio:
         p_in = np.array([0.0, 0.0, 0.95])
         t1 = np.array([1.0, 0, 0])
         t2 = np.array([0, 1.0, 0])
-        assert measure_ratio(s, p_out, t1, t2) < 1.0 < measure_ratio(s, p_in, t1, t2)
+        assert plane_mu(s, p_out, t1, t2) < 1.0 < plane_mu(s, p_in, t1, t2)
 
     def test_second_order_convergence(self):
         # for shrinking chords of the sphere, 1 - mu = O(h^2)
@@ -235,10 +259,27 @@ class TestMeasureRatio:
             b = np.array([-np.sin(h) / 2, np.sin(h) * np.sqrt(3) / 2, np.cos(h)])
             c = np.array([-np.sin(h) / 2, -np.sin(h) * np.sqrt(3) / 2, np.cos(h)])
             mid = (a + b + c) / 3
-            mu = measure_ratio(s, mid, b - a, c - a)
+            mu = plane_mu(s, mid, b - a, c - a)
             defects.append(abs(1.0 - mu))
         rates = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
         assert np.all(rates > 1.7)
+
+    @pytest.mark.parametrize("surface", [unit_sphere(), torus()],
+                             ids=["sphere", "torus"])
+    @pytest.mark.parametrize("scale", [0.0, 0.1], ids=["on", "off"])
+    def test_matches_area_distortion_of_lift(self, surface, scale):
+        pts = random_near_surface(surface, 50, scale=scale)
+        if scale:
+            assert np.abs(surface.distance(pts)).max() > 0.01
+        nu = surface.gradient(pts)
+        # element planes tilted up to about 30 degrees from the tangent plane
+        nu_h = nu + 0.3 * RNG.uniform(-1, 1, size=pts.shape)
+        nu_h /= np.linalg.norm(nu_h, axis=1, keepdims=True)
+        t1 = np.cross(nu_h, RNG.normal(size=pts.shape))
+        t2 = np.cross(nu_h, t1)
+        mu = geometric_operators(surface, pts, nu_h).mu
+        np.testing.assert_allclose(mu, area_distortion(surface, pts, t1, t2),
+                                   rtol=1e-13)
 
 
 def flat_patch_surface(z0=0.0):

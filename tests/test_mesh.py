@@ -10,7 +10,7 @@ from surfheat.mesh import (SurfaceMesh, build_adjacency, conormal_flux_jumps,
                            element_metrics, read_off, validate_mesh, write_off,
                            write_vtk)
 from surfheat.problems import icosahedron, icosphere, torus_grid
-from test_estimator import graded_sphere
+from test_estimator import element_gradients, graded_sphere
 
 RNG = np.random.default_rng(20240811)
 
@@ -263,7 +263,7 @@ class TestFluxJumps:
         m = SurfaceMesh(nodes, tris)
         coeff = np.array([2.0, -1.0, 0.5])
         u = fem.FeFunction.on_mesh(m, m.nodes @ coeff + 7.0)
-        grads = fem.all_element_gradients(m, u)
+        grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
         shared = int(np.nonzero((m.edge_tris[:, 0] == 0)
                                 & (m.edge_tris[:, 1] == 1))[0][0])
@@ -281,7 +281,7 @@ class TestFluxJumps:
     def test_vectorized_matches_scalar(self):
         m = icosphere(1)
         u = fem.FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
-        grads = fem.all_element_gradients(m, u)
+        grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
         for e in range(0, m.n_edges, 7):
             t1, t2 = m.edge_tris[e]
@@ -296,7 +296,7 @@ class TestFluxJumps:
         m = maker()
         u = fem.FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
         _, stiffness = fem.assemble(m)
-        grads = fem.all_element_gradients(m, u)
+        grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
         acc = np.zeros(m.n_nodes)
         w = 0.5 * m.edge_geometry.length * jumps

@@ -9,6 +9,7 @@ independent finite-difference oracle: on the unit sphere the radial extension
 import numpy as np
 import pytest
 
+from surfheat import problems
 from surfheat.geometry import torus, unit_sphere
 from surfheat.mesh import validate_mesh
 from surfheat.problems import (REGISTRY, get_problem, icosahedron, icosphere,
@@ -108,7 +109,32 @@ class TestConsistency:
             get_problem("does-not-exist")
 
 
+def unique_subdivide(nodes, triangles):
+    """Reference ``red_subdivide``: edge ids from its own ``np.unique`` over
+    the keys ``lo * N + hi``."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    n = len(nodes)
+    a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b) * np.int64(n) + np.maximum(a, b)
+    uniq, inverse = np.unique(key, return_inverse=True)
+    mids = 0.5 * (nodes[uniq // n] + nodes[uniq % n])
+    m = (n + inverse).reshape(-1, 3)
+    v0, v1, v2 = tri.T
+    m0, m1, m2 = m.T
+    children = np.stack([np.stack(c, axis=1) for c in (
+        (v0, m0, m2), (m0, v1, m1), (m2, m1, v2), (m1, m2, m0))], axis=1)
+    return np.vstack([nodes, mids]), children.reshape(-1, 3)
+
+
 class TestIcosphere:
+    @pytest.mark.parametrize("level", range(6))
+    def test_matches_unique_edge_numbering(self, level, monkeypatch):
+        mesh = icosphere(level)
+        monkeypatch.setattr(problems, "red_subdivide", unique_subdivide)
+        reference = icosphere(level)
+        np.testing.assert_array_equal(mesh.nodes, reference.nodes)
+        np.testing.assert_array_equal(mesh.triangles, reference.triangles)
+
     @pytest.mark.parametrize("level,nodes,tris", [
         (0, 12, 20), (1, 42, 80), (2, 162, 320), (3, 642, 1280)])
     def test_counts(self, level, nodes, tris):

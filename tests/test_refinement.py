@@ -27,7 +27,7 @@ def tetrahedron(stretch=(1.0, 1.0, 1.0)):
 
 
 def all_marks(mesh):
-    return MarkSet(np.arange(mesh.n_triangles), "bulk", 0.5)
+    return MarkSet(np.arange(mesh.n_triangles))
 
 
 class TestMarking:
@@ -115,7 +115,7 @@ class TestReferenceEdges:
 class TestRefine:
     def test_requires_reference_edges(self):
         with pytest.raises(MetadataMissing):
-            refine(icosahedron(), MarkSet([0], "bulk", 0.5), "nvb")
+            refine(icosahedron(), MarkSet([0]), "nvb")
 
     def test_rgb_red_step_counts(self):
         m = init_reference_edges(icosahedron())
@@ -140,7 +140,7 @@ class TestRefine:
 
     def test_single_mark_closure_conformity(self):
         m = init_reference_edges(tetrahedron(stretch=(1.0, 1.1, 1.25)))
-        new, _ = refine(m, MarkSet([0], "bulk", 0.5), "nvb")
+        new, _ = refine(m, MarkSet([0]), "nvb")
         validate_mesh(new)
         # the marked triangle is gone and at least its refedge neighbor split
         assert len(new.genealogy) >= 2
@@ -148,7 +148,7 @@ class TestRefine:
 
     def test_empty_marks_identity(self):
         m = init_reference_edges(icosahedron())
-        new, tmap = refine(m, MarkSet([], "bulk", 0.5), "nvb")
+        new, tmap = refine(m, MarkSet([]), "nvb")
         assert new is m
         assert tmap.src_generation == tmap.dst_generation
         assert (tmap.source_b == -1).all()
@@ -156,13 +156,13 @@ class TestRefine:
     def test_out_of_range_mark(self):
         m = init_reference_edges(icosahedron())
         with pytest.raises(ValueError):
-            refine(m, MarkSet([25], "bulk", 0.5), "nvb")
+            refine(m, MarkSet([25]), "nvb")
 
     def test_strategy_is_sticky(self):
         m = init_reference_edges(icosahedron())
         new, _ = refine(m, all_marks(m), "nvb")
         with pytest.raises(StrategyMismatch):
-            refine(new, MarkSet([0], "bulk", 0.5), "rgb")
+            refine(new, MarkSet([0]), "rgb")
         with pytest.raises(StrategyMismatch):
             coarsen(new, all_marks(new), [], "rgb")
 
@@ -177,12 +177,12 @@ class TestRefine:
         assert (new.node_birth[:12] == 0).all()
         assert (new.node_birth[12:] == 7).all()
         # default: one past the current maximum
-        again, _ = refine(new, MarkSet([0], "bulk", 0.5), "rgb")
+        again, _ = refine(new, MarkSet([0]), "rgb")
         assert again.node_birth.max() == 8
 
     def test_rgb_children_longest_edge_first(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, MarkSet(range(7), "bulk", 0.5), "rgb")
+        new, _ = refine(m, MarkSet(range(7)), "rgb")
         child = new.tri_parent >= 0
         p = new.nodes[new.triangles[child]]
         lengths = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
@@ -204,7 +204,7 @@ class TestTransfer:
         m = icosphere(1)
         coeff = np.array([0.4, -1.1, 2.2])
         u = FeFunction.on_mesh(m, m.nodes @ coeff + 0.9)
-        new, tmap = refine(m, MarkSet(range(0, 80, 3), "bulk", 0.5), "nvb")
+        new, tmap = refine(m, MarkSet(range(0, 80, 3)), "nvb")
         v = transfer(u, tmap)
         np.testing.assert_allclose(v.coefficients, new.nodes @ coeff + 0.9,
                                    atol=1e-12)
@@ -221,7 +221,7 @@ class TestTransfer:
         # evaluate children against their recorded parents at random points
         m = icosphere(1)
         u = FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
-        new, tmap = refine(m, MarkSet(range(0, 80, 2), "bulk", 0.5), "rgb")
+        new, tmap = refine(m, MarkSet(range(0, 80, 2)), "rgb")
         v = transfer(u, tmap)
         g = new.genealogy
         children = np.nonzero(new.tri_parent >= 0)[0]
@@ -295,7 +295,7 @@ class TestCoarsen:
     @pytest.mark.parametrize("strategy", ["nvb", "rgb"])
     def test_partial_refine_full_undo(self, strategy):
         m = icosphere(1)
-        fine, _ = refine(m, MarkSet([3, 4, 19], "bulk", 0.5), strategy)
+        fine, _ = refine(m, MarkSet([3, 4, 19]), strategy)
         back, _, removed = coarsen(fine, all_marks(fine), [], strategy)
         assert removed == fine.n_nodes - m.n_nodes
         np.testing.assert_array_equal(back.nodes, m.nodes)
@@ -308,7 +308,7 @@ class TestCoarsen:
     def test_two_rounds_need_two_passes(self):
         m = icosphere(1)
         r1, _ = refine(m, all_marks(m), "nvb")
-        r2, _ = refine(r1, MarkSet(range(0, r1.n_triangles, 4), "bulk", 0.5),
+        r2, _ = refine(r1, MarkSet(range(0, r1.n_triangles, 4)),
                        "nvb")
         mesh = r2
         passes = 0
@@ -325,7 +325,7 @@ class TestCoarsen:
     def test_unmarked_sibling_pins_neighbors(self):
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "rgb")
-        marks = MarkSet(np.arange(1, fine.n_triangles), "bulk", 0.5)
+        marks = MarkSet(np.arange(1, fine.n_triangles))
         back, _, removed = coarsen(fine, marks, [], "rgb")
         # a family may only collapse together with every family it shares a
         # midpoint with (else a hanging node appears); withholding a single
@@ -361,7 +361,7 @@ class TestCoarsen:
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "nvb")
         with pytest.raises(ValueError):
-            coarsen(fine, MarkSet([fine.n_triangles], "bulk", 0.5), [], "nvb")
+            coarsen(fine, MarkSet([fine.n_triangles]), [], "nvb")
 
 
 @settings(max_examples=20, deadline=None)
@@ -369,7 +369,7 @@ class TestCoarsen:
        strategy=st.sampled_from(["nvb", "rgb"]))
 def test_random_marks_keep_invariants(marked, strategy):
     base = init_reference_edges(icosahedron())
-    new, tmap = refine(base, MarkSet(marked, "bulk", 0.5), strategy)
+    new, tmap = refine(base, MarkSet(marked), strategy)
     validate_mesh(new)
     assert new.metrics.area.sum() == pytest.approx(
         base.metrics.area.sum(), rel=1e-12)
