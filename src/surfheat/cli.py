@@ -183,7 +183,12 @@ def geometry_report(surface_name, levels):
             ops = geometric_operators(surface, points[block], normals[block])
             max_d = max(max_d, float(np.abs(ops.distance).max()))
             max_mu = max(max_mu, float(np.abs(1.0 - ops.mu).max()))
-            gap = np.abs(ops.projector_h - ops.a_tilde)
+            # A~ = mu P_h Q^T B^2 Q P_h = mu (B Q P_h)^T (B Q P_h), B symmetric
+            nu_h = normals[block]
+            P_h = np.eye(3) - nu_h[:, :, None] * nu_h[:, None, :]
+            bqp = ops.grad_transform @ P_h
+            a_tilde = ops.mu[:, None, None] * (np.swapaxes(bqp, 1, 2) @ bqp)
+            gap = np.abs(P_h - a_tilde)
             max_pa = max(max_pa, float(gap.max()))
         rows.append((level, mesh.metrics.h, max_d, max_mu, max_pa))
     return rows

@@ -50,7 +50,9 @@ class StrategyMismatch(SurfheatError):
 # --- fem --------------------------------------------------------------------
 
 class SolverDivergence(SurfheatError):
-    """Conjugate gradients exceeded the iteration budget."""
+    """Conjugate gradients exceeded the iteration budget, or found that the
+    matrix is not positive definite (a diagonal entry or a curvature
+    ``p . A p`` that is not positive)."""
 
 
 class NonFiniteValue(SurfheatError):

@@ -18,12 +18,24 @@ on it (meshes are immutable):
 - the lifted degree-4 quadrature on a surface is built on the first
   ``ErrorEvaluator`` or ``lifted_l2_distance`` of a mesh and shared by all
   later ones.
+
+The time step solves ``(M + tau A) u = M (u_prev + tau f)``.  Mass and
+stiffness share one CSR pattern, so the system is one ``data`` vector on it.
+``jacobi_cg`` takes the CSR arrays once and makes one raw ``csr_matvec`` per
+iteration into a preallocated vector: scipy's per-call dispatch of
+``matrix @ p`` costs about as much as the product on the small systems of an
+adaptive run.  Its vector updates are in place and in the order of the
+textbook loop, so iterates and iteration counts are those of ``matrix @ p``
+with fresh vectors, bit for bit.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
+# Private: the routine ``csr_array @ vector`` ends in, called without the
+# dispatch (module docstring); tests/test_fem.py checks it against ``@``.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import GenerationMismatch, NonFiniteValue, SolverDivergence
 from .geometry import geometric_operators, lift
@@ -229,6 +241,9 @@ def p1_operators(mesh, edges=False):
             np.bincount(corners, entries[:, ::4].ravel(), minlength=n),
             np.bincount(half, entries[:, [1, 5, 6]].ravel(),
                         minlength=n_edges))
+        # csr_array keeps its own view of ``indices``; one object for both
+        # lets backward_euler_step see the shared pattern without comparing
+        ops.stiffness.indices = ops.mass.indices
         # row k M + t holds G[t, i, k] at column tri[t, i]
         ops.grad = _fixed_width_csr(G.transpose(2, 0, 1),
                                     np.tile(tri, (3, 1)), (3 * m, n))
@@ -287,18 +302,22 @@ def interpolate(mesh, field, time=None):
 def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
     """Conjugate gradients with diagonal preconditioning.
 
-    Solves ``matrix @ x = b`` for a symmetric positive definite sparse
-    matrix.  Returns ``(x, iterations)``; iteration 0 means the start vector
-    already satisfied the residual test (in particular ``b = 0``).
+    Solves ``matrix @ x = b`` for a symmetric positive definite matrix,
+    given as a CSR array or as anything ``scipy.sparse.csr_array`` accepts
+    (converted once).  Returns ``(x, iterations)``; iteration 0 means the
+    start vector already satisfied the residual test (in particular
+    ``b = 0``).  The loop is dispatch-free and in place (module docstring).
 
     Raises
     ------
     NonFiniteValue
-        As soon as the right-hand side or the residual holds a NaN or an
-        infinity, before any further iteration is spent.
+        As soon as the right-hand side, the diagonal or the residual holds
+        a NaN or an infinity, before any further iteration is spent.
     SolverDivergence
-        If the relative residual does not reach ``rtol`` within
-        ``max_iter`` iterations (default ``10 n``).
+        If the matrix is found not to be positive definite (a diagonal
+        entry or a curvature ``p . A p`` that is not positive), or if the
+        relative residual does not reach ``rtol`` within ``max_iter``
+        iterations (default ``10 n``).
     """
     b = np.asarray(b, dtype=float)
     n = len(b)
@@ -310,14 +329,34 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
                              "(0 iterations spent)")
     if b_norm == 0.0:
         return np.zeros(n), 0
+    if not (isinstance(matrix, (sp.csr_array, sp.csr_matrix))
+            and matrix.dtype == np.float64):
+        matrix = sp.csr_array(matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"PCG matrix of shape {matrix.shape} for a "
+                         f"right-hand side of length {n}")
+    diag = matrix.diagonal()
+    if not np.isfinite(diag).all():
+        raise NonFiniteValue("PCG matrix diagonal is not finite "
+                             "(0 iterations spent)")
+    if not (diag > 0.0).all():
+        i = int(np.argmin(diag > 0.0))
+        raise SolverDivergence(
+            f"PCG matrix is not positive definite: diagonal entry {i} is "
+            f"{diag[i]:.3g} (0 iterations spent)")
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - matrix @ x
-    inv_diag = 1.0 / matrix.diagonal()
+    q = np.zeros(n)
+    csr_matvec(n, n, indptr, indices, data, x, q)
+    r = b - q
+    inv_diag = 1.0 / diag
     z = inv_diag * r
     p = z.copy()
-    rz = float(r @ z)
+    step = np.empty(n)
+    rz = float(r.dot(z))
     for k in range(max_iter + 1):
-        r_norm = math.sqrt(r @ r)  # what np.linalg.norm computes, less overhead
+        # ndarray.dot: the BLAS dot of ``@`` and np.linalg.norm, less overhead
+        r_norm = math.sqrt(r.dot(r))
         if r_norm <= rtol * b_norm:
             return x, k
         if not math.isfinite(r_norm):
@@ -325,13 +364,20 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
                                  "iterations")
         if k == max_iter:
             break
-        q = matrix @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
-        r -= alpha * q
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        q.fill(0.0)
+        csr_matvec(n, n, indptr, indices, data, p, q)
+        curvature = float(p.dot(q))
+        if curvature <= 0.0:  # a NaN passes on to the residual test
+            raise SolverDivergence(
+                f"PCG matrix is not positive definite: p.Ap = "
+                f"{curvature:.3g} at iteration {k}")
+        alpha = rz / curvature
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
+        np.multiply(inv_diag, r, out=z)
+        rz_new = float(r.dot(z))
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverDivergence(
         f"PCG did not reach rtol={rtol:g} within {max_iter} iterations "
@@ -342,7 +388,9 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
     """One implicit Euler step of the discrete heat equation.
 
     Solves ``(mass + tau * stiffness) u = mass (u_prev + tau * f_n)`` with
-    diagonally preconditioned CG started from ``u_prev``.
+    diagonally preconditioned CG started from ``u_prev``.  The two CSR
+    matrices must share one pattern, as those of :func:`assemble` do; the
+    system is then one ``data`` vector on that pattern.
 
     Returns
     -------
@@ -354,7 +402,11 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
         raise GenerationMismatch("u_prev and f_n live on different meshes")
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    system = (mass + tau * stiffness).tocsr()
+    if not all(a is b or np.array_equal(a, b) for a, b in (
+            (mass.indptr, stiffness.indptr), (mass.indices, stiffness.indices))):
+        raise ValueError("mass and stiffness do not share one CSR pattern")
+    system = sp.csr_array((mass.data + tau * stiffness.data, mass.indices,
+                           mass.indptr), shape=mass.shape)
     rhs = mass @ (u_prev.coefficients + tau * f_n.coefficients)
     x, iters = jacobi_cg(system, rhs, x0=u_prev.coefficients)
     return FeFunction(u_prev.generation, x), iters
@@ -366,9 +418,9 @@ def _lifted_quadrature(mesh, surface):
     """The degree-4 rule lifted to the exact surface, cached on the mesh.
 
     Returns per-(triangle, point): the lifted points ``y`` (M, Q, 3), the
-    weights ``w[m, q] = area_m * w_q * mu[m, q]`` integrating over the exact
-    surface (``mu`` the measure ratio), and the lifted-gradient transforms
-    (M, Q, 3, 3).  One entry per surface lives in the mesh's ``_lifted``
+    square roots of the weights ``w[m, q] = area_m * w_q * mu[m, q]``
+    integrating over the exact surface (``mu`` the measure ratio), and the
+    lifted-gradient transforms (M, Q, 3, 3).  One entry per surface lives in the mesh's ``_lifted``
     dictionary and dies with the mesh.
     """
     cached = mesh._lifted.get(surface)
@@ -381,7 +433,7 @@ def _lifted_quadrature(mesh, surface):
                                   nu_h.reshape(-1, 3))
         w = mesh.metrics.area[:, None] * _RULE.weights[None, :] \
             * ops.mu.reshape(m, q)
-        cached = (y, w, ops.grad_transform.reshape(m, q, 3, 3))
+        cached = (y, np.sqrt(w), ops.grad_transform.reshape(m, q, 3, 3))
         mesh._lifted[surface] = cached
     return cached
 
@@ -389,6 +441,14 @@ def _lifted_quadrature(mesh, surface):
 def _point_values(mesh, u):
     """Values of ``u`` at the rule's points of every triangle, (M, Q)."""
     return u.coefficients[mesh.triangles] @ _RULE.points.T
+
+
+def _weighted_sum_sq(diff, sqrt_w):
+    """``sum w |diff|^2`` over the quadrature points as one BLAS dot;
+    ``diff`` (M, Q) or (M, Q, 3) is overwritten with ``sqrt(w) diff``."""
+    diff *= sqrt_w.reshape(sqrt_w.shape + (1,) * (diff.ndim - 2))
+    flat = diff.ravel()
+    return float(flat @ flat)
 
 
 class ErrorEvaluator:
@@ -403,11 +463,11 @@ class ErrorEvaluator:
     adjacency.
     """
 
-    __slots__ = ("mesh", "_y", "_w", "_trans", "_grad")
+    __slots__ = ("mesh", "_y", "_sqrt_w", "_trans", "_grad")
 
     def __init__(self, mesh, surface):
         self.mesh = mesh
-        self._y, self._w, self._trans = _lifted_quadrature(mesh, surface)
+        self._y, self._sqrt_w, self._trans = _lifted_quadrature(mesh, surface)
         self._grad = p1_operators(mesh).grad
 
     def errors(self, u_h, exact_u, exact_grad, time):
@@ -423,14 +483,15 @@ class ErrorEvaluator:
         (l2_error, h1_semi_error)
         """
         u_h.check(self.mesh)
-        diff = _point_values(self.mesh, u_h) - exact_u(self._y, time)
-        l2_sq = float(np.sum(self._w * diff ** 2))
-        m, q = self._w.shape
+        diff = _point_values(self.mesh, u_h)
+        diff -= exact_u(self._y, time)
+        l2_sq = _weighted_sum_sq(diff, self._sqrt_w)
+        m, q = self._sqrt_w.shape
         grads = (self._grad @ u_h.coefficients).reshape(3, m)  # flat
-        lifted_grad = self._trans.reshape(m, 3 * q, 3) @ grads.T[:, :, None]
-        gdiff = lifted_grad.reshape(m, q, 3) - exact_grad(self._y, time)
-        h1_sq = float(np.sum(self._w * np.einsum("mqi,mqi->mq",
-                                                 gdiff, gdiff)))
+        gdiff = (self._trans.reshape(m, 3 * q, 3)
+                 @ grads.T[:, :, None]).reshape(m, q, 3)
+        gdiff -= exact_grad(self._y, time)
+        h1_sq = _weighted_sum_sq(gdiff, self._sqrt_w)
         return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
@@ -441,7 +502,7 @@ def lifted_l2_distance(mesh, surface, u_h, field, time=None):
     Works on open triangle sets: nothing here needs the adjacency.
     """
     u_h.check(mesh)
-    y, w, _ = _lifted_quadrature(mesh, surface)
-    exact = field(y) if time is None else field(y, time)
-    diff = _point_values(mesh, u_h) - exact
-    return float(np.sqrt(np.sum(w * diff ** 2)))
+    y, sqrt_w, _ = _lifted_quadrature(mesh, surface)
+    diff = _point_values(mesh, u_h)
+    diff -= field(y) if time is None else field(y, time)
+    return math.sqrt(_weighted_sum_sq(diff, sqrt_w))

@@ -176,21 +176,17 @@ class GeometricOperators:
 
     - ``distance`` : signed distance d
     - ``normal`` : exact unit normal
-    - ``weingarten`` : extended Weingarten map (Hessian of d)
+    - ``weingarten`` : extended Weingarten map A (Hessian of d)
     - ``mu`` : measure ratio ``(nu_h . nu) det(I - d A)`` of the
       closest-point map on the element plane
-    - ``projector`` : tangential projector P of the exact surface
-    - ``projector_h`` : tangential projector of the flat element
-    - ``grad_transform`` : ``(I - d A)^{-1} (I - nu_h nu^T / (nu_h . nu))``,
-      mapping flat tangential gradients to lifted surface gradients
-    - ``r_tilde`` : weighted transform whose quadratic form turns flat
-      Dirichlet integrands into exact-surface ones
-    - ``a_tilde`` : ``r_tilde`` composed with ``projector_h``; close to
-      ``projector_h`` at second order in the mesh size
+    - ``grad_transform`` : ``B Q`` with ``B = (I - d A)^{-1}`` and
+      ``Q = I - nu_h nu^T / (nu_h . nu)``, mapping flat tangential gradients
+      to lifted surface gradients.  ``B`` is symmetric, so the Dirichlet
+      integrand ``mu |B Q g|^2`` of the lifted function is the quadratic
+      form of ``mu (B Q)^T (B Q)``.
     """
 
-    __slots__ = ("distance", "normal", "weingarten", "mu", "projector",
-                 "projector_h", "grad_transform", "r_tilde", "a_tilde")
+    __slots__ = ("distance", "normal", "weingarten", "mu", "grad_transform")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -198,7 +194,7 @@ class GeometricOperators:
 
 
 def geometric_operators(surface, points, nu_h):
-    """Evaluate all geometric operators at points of a flat element.
+    """Evaluate the geometric operators at points of a flat element.
 
     Parameters
     ----------
@@ -234,15 +230,12 @@ def geometric_operators(surface, points, nu_h):
     det = np.linalg.det(IdA)
     if np.any(np.abs(det) < 1e-12):
         raise SingularShapeOperator("I - d*Weingarten is singular")
-    B = np.linalg.inv(IdA)
-    Q = _EYE3 - nu_h[..., :, None] * nu[..., None, :] / dot[..., None, None]
-    P = _EYE3 - nu[..., :, None] * nu[..., None, :]
-    P_h = _EYE3 - nu_h[..., :, None] * nu_h[..., None, :]
-    mu = dot * det
-    QT = np.swapaxes(Q, -1, -2)
-    r_tilde = mu[..., None, None] * (P_h @ QT @ B @ B @ Q)
-    a_tilde = r_tilde @ P_h
-    return GeometricOperators(distance=d, normal=nu, weingarten=A, mu=mu,
-                              projector=P, projector_h=P_h,
-                              grad_transform=B @ Q,
-                              r_tilde=r_tilde, a_tilde=a_tilde)
+    # B = adj / det: the columns of the adjugate of a matrix with rows
+    # a, b, c are b x c, c x a and a x b.  B Q = B - (B nu_h) nu^T / dot.
+    a, b, c = np.moveaxis(IdA, -2, 0)
+    adj = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=-1)
+    adj_nu_h = np.einsum("...kj,...j->...k", adj, nu_h)
+    adj -= adj_nu_h[..., :, None] * (nu / dot[..., None])[..., None, :]
+    adj /= det[..., None, None]
+    return GeometricOperators(distance=d, normal=nu, weingarten=A,
+                              mu=dot * det, grad_transform=adj)

@@ -9,7 +9,10 @@ from numpy.testing import assert_allclose
 from surfheat.cli import (CONVERGENCE_FIELDS, GEOMETRY_FIELDS, TIMING_FIELDS,
                           _parse_taus, convergence_sweep, fitted_orders,
                           geometry_report, main, timing_table)
-from surfheat.problems import get_problem, icosphere
+from surfheat.fem import QuadratureRule
+from surfheat.geometry import torus, unit_sphere
+from surfheat.problems import get_problem, icosphere, torus_grid
+from test_geometry import report_operators
 
 
 def read_csv(path):
@@ -190,6 +193,19 @@ class TestVerifyGeometryCommand:
         main(["verify-geometry", "--levels", "2", "--out", str(out)])
         _, csv_rows = read_csv(out)
         assert_allclose([float(v) for v in csv_rows[0]], rows[0], rtol=1e-15)
+
+    @pytest.mark.parametrize("surface_name", ["sphere", "torus"])
+    def test_projector_gap_matches_reference(self, surface_name):
+        # the report forms A~ from B Q; the reference from inv and P_h
+        surface = unit_sphere() if surface_name == "sphere" else torus()
+        mesh = icosphere(2) if surface_name == "sphere" else torus_grid(12)
+        points = QuadratureRule.degree4().physical_points(mesh)
+        normals = np.broadcast_to(mesh.metrics.normal[:, None, :],
+                                  points.shape)
+        _, P_h, _, a_tilde = report_operators(
+            surface, points.reshape(-1, 3), normals.reshape(-1, 3))
+        gap = geometry_report(surface_name, [2])[0][4]
+        assert_allclose(gap, np.abs(P_h - a_tilde).max(), rtol=1e-11)
 
     def test_unknown_surface_rejected(self):
         with pytest.raises(ValueError, match="unknown surface"):

@@ -1,5 +1,6 @@
 """P1 assembly, the preconditioned CG solver, time stepping, lifted norms."""
 
+import math
 from math import factorial
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from surfheat import fem
 from surfheat.errors import (DegenerateTriangle, GenerationMismatch,
                              NonFiniteValue, SolverDivergence)
 from surfheat.fem import (ErrorEvaluator, FeFunction, QuadratureRule,
@@ -201,8 +203,8 @@ class TestDirectCsrAssembly:
     @ORACLE_MESHES
     def test_mass_and_stiffness_share_the_pattern(self, make):
         mass, stiffness = assemble(make())
-        assert np.shares_memory(mass.indptr, stiffness.indptr)
-        assert np.shares_memory(mass.indices, stiffness.indices)
+        assert mass.indptr is stiffness.indptr
+        assert mass.indices is stiffness.indices
 
     @ORACLE_MESHES
     def test_geometry_matches_gather_formulas(self, make):
@@ -355,6 +357,32 @@ class TestSolver:
         with pytest.raises(NonFiniteValue, match="after 0 iterations"):
             jacobi_cg(self.spd(10), RNG.standard_normal(10), x0=x0)
 
+    @pytest.mark.parametrize("diagonal", [np.nan, np.inf])
+    def test_nonfinite_diagonal_fails_before_any_product(self, diagonal):
+        a = self.spd(6)
+        a[2, 2] = diagonal
+        with pytest.raises(NonFiniteValue, match="diagonal.*0 iterations"):
+            jacobi_cg(a, RNG.standard_normal(6))
+
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_nonpositive_diagonal_is_not_positive_definite(self, diagonal):
+        a = np.diag([1.0, diagonal, 2.0])
+        with pytest.raises(SolverDivergence,
+                           match="not positive definite: diagonal entry 1"):
+            jacobi_cg(a, np.ones(3))
+
+    def test_indefinite_matrix_names_the_iteration(self):
+        # positive diagonal, eigenvalues 3 and -1; b is the -1 eigenvector
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SolverDivergence,
+                           match=r"not positive definite: p\.Ap = .* "
+                                 "at iteration 0"):
+            jacobi_cg(a, np.array([1.0, -1.0]))
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            jacobi_cg(self.spd(4), np.ones(5))
+
     def test_sparse_system(self):
         m = icosphere(2)
         mass, stiffness = assemble(m)
@@ -363,6 +391,111 @@ class TestSolver:
         x, _ = jacobi_cg(system, rhs, rtol=1e-12)
         oracle = scipy.sparse.linalg.spsolve(system.tocsc(), rhs)
         np.testing.assert_allclose(x, oracle, atol=1e-9)
+
+
+def reference_jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
+    """Reference: the Jacobi-PCG loop with a scipy product and fresh vectors
+    per operation, in the operation order of ``fem.jacobi_cg``."""
+    b = np.asarray(b, dtype=float)
+    n = len(b)
+    if max_iter is None:
+        max_iter = 10 * n
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros(n), 0
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    r = b - matrix @ x
+    inv_diag = 1.0 / matrix.diagonal()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    for k in range(max_iter + 1):
+        if math.sqrt(r @ r) <= rtol * b_norm:
+            return x, k
+        q = matrix @ p
+        alpha = rz / float(p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError(f"no convergence within {max_iter} iterations")
+
+
+def dense_spd(n):
+    b = RNG.standard_normal((n, n))
+    return b @ b.T + n * np.eye(n)
+
+
+KERNEL_MESHES = pytest.mark.parametrize(
+    "make", [graded_sphere, lambda: torus_grid(12)],
+    ids=["graded-sphere", "torus"])
+
+
+class TestInPlaceKernel:
+    @KERNEL_MESHES
+    def test_step_matches_reference_bitwise(self, make):
+        m = make()
+        mass, stiffness = assemble(m)
+        u0 = RNG.standard_normal(m.n_nodes)
+        f = RNG.standard_normal(m.n_nodes)
+        for tau in (1e-3, 0.1):
+            u1, iters = backward_euler_step(
+                mass, stiffness, FeFunction.on_mesh(m, u0),
+                FeFunction.on_mesh(m, f), tau)
+            x, ref_iters = reference_jacobi_cg(
+                (mass + tau * stiffness).tocsr(), mass @ (u0 + tau * f),
+                x0=u0)
+            assert iters == ref_iters > 0
+            np.testing.assert_array_equal(u1.coefficients, x)
+
+    def test_dense_spd_matches_reference_bitwise(self):
+        a = dense_spd(60)
+        rhs = RNG.standard_normal(60)
+        x, iters = jacobi_cg(a, rhs, rtol=1e-12)
+        ref, ref_iters = reference_jacobi_cg(sp.csr_array(a), rhs, rtol=1e-12)
+        assert iters == ref_iters > 0
+        np.testing.assert_array_equal(x, ref)
+
+    @KERNEL_MESHES
+    def test_system_equals_scipy_sum(self, make, monkeypatch):
+        mass, stiffness = assemble(make())
+        seen = []
+
+        def spy(matrix, b, **kwargs):
+            seen.append(matrix)
+            return np.zeros(len(b)), 0
+
+        monkeypatch.setattr(fem, "jacobi_cg", spy)
+        u = FeFunction(0, RNG.standard_normal(mass.shape[0]))
+        backward_euler_step(mass, stiffness, u, u, tau=0.037)
+        expected = (mass + 0.037 * stiffness).tocsr()
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(seen[0], name),
+                                          getattr(expected, name))
+
+    def test_mismatched_patterns_raise(self):
+        m = icosphere(1)
+        mass, stiffness = assemble(m)
+        u = FeFunction.on_mesh(m, np.ones(m.n_nodes))
+        dense = sp.csr_array(np.ones(mass.shape))
+        for a, b in ((mass, dense), (dense, stiffness)):
+            with pytest.raises(ValueError, match="share one CSR pattern"):
+                backward_euler_step(a, b, u, u, tau=0.1)
+        # an equal pattern in separate arrays is still the shared pattern
+        u1, _ = backward_euler_step(mass.copy(), stiffness, u, u, tau=0.1)
+        np.testing.assert_allclose(u1.coefficients, 1.1, rtol=1e-9)
+
+    @KERNEL_MESHES
+    def test_raw_product_equals_scipy_product(self, make):
+        mass, stiffness = assemble(make())
+        system = (mass + 0.01 * stiffness).tocsr()
+        n = system.shape[0]
+        p = RNG.standard_normal(n)
+        q = np.zeros(n)
+        fem.csr_matvec(n, n, system.indptr, system.indices, system.data, p, q)
+        np.testing.assert_array_equal(q, system @ p)
 
 
 class TestTimeStepping:
@@ -492,7 +625,7 @@ class TestLiftedNorms:
         evaluator = ErrorEvaluator(m, surface)
         assert len(m._lifted) == 1
         assert lifted_l2_distance(m, surface, u, zero) == first
-        assert ErrorEvaluator(m, surface)._w is evaluator._w
+        assert ErrorEvaluator(m, surface)._sqrt_w is evaluator._sqrt_w
         lifted_l2_distance(m, unit_sphere(), u, zero)  # a second surface object
         assert len(m._lifted) == 2
 

@@ -49,6 +49,28 @@ def lifted_gradient_transform(surface, points, nu_h):
     return B @ Q
 
 
+def report_operators(surface, points, nu_h):
+    """Reference: the projectors and transforms of the geometry report,
+    ``P = I - nu nu^T``, ``P_h = I - nu_h nu_h^T``,
+    ``R~ = mu P_h Q^T B B Q`` and ``A~ = R~ P_h``, with
+    ``B = (I - d A)^{-1}`` by ``np.linalg.inv``, ``Q`` as in
+    :func:`lifted_gradient_transform` and ``mu`` the measure ratio."""
+    p = np.asarray(points, dtype=float)
+    nu_h = np.broadcast_to(np.asarray(nu_h, dtype=float), p.shape)
+    d = surface.distance(p)
+    nu = surface.gradient(p)
+    nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+    dot = np.sum(nu_h * nu, axis=-1)
+    IdA = np.eye(3) - d[..., None, None] * surface.hessian(p)
+    B = np.linalg.inv(IdA)
+    Q = np.eye(3) - nu_h[..., :, None] * nu[..., None, :] / dot[..., None, None]
+    P = np.eye(3) - nu[..., :, None] * nu[..., None, :]
+    P_h = np.eye(3) - nu_h[..., :, None] * nu_h[..., None, :]
+    mu = dot * np.linalg.det(IdA)
+    r_tilde = mu[..., None, None] * (P_h @ np.swapaxes(Q, -1, -2) @ B @ B @ Q)
+    return P, P_h, r_tilde, r_tilde @ P_h
+
+
 def lift_jacobian(surface, points):
     """Reference: Jacobian of the closest-point map,
     ``I - grad d grad d^T - d Hess d``."""
@@ -297,13 +319,13 @@ class TestGeometricOperators:
         surf = flat_patch_surface()
         pts = RNG.uniform(-1, 1, size=(7, 3))
         pts[:, 2] = 0.0
-        ops = geometric_operators(surf, pts, np.array([0.0, 0.0, 1.0]))
+        nu_h = np.array([0.0, 0.0, 1.0])
+        ops = geometric_operators(surf, pts, nu_h)
         P = np.diag([1.0, 1.0, 0.0])
         assert np.allclose(ops.mu, 1.0, atol=1e-14)
-        assert np.allclose(ops.projector, P, atol=1e-14)
-        assert np.allclose(ops.projector_h, P, atol=1e-14)
-        assert np.allclose(ops.a_tilde, P, atol=1e-14)
-        assert np.allclose(ops.r_tilde, P, atol=1e-14)
+        assert np.allclose(ops.grad_transform, P, atol=1e-14)
+        for reference in report_operators(surf, pts, nu_h):
+            assert np.allclose(reference, P, atol=1e-14)
 
     def test_tilted_flat_element_identity(self):
         # flat exact surface, tilted flat element: the quadratic form with
@@ -321,7 +343,8 @@ class TestGeometricOperators:
         lifted = np.einsum("nij,nj->ni", ops.grad_transform, g)
         # lifted gradient must be tangential to the exact surface
         assert np.allclose(lifted[:, 2], 0.0, atol=1e-12)
-        lhs = np.einsum("ni,nij,nj->n", g, ops.r_tilde, g)
+        r_tilde = report_operators(surf, pts, nu_h)[2]
+        lhs = np.einsum("ni,nij,nj->n", g, r_tilde, g)
         rhs = ops.mu * np.sum(lifted * lifted, axis=1)
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -338,7 +361,8 @@ class TestGeometricOperators:
         g = RNG.normal(size=(20, 3))
         g -= np.sum(g * nu_h, axis=1, keepdims=True) * nu_h
         lifted = np.einsum("nij,nj->ni", ops.grad_transform, g)
-        lhs = np.einsum("ni,nij,nj->n", g, ops.r_tilde, g)
+        r_tilde = report_operators(s, pts, nu_h)[2]
+        lhs = np.einsum("ni,nij,nj->n", g, r_tilde, g)
         rhs = ops.mu * np.sum(lifted * lifted, axis=1)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
         # lifted gradients are tangential to the exact surface
@@ -348,12 +372,10 @@ class TestGeometricOperators:
         s = torus()
         pts = random_near_surface(s, 10, scale=0.02)
         nu = s.gradient(pts)
-        ops = geometric_operators(s, pts, nu_h=nu)
         # with nu_h = nu the operator restricted to the tangent plane is
         # symmetric (P_h Q^T B B Q with Q = P symmetric here)
-        R = ops.r_tilde
+        _, Ph, R, _ = report_operators(s, pts, nu)
         RT = np.swapaxes(R, 1, 2)
-        Ph = ops.projector_h
         assert np.allclose(Ph @ R @ Ph, Ph @ RT @ Ph, atol=1e-12)
 
     def test_deviation_second_order(self):
@@ -371,9 +393,9 @@ class TestGeometricOperators:
             # generic interior point (the centroid is too symmetric: there
             # nu_h equals nu and the deviation vanishes identically)
             mid = 0.5 * a + 0.3 * b + 0.2 * c
-            ops = geometric_operators(s, mid, nu_h)
-            errs_a.append(np.max(np.abs(ops.projector_h - ops.a_tilde)))
-            errs_mu.append(abs(1 - ops.mu))
+            _, P_h, _, a_tilde = report_operators(s, mid, nu_h)
+            errs_a.append(np.max(np.abs(P_h - a_tilde)))
+            errs_mu.append(abs(1 - geometric_operators(s, mid, nu_h).mu))
         for errs in (errs_a, errs_mu):
             rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
             assert np.all(rates > 1.7), rates
@@ -404,6 +426,20 @@ class TestGeometricOperators:
         ops = geometric_operators(s, pts, nu_h)
         T = lifted_gradient_transform(s, pts, nu_h)
         assert np.allclose(T, ops.grad_transform, atol=1e-14)
+
+    @pytest.mark.parametrize("surface", [unit_sphere(), torus()],
+                             ids=["sphere", "torus"])
+    def test_transform_matches_inverse_on_tilted_elements(self, surface):
+        # the adjugate form of B Q against np.linalg.inv, off the surface
+        # and with element planes tilted up to about 30 degrees
+        rng = np.random.default_rng(7)
+        pts = random_near_surface(surface, 50, scale=0.1)
+        nu_h = surface.gradient(pts) + 0.3 * rng.uniform(-1, 1, pts.shape)
+        nu_h /= np.linalg.norm(nu_h, axis=1, keepdims=True)
+        ops = geometric_operators(surface, pts, nu_h)
+        np.testing.assert_allclose(
+            ops.grad_transform, lifted_gradient_transform(surface, pts, nu_h),
+            rtol=0, atol=1e-14)
 
     def test_returns_bundle(self):
         s = unit_sphere()
