@@ -245,8 +245,7 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                 marks = mark_coarsen(np.sqrt(coarsening_sq),
                                      config.theta_star, config.criterion)
                 new_mesh, (new_u, new_uprev), removed = coarsen(
-                    mesh, marks, [u, u_prev_acc], config.strategy,
-                    protect_birth=step)
+                    mesh, marks, [u, u_prev_acc], protect_birth=step)
                 coarsen_iters += 1
                 if removed == 0:
                     break

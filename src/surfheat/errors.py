@@ -8,7 +8,8 @@ class SurfheatError(Exception):
 # --- geometry ---------------------------------------------------------------
 
 class NonConvergence(SurfheatError):
-    """Closest-point iteration failed to converge."""
+    """A lifted point is off the surface: the distance and gradient
+    callbacks are not an exact signed distance and its gradient."""
 
 
 class OutsideTube(SurfheatError):
@@ -44,7 +45,7 @@ class GenerationMismatch(SurfheatError):
 
 
 class StrategyMismatch(SurfheatError):
-    """Refinement/coarsening strategy differs from the one recorded on the mesh."""
+    """Refinement strategy differs from the one recorded on the mesh."""
 
 
 # --- fem --------------------------------------------------------------------

@@ -2,6 +2,10 @@
 geometric operators that relate quantities on a polyhedral interpolation
 surface to their counterparts on the exact surface.
 
+The lift and the measure ratio both assume an exact signed distance:
+``|grad d| = 1`` and ``A nu = 0``.  Then the closest point is one
+projection step, ``x - d(x) nu(x)``.
+
 Conventions
 -----------
 All point-based functions are vectorized: ``points`` may have any shape
@@ -9,6 +13,8 @@ All point-based functions are vectorized: ``points`` may have any shape
 normal of a flat element, ``nu`` the exact surface normal (the gradient of
 the signed distance).
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -126,71 +132,48 @@ def torus(major_radius=2.0, minor_radius=0.5):
                            name=f"torus-{R0}-{r0}")
 
 
-def lift(surface, points, tol=1e-12, max_iter=100):
-    """Closest-point lift onto the surface.
+def lift(surface, points):
+    """Closest-point lift onto the surface: ``x - d(x) grad d / |grad d|``.
 
-    Fixed-point iteration ``y <- x - d(x) * nu(y)`` with the distance frozen
-    at the source point and the unit normal re-evaluated at the current
-    iterate.  For an exact signed distance this converges in one step.
+    For an exact signed distance this is the closest point.  For any other
+    level set the result can miss the surface, which the residual check
+    reports.
 
     Raises
     ------
     OutsideTube
         If ``|d(x)| >= bounding_radius / 4`` for any point.
     NonConvergence
-        If the increment does not drop below ``tol`` within ``max_iter``
-        iterations, or the converged point is not on the surface.
+        If a lifted point is off the surface by more than 1e-10, that is,
+        the distance and gradient callbacks are not an exact signed distance
+        and its gradient.
     """
     x = np.asarray(points, dtype=float)
-    d0 = surface.distance(x)
+    d = surface.distance(x)
     guard = surface.bounding_radius / 4.0
-    if np.any(np.abs(d0) >= guard):
-        worst = float(np.max(np.abs(d0)))
+    if np.any(np.abs(d) >= guard):
+        worst = float(np.max(np.abs(d)))
         raise OutsideTube(
             f"point with |d| = {worst:.3g} outside lift tube (limit {guard:.3g})")
-    d0e = d0[..., None]
     g = surface.gradient(x)
-    g = g / np.linalg.norm(g, axis=-1, keepdims=True)
-    y = x - d0e * g
-    for _ in range(max_iter):
-        n = surface.gradient(y)
-        n = n / np.linalg.norm(n, axis=-1, keepdims=True)
-        y_new = x - d0e * n
-        delta = np.max(np.abs(y_new - y)) if y.size else 0.0
-        y = y_new
-        if delta < tol:
-            break
-    else:
-        raise NonConvergence(f"closest-point iteration stalled after {max_iter} steps")
-    residual = np.max(np.abs(surface.distance(y))) if y.size else 0.0
+    y = x - d[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
+    residual = np.max(np.abs(surface.distance(y)), initial=0.0)
     if residual > 1e-10:
         raise NonConvergence(
             f"lifted point off-surface by {residual:.3g}; distance callbacks inconsistent?")
     return y
 
 
-class GeometricOperators:
-    """Bundle of pointwise geometric quantities.
-
-    Attributes (all batched over the leading point axes):
-
-    - ``distance`` : signed distance d
-    - ``normal`` : exact unit normal
-    - ``weingarten`` : extended Weingarten map A (Hessian of d)
-    - ``mu`` : measure ratio ``(nu_h . nu) det(I - d A)`` of the
-      closest-point map on the element plane
-    - ``grad_transform`` : ``B Q`` with ``B = (I - d A)^{-1}`` and
-      ``Q = I - nu_h nu^T / (nu_h . nu)``, mapping flat tangential gradients
-      to lifted surface gradients.  ``B`` is symmetric, so the Dirichlet
-      integrand ``mu |B Q g|^2`` of the lifted function is the quadratic
-      form of ``mu (B Q)^T (B Q)``.
-    """
-
-    __slots__ = ("distance", "normal", "weingarten", "mu", "grad_transform")
-
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw[k])
+# Pointwise geometric quantities, batched over the leading point axes:
+# ``distance`` the signed distance d; ``mu`` the measure ratio
+# ``(nu_h . nu) det(I - d A)`` of the closest-point map on the element
+# plane; ``grad_transform`` ``B Q`` with ``B = (I - d A)^{-1}`` and
+# ``Q = I - nu_h nu^T / (nu_h . nu)``, mapping flat tangential gradients to
+# lifted surface gradients.  ``B`` is symmetric, so the Dirichlet integrand
+# ``mu |B Q g|^2`` of the lifted function is the quadratic form of
+# ``mu (B Q)^T (B Q)``.
+GeometricOperators = namedtuple("GeometricOperators",
+                                "distance mu grad_transform")
 
 
 def geometric_operators(surface, points, nu_h):
@@ -237,5 +220,4 @@ def geometric_operators(surface, points, nu_h):
     adj_nu_h = np.einsum("...kj,...j->...k", adj, nu_h)
     adj -= adj_nu_h[..., :, None] * (nu / dot[..., None])[..., None, :]
     adj /= det[..., None, None]
-    return GeometricOperators(distance=d, normal=nu, weingarten=A,
-                              mu=dot * det, grad_transform=adj)
+    return GeometricOperators(distance=d, mu=dot * det, grad_transform=adj)

@@ -455,14 +455,20 @@ def read_off(path):
             line = line.split("#", 1)[0].strip()
             if line:
                 tokens.extend(line.split())
-    if tokens[0] != "OFF":
+    if len(tokens) < 4 or tokens[0] != "OFF":
         raise ValueError("not an OFF file")
     nv, nf = int(tokens[1]), int(tokens[2])
     pos = 4
+    found = (len(tokens) - pos) // 3
+    if found < nv:
+        raise ValueError(f"OFF header declares {nv} nodes, file holds "
+                         f"coordinates for {found}")
     nodes = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
     pos += 3 * nv
     triangles = np.empty((nf, 3), dtype=np.int64)
     for i in range(nf):
+        if pos + 4 > len(tokens):
+            raise ValueError(f"OFF header declares {nf} faces, file holds {i}")
         k = int(tokens[pos])
         if k != 3:
             raise ValueError("only triangle faces are supported")

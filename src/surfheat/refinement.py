@@ -5,7 +5,13 @@ a triangle's first edge ``(v0, v1)`` is its reference edge.  Newest-vertex
 bisection always splits the reference edge; red/green/blue refinement
 classifies the split pattern against it.  Conformity closure is the usual
 fixed point: whenever any edge of a triangle is due for bisection, its
-reference edge is due as well.
+reference edge is due as well.  The children of each split pattern are one
+integer table indexed into a triangle's vertices and edge midpoints.
+
+A refinement step keeps the old nodes and appends one midpoint per split
+edge.  Its ``TransferMap`` lists the endpoints of those edges, the parents
+of the new nodes in the node hierarchy of that step, and ``transfer``
+interpolates nodal values through it.
 
 Coarsening inverts refinement through the genealogy arena: a sibling group
 whose members are all present and all marked collapses back to its recorded
@@ -13,6 +19,8 @@ parent, provided the midpoint nodes that would disappear are not referenced
 anywhere else (this is the good-to-coarsen condition, enforced by a fixed
 point that drops unsafe groups).
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -93,38 +101,25 @@ def mark_coarsen(indicators, theta_star, criterion="bulk"):
     raise ValueError(f"unknown marking criterion {criterion!r}")
 
 
-class TransferMap:
-    """Resolution of every node of a new mesh in terms of the old one.
-
-    ``source_a[i]`` is an old node id; where ``source_b[i] >= 0`` the new
-    node i is the midpoint of old edge ``(source_a[i], source_b[i])`` and
-    receives the endpoint average, otherwise it copies ``source_a[i]``.
-    """
-
-    __slots__ = ("source_a", "source_b", "src_generation", "dst_generation")
-
-    def __init__(self, source_a, source_b, src_generation, dst_generation):
-        self.source_a = np.asarray(source_a, dtype=np.int64)
-        self.source_b = np.asarray(source_b, dtype=np.int64)
-        self.src_generation = int(src_generation)
-        self.dst_generation = int(dst_generation)
+# The node relation of one refinement step: the new mesh keeps the
+# ``n_old`` old nodes, and its node ``n_old + k`` is the midpoint of the old
+# edge ``endpoints[k]`` (an (K, 2) int array; K = 0 when nothing was split).
+TransferMap = namedtuple("TransferMap",
+                         "endpoints src_generation dst_generation")
 
 
 def transfer(u_old, tmap):
-    """Carry nodal values through a refinement step (exact P1 interpolation
-    on the pre-lift mesh: copies at retained nodes, endpoint averages at
-    edge midpoints)."""
+    """Carry nodal values through a refinement step: exact P1 interpolation
+    on the pre-lift mesh, which keeps the old values and appends the
+    endpoint average at each new midpoint."""
     if u_old.generation != tmap.src_generation:
         raise GenerationMismatch(
             f"function generation {u_old.generation} does not match the "
             f"transfer source {tmap.src_generation}")
     c = u_old.coefficients
-    vals = c[tmap.source_a]
-    has_b = tmap.source_b >= 0
-    if has_b.any():
-        safe = np.where(has_b, tmap.source_b, 0)
-        vals = np.where(has_b, 0.5 * (vals + c[safe]), vals)
-    return FeFunction(tmap.dst_generation, vals)
+    a, b = tmap.endpoints.T
+    return FeFunction(tmap.dst_generation,
+                      np.concatenate([c, 0.5 * (c[a] + c[b])]))
 
 
 def _rotate_reference_first(nodes, tris):
@@ -165,18 +160,17 @@ def init_reference_edges(mesh):
     return out
 
 
-# child tables: tokens refer to parent vertices v0..v2 and edge midpoints
-# m0 = mid(v0,v1), m1 = mid(v1,v2), m2 = mid(v2,v0).  Keys are bit patterns
-# of marked edges (bit j = local edge j); closure guarantees bit 0 is set.
+# Child tables: one row of column indices per child into a triangle's
+# (v0 v1 v2 m0 m1 m2), its vertices and the midpoints m0 = mid(v0,v1),
+# m1 = mid(v1,v2), m2 = mid(v2,v0).  Keys are bit patterns of marked edges
+# (bit j = local edge j); closure guarantees bit 0 is set.
 _BISECT_TABLES = {
-    0b001: (("v2", "v0", "m0"), ("v1", "v2", "m0")),
-    0b011: (("v2", "v0", "m0"), ("m0", "v1", "m1"), ("v2", "m0", "m1")),
-    0b101: (("m0", "v2", "m2"), ("v0", "m0", "m2"), ("v1", "v2", "m0")),
-    0b111: (("m0", "v2", "m2"), ("v0", "m0", "m2"),
-            ("m0", "v1", "m1"), ("v2", "m0", "m1")),
+    0b001: np.array([(2, 0, 3), (1, 2, 3)]),
+    0b011: np.array([(2, 0, 3), (3, 1, 4), (2, 3, 4)]),
+    0b101: np.array([(3, 2, 5), (0, 3, 5), (1, 2, 3)]),
+    0b111: np.array([(3, 2, 5), (0, 3, 5), (3, 1, 4), (2, 3, 4)]),
 }
-_RED_TABLE = (("v0", "m0", "m2"), ("m0", "v1", "m1"),
-              ("m2", "m1", "v2"), ("m1", "m2", "m0"))
+_RED_TABLE = np.array([(0, 3, 5), (3, 1, 4), (5, 4, 2), (4, 5, 3)])
 
 _TABLES = {
     "nvb": _BISECT_TABLES,
@@ -202,8 +196,9 @@ def refine(mesh, marks, strategy, birth=None):
     Returns
     -------
     (SurfaceMesh, TransferMap)
-        The refined *pre-lift* mesh (new nodes at flat edge midpoints) and
-        the nodal transfer map onto it.
+        The refined *pre-lift* mesh and the map onto it.  The old nodes
+        keep their ids; the new nodes follow, one per split edge, at the
+        flat midpoints of the ``TransferMap.endpoints`` rows.
 
     Raises
     ------
@@ -225,10 +220,9 @@ def refine(mesh, marks, strategy, birth=None):
     if len(marks.marked) and (marks.marked[0] < 0
                               or marks.marked[-1] >= m_tris):
         raise ValueError("mark refers to a nonexistent triangle")
-    identity = TransferMap(np.arange(mesh.n_nodes), np.full(mesh.n_nodes, -1),
-                           mesh.generation, mesh.generation)
     if len(marks.marked) == 0:
-        return mesh, identity
+        return mesh, TransferMap(np.empty((0, 2), dtype=np.int64),
+                                 mesh.generation, mesh.generation)
 
     te = mesh.tri_edges
     edge_marked = np.zeros(mesh.n_edges, dtype=bool)
@@ -263,48 +257,29 @@ def refine(mesh, marks, strategy, birth=None):
     pattern = (has[:, 0].astype(np.int64) + 2 * has[:, 1] + 4 * has[:, 2])
     counts = np.array([1, 2, 0, 3, 0, 3, 0, 4], dtype=np.int64)[pattern]
     offsets = np.cumsum(counts) - counts
-    total = int(counts.sum())
-
-    tri = mesh.triangles
-    mids = mid_of_edge[te]
-    columns = {"v0": tri[:, 0], "v1": tri[:, 1], "v2": tri[:, 2],
-               "m0": mids[:, 0], "m1": mids[:, 1], "m2": mids[:, 2]}
-
-    out_tris = np.empty((total, 3), dtype=np.int64)
-    out_parent = np.empty(total, dtype=np.int64)
-    out_slot = np.empty(total, dtype=np.int64)
-    is_child = np.zeros(total, dtype=bool)
-
-    # genealogy rows for split parents, in triangle order
     split = pattern != 0
-    n_rows_old = len(mesh.genealogy)
-    row_of = np.full(m_tris, -1, dtype=np.int64)
-    row_of[split] = n_rows_old + np.arange(int(split.sum()))
+    child = np.repeat(split, counts)
 
-    keep = np.nonzero(~split)[0]
-    out_tris[offsets[keep]] = tri[keep]
-    out_parent[offsets[keep]] = mesh.tri_parent[keep]
-    out_slot[offsets[keep]] = mesh.tri_slot[keep]
-
-    tables = _TABLES[strategy]
-    for pat, table in tables.items():
+    # every per-triangle array is repeated over the child counts: a kept
+    # triangle is its own only child, and the rows of the split ones are
+    # overwritten from the child tables
+    tri = mesh.triangles
+    out_tris = np.repeat(tri, counts, axis=0)
+    cols = np.hstack([tri, mid_of_edge[te]])  # (M, 6): v0 v1 v2 m0 m1 m2
+    for pat, table in _TABLES[strategy].items():
         idx = np.nonzero(pattern == pat)[0]
-        if len(idx) == 0:
-            continue
-        base = offsets[idx]
-        for slot, tokens in enumerate(table):
-            rows = base + slot
-            for axis, token in enumerate(tokens):
-                out_tris[rows, axis] = columns[token][idx]
-            out_parent[rows] = row_of[idx]
-            out_slot[rows] = slot
-            is_child[rows] = True
+        rows = offsets[idx, None] + np.arange(len(table))
+        out_tris[rows] = cols[idx[:, None, None], table]
+    # split parents get new genealogy rows, in triangle order
+    row_of = len(mesh.genealogy) + np.cumsum(split) - 1
+    out_parent = np.repeat(np.where(split, row_of, mesh.tri_parent), counts)
+    slot_in_parent = np.arange(len(child)) - np.repeat(offsets, counts)
+    out_slot = np.where(child, slot_in_parent,
+                        np.repeat(mesh.tri_slot, counts))
 
     if strategy == "rgb":
         # keep the reference-edge = longest-edge invariant on the children
-        child_rows = np.nonzero(is_child)[0]
-        out_tris[child_rows] = _rotate_reference_first(new_nodes,
-                                                       out_tris[child_rows])
+        out_tris[child] = _rotate_reference_first(new_nodes, out_tris[child])
 
     old = mesh.genealogy
     genealogy = Genealogy(
@@ -315,22 +290,22 @@ def refine(mesh, marks, strategy, birth=None):
     )
     refined = SurfaceMesh(new_nodes, out_tris, new_birth, out_parent,
                           out_slot, genealogy, strategy, refedge_ready=True)
-    tmap = TransferMap(
-        np.concatenate([np.arange(n_old), endpoints[:, 0]]),
-        np.concatenate([np.full(n_old, -1, dtype=np.int64),
-                        endpoints[:, 1]]),
-        mesh.generation, refined.generation)
-    return refined, tmap
+    return refined, TransferMap(endpoints, mesh.generation,
+                                refined.generation)
 
 
-def lift_new_nodes(mesh, surface, tol=1e-12):
+# |d| up to which a node counts as on the surface and is not lifted
+_ON_SURFACE_TOL = 1e-12
+
+
+def lift_new_nodes(mesh, surface):
     """Project off-surface nodes onto the surface (connectivity unchanged).
 
-    Nodes already on the surface (within ``tol``) are left bitwise intact,
+    Nodes already on the surface (|d| <= 1e-12) are left bitwise intact,
     so repeated lifting is idempotent.
     """
     d = surface.distance(mesh.nodes)
-    off = np.abs(d) > tol
+    off = np.abs(d) > _ON_SURFACE_TOL
     if not off.any():
         return mesh
     nodes = mesh.nodes.copy()
@@ -338,13 +313,14 @@ def lift_new_nodes(mesh, surface, tol=1e-12):
     return mesh.with_nodes(nodes)
 
 
-def coarsen(mesh, marks, functions, strategy, protect_birth=None):
+def coarsen(mesh, marks, functions, protect_birth=None):
     """Collapse marked sibling groups back to their parents.
 
     A group collapses only if all siblings are present and marked and the
     midpoint nodes that would vanish are referenced by no surviving triangle
     (good-to-coarsen).  Function values at surviving nodes are carried over
-    unchanged; surviving nodes keep their coordinates.
+    unchanged; surviving nodes keep their coordinates.  The genealogy
+    records the refinement, so the coarse mesh keeps ``mesh.strategy``.
 
     Parameters
     ----------
@@ -352,8 +328,6 @@ def coarsen(mesh, marks, functions, strategy, protect_birth=None):
     marks : MarkSet
     functions : list of FeFunction
         Bound to this mesh; restricted nodally onto the coarser mesh.
-    strategy : {"nvb", "rgb"}
-        Must match how the mesh was refined.
     protect_birth : int, optional
         Nodes with ``node_birth >= protect_birth`` are never removed.
 
@@ -363,14 +337,8 @@ def coarsen(mesh, marks, functions, strategy, protect_birth=None):
         The coarsened mesh, the restricted functions, and the number of
         removed nodes.
     """
-    if strategy not in _TABLES:
-        raise ValueError(f"unknown refinement strategy {strategy!r}")
     for u in functions:
         u.check(mesh)
-    if mesh.strategy is not None and mesh.strategy != strategy:
-        raise StrategyMismatch(
-            f"mesh was refined with {mesh.strategy!r}, cannot coarsen with "
-            f"{strategy!r}")
     gen = mesh.genealogy
     m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
     if len(marks.marked) and (marks.marked[0] < 0

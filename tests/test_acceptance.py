@@ -234,7 +234,7 @@ def test_criterion_09_mesh_machinery():
         back = fine
         while True:
             back, _, removed = coarsen(
-                back, MarkSet(np.arange(back.n_triangles)), [], strategy)
+                back, MarkSet(np.arange(back.n_triangles)), [])
             if removed == 0:
                 break
         assert back.n_nodes == mesh.n_nodes
@@ -258,7 +258,7 @@ def test_criterion_09_mesh_machinery():
             if do_coarsen:
                 marks = mark_coarsen(eta, float(rng.uniform(0.3, 0.9)),
                                      criterion)
-                mesh, (u,), _ = coarsen(mesh, marks, [u], strategy)
+                mesh, (u,), _ = coarsen(mesh, marks, [u])
             else:
                 marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)),
                                     criterion)

@@ -352,8 +352,7 @@ class TestOnePass:
         u_prev = fe(fine, rng.standard_normal(fine.n_nodes))
         per, _ = estimator.coarsening_indicator(fine, u_n, u_prev)
         marks = mark_coarsen(np.sqrt(per), 0.5)
-        coarse, (c_n, c_prev), removed = coarsen(fine, marks, [u_n, u_prev],
-                                                 "nvb")
+        coarse, (c_n, c_prev), removed = coarsen(fine, marks, [u_n, u_prev])
         assert removed > 0
         estimator.coarsening_indicator(coarse, c_n, c_prev)
         assert fine._operators is None

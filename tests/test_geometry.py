@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from surfheat.errors import NonConvergence, OutsideTube, SingularShapeOperator
+from surfheat.fem import QuadratureRule
 from surfheat.geometry import (
     GeometricOperators,
     LevelSetSurface,
@@ -10,6 +11,8 @@ from surfheat.geometry import (
     torus,
     unit_sphere,
 )
+from surfheat.problems import icosphere, torus_grid
+from surfheat.refinement import MarkSet, refine
 
 RNG = np.random.default_rng(20240811)
 
@@ -31,6 +34,24 @@ def random_near_surface(surface, n, scale=0.05):
     off = RNG.uniform(-scale, scale, size=(n, 1))
     g = surface.gradient(pts)
     return pts + off * g
+
+
+def reference_lift(surface, points, tol=1e-12, max_iter=100):
+    """Reference: the fixed-point closest-point iteration
+    ``y <- x - d(x) nu(y)``, distance frozen at the source point and the
+    unit normal re-evaluated at the iterate, from ``y = x - d(x) nu(x)``."""
+    x = np.asarray(points, dtype=float)
+    d0 = surface.distance(x)[..., None]
+    g = surface.gradient(x)
+    y = x - d0 * (g / np.linalg.norm(g, axis=-1, keepdims=True))
+    for _ in range(max_iter):
+        n = surface.gradient(y)
+        y_new = x - d0 * (n / np.linalg.norm(n, axis=-1, keepdims=True))
+        delta = np.max(np.abs(y_new - y), initial=0.0)
+        y = y_new
+        if delta < tol:
+            return y
+    raise AssertionError(f"no convergence within {max_iter} iterations")
 
 
 def lifted_gradient_transform(surface, points, nu_h):
@@ -204,6 +225,28 @@ class TestLift:
         pts = random_near_surface(s, 12).reshape(3, 4, 3)
         assert lift(s, pts).shape == (3, 4, 3)
 
+    def test_empty_input(self):
+        y = lift(unit_sphere(), np.empty((0, 3)))
+        assert y.shape == (0, 3)
+
+    @pytest.mark.parametrize("surface, mesh, ulps", [
+        (unit_sphere(), lambda: icosphere(4), 0),
+        (torus(), lambda: torus_grid(24), 1)], ids=["sphere", "torus"])
+    def test_matches_fixed_point_reference(self, surface, mesh, ulps):
+        # the points the solver lifts: lifted-quadrature points and the
+        # midpoints of a refinement
+        mesh = mesh()
+        fine, _ = refine(mesh, MarkSet(np.arange(mesh.n_triangles)), "nvb")
+        x = np.concatenate([
+            QuadratureRule.degree4().physical_points(mesh).reshape(-1, 3),
+            fine.nodes[mesh.n_nodes:]])
+        y, expected = lift(surface, x), reference_lift(surface, x)
+        if ulps == 0:
+            assert y.tobytes() == expected.tobytes()
+        else:
+            assert np.all(np.abs(y - expected)
+                          <= ulps * np.spacing(np.abs(expected)))
+
     def test_outside_tube(self):
         s = unit_sphere()
         with pytest.raises(OutsideTube):
@@ -211,7 +254,7 @@ class TestLift:
 
     def test_non_convergence(self):
         # a "surface" whose gradient callback is inconsistent with the
-        # distance never settles
+        # distance: the projection lands off the surface
         bad = LevelSetSurface(
             distance=lambda p: np.linalg.norm(np.asarray(p, float), axis=-1) - 1.0,
             gradient=lambda p: np.broadcast_to(

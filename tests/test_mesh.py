@@ -353,6 +353,25 @@ class TestFileIO:
         with pytest.raises(ValueError, match="OFF"):
             read_off(path)
 
+    def test_off_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.off"
+        for text in ("", "# only a comment\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not an OFF file"):
+                read_off(path)
+
+    def test_off_rejects_truncated_node_block(self, tmp_path):
+        path = tmp_path / "short.off"
+        path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n")
+        with pytest.raises(ValueError, match="declares 4 nodes.* for 2"):
+            read_off(path)
+
+    def test_off_rejects_truncated_face_block(self, tmp_path):
+        path = tmp_path / "short.off"
+        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
+        with pytest.raises(ValueError, match="declares 2 faces, file holds 1"):
+            read_off(path)
+
     def test_off_comments_ignored(self, tmp_path):
         m = tetrahedron()
         path = tmp_path / "mesh.off"

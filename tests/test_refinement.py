@@ -1,5 +1,7 @@
 """Marking criteria, NVB/RGB refinement, nodal transfer, coarsening."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,11 @@ from surfheat.errors import (GenerationMismatch, MetadataMissing,
                              StrategyMismatch)
 from surfheat.fem import FeFunction, interpolate
 from surfheat.geometry import unit_sphere
-from surfheat.mesh import SurfaceMesh, validate_mesh
+from surfheat.mesh import Genealogy, SurfaceMesh, validate_mesh
 from surfheat.problems import icosahedron, icosphere
-from surfheat.refinement import (MarkSet, coarsen, init_reference_edges,
-                                 lift_new_nodes, mark_coarsen, mark_refine,
-                                 refine, transfer)
+from surfheat.refinement import (MarkSet, _rotate_reference_first, coarsen,
+                                 init_reference_edges, lift_new_nodes,
+                                 mark_coarsen, mark_refine, refine, transfer)
 
 RNG = np.random.default_rng(990817)
 
@@ -28,6 +30,126 @@ def tetrahedron(stretch=(1.0, 1.0, 1.0)):
 
 def all_marks(mesh):
     return MarkSet(np.arange(mesh.n_triangles))
+
+
+# Reference: refinement with string-token child tables walked slot by slot
+# and axis by axis, and a transfer map over all new nodes in which
+# ``source_b == -1`` marks a copied node.  Tokens name parent vertices
+# v0..v2 and edge midpoints m0 = mid(v0,v1), m1 = mid(v1,v2),
+# m2 = mid(v2,v0); keys are bit patterns of marked edges.
+_REF_BISECT = {
+    0b001: (("v2", "v0", "m0"), ("v1", "v2", "m0")),
+    0b011: (("v2", "v0", "m0"), ("m0", "v1", "m1"), ("v2", "m0", "m1")),
+    0b101: (("m0", "v2", "m2"), ("v0", "m0", "m2"), ("v1", "v2", "m0")),
+    0b111: (("m0", "v2", "m2"), ("v0", "m0", "m2"),
+            ("m0", "v1", "m1"), ("v2", "m0", "m1")),
+}
+_REF_TABLES = {
+    "nvb": _REF_BISECT,
+    "rgb": {**_REF_BISECT, 0b111: (("v0", "m0", "m2"), ("m0", "v1", "m1"),
+                                   ("m2", "m1", "v2"), ("m1", "m2", "m0"))},
+}
+
+SentinelMap = namedtuple("SentinelMap",
+                         "source_a source_b src_generation dst_generation")
+
+
+def reference_refine(mesh, marks, strategy, birth=None):
+    """Reference refinement: ``(SurfaceMesh, SentinelMap)``."""
+    identity = SentinelMap(np.arange(mesh.n_nodes),
+                           np.full(mesh.n_nodes, -1, dtype=np.int64),
+                           mesh.generation, mesh.generation)
+    if len(marks.marked) == 0:
+        return mesh, identity
+    m_tris = mesh.n_triangles
+    te = mesh.tri_edges
+    edge_marked = np.zeros(mesh.n_edges, dtype=bool)
+    if strategy == "nvb":
+        edge_marked[te[marks.marked, 0]] = True
+    else:
+        edge_marked[te[marks.marked]] = True
+    while True:
+        need = edge_marked[te].any(axis=1) & ~edge_marked[te[:, 0]]
+        if not need.any():
+            break
+        edge_marked[te[need, 0]] = True
+
+    n_old = mesh.n_nodes
+    split_edges = np.nonzero(edge_marked)[0]
+    mid_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
+    mid_of_edge[split_edges] = n_old + np.arange(len(split_edges))
+    endpoints = mesh.edges[split_edges]
+    new_nodes = np.vstack([
+        mesh.nodes,
+        0.5 * (mesh.nodes[endpoints[:, 0]] + mesh.nodes[endpoints[:, 1]]),
+    ])
+    if birth is None:
+        birth = int(mesh.node_birth.max(initial=0)) + 1
+    new_birth = np.concatenate([
+        mesh.node_birth, np.full(len(split_edges), birth, dtype=np.int64)])
+
+    has = edge_marked[te]
+    pattern = (has[:, 0].astype(np.int64) + 2 * has[:, 1] + 4 * has[:, 2])
+    counts = np.array([1, 2, 0, 3, 0, 3, 0, 4], dtype=np.int64)[pattern]
+    offsets = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    tri = mesh.triangles
+    mids = mid_of_edge[te]
+    columns = {"v0": tri[:, 0], "v1": tri[:, 1], "v2": tri[:, 2],
+               "m0": mids[:, 0], "m1": mids[:, 1], "m2": mids[:, 2]}
+    out_tris = np.empty((total, 3), dtype=np.int64)
+    out_parent = np.empty(total, dtype=np.int64)
+    out_slot = np.empty(total, dtype=np.int64)
+    is_child = np.zeros(total, dtype=bool)
+    split = pattern != 0
+    row_of = np.full(m_tris, -1, dtype=np.int64)
+    row_of[split] = len(mesh.genealogy) + np.arange(int(split.sum()))
+    keep = np.nonzero(~split)[0]
+    out_tris[offsets[keep]] = tri[keep]
+    out_parent[offsets[keep]] = mesh.tri_parent[keep]
+    out_slot[offsets[keep]] = mesh.tri_slot[keep]
+    for pat, table in _REF_TABLES[strategy].items():
+        idx = np.nonzero(pattern == pat)[0]
+        if len(idx) == 0:
+            continue
+        base = offsets[idx]
+        for slot, tokens in enumerate(table):
+            rows = base + slot
+            for axis, token in enumerate(tokens):
+                out_tris[rows, axis] = columns[token][idx]
+            out_parent[rows] = row_of[idx]
+            out_slot[rows] = slot
+            is_child[rows] = True
+    if strategy == "rgb":
+        child_rows = np.nonzero(is_child)[0]
+        out_tris[child_rows] = _rotate_reference_first(new_nodes,
+                                                       out_tris[child_rows])
+    old = mesh.genealogy
+    genealogy = Genealogy(
+        verts=np.vstack([old.verts, tri[split]]),
+        parent=np.concatenate([old.parent, mesh.tri_parent[split]]),
+        slot=np.concatenate([old.slot, mesh.tri_slot[split]]),
+        nchild=np.concatenate([old.nchild, counts[split]]),
+    )
+    refined = SurfaceMesh(new_nodes, out_tris, new_birth, out_parent,
+                          out_slot, genealogy, strategy, refedge_ready=True)
+    smap = SentinelMap(
+        np.concatenate([np.arange(n_old), endpoints[:, 0]]),
+        np.concatenate([np.full(n_old, -1, dtype=np.int64), endpoints[:, 1]]),
+        mesh.generation, refined.generation)
+    return refined, smap
+
+
+def reference_transfer(u_old, smap):
+    """Reference transfer: copies where ``source_b < 0``, endpoint averages
+    elsewhere."""
+    c = u_old.coefficients
+    vals = c[smap.source_a]
+    has_b = smap.source_b >= 0
+    if has_b.any():
+        safe = np.where(has_b, smap.source_b, 0)
+        vals = np.where(has_b, 0.5 * (vals + c[safe]), vals)
+    return FeFunction(smap.dst_generation, vals)
 
 
 class TestMarking:
@@ -151,7 +273,7 @@ class TestRefine:
         new, tmap = refine(m, MarkSet([]), "nvb")
         assert new is m
         assert tmap.src_generation == tmap.dst_generation
-        assert (tmap.source_b == -1).all()
+        assert tmap.endpoints.shape == (0, 2)  # no new nodes
 
     def test_out_of_range_mark(self):
         m = init_reference_edges(icosahedron())
@@ -163,8 +285,6 @@ class TestRefine:
         new, _ = refine(m, all_marks(m), "nvb")
         with pytest.raises(StrategyMismatch):
             refine(new, MarkSet([0]), "rgb")
-        with pytest.raises(StrategyMismatch):
-            coarsen(new, all_marks(new), [], "rgb")
 
     def test_unknown_strategy(self):
         m = init_reference_edges(icosahedron())
@@ -281,8 +401,7 @@ class TestCoarsen:
         fine = lift_new_nodes(fine, unit_sphere())
         u = transfer(FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes)),
                      tmap)
-        back, (u_back,), removed = coarsen(fine, all_marks(fine), [u],
-                                           strategy)
+        back, (u_back,), removed = coarsen(fine, all_marks(fine), [u])
         assert removed == fine.n_nodes - m.n_nodes
         np.testing.assert_array_equal(back.nodes, m.nodes)
         np.testing.assert_array_equal(back.triangles, m.triangles)
@@ -296,7 +415,7 @@ class TestCoarsen:
     def test_partial_refine_full_undo(self, strategy):
         m = icosphere(1)
         fine, _ = refine(m, MarkSet([3, 4, 19]), strategy)
-        back, _, removed = coarsen(fine, all_marks(fine), [], strategy)
+        back, _, removed = coarsen(fine, all_marks(fine), [])
         assert removed == fine.n_nodes - m.n_nodes
         np.testing.assert_array_equal(back.nodes, m.nodes)
         # restored parents are appended after the untouched triangles, so
@@ -313,7 +432,7 @@ class TestCoarsen:
         mesh = r2
         passes = 0
         while True:
-            mesh, _, removed = coarsen(mesh, all_marks(mesh), [], "nvb")
+            mesh, _, removed = coarsen(mesh, all_marks(mesh), [])
             validate_mesh(mesh)
             passes += 1
             if removed == 0:
@@ -326,7 +445,7 @@ class TestCoarsen:
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "rgb")
         marks = MarkSet(np.arange(1, fine.n_triangles))
-        back, _, removed = coarsen(fine, marks, [], "rgb")
+        back, _, removed = coarsen(fine, marks, [])
         # a family may only collapse together with every family it shares a
         # midpoint with (else a hanging node appears); withholding a single
         # sibling therefore pins the uniformly refined sphere completely
@@ -336,17 +455,17 @@ class TestCoarsen:
     def test_protect_birth_blocks_removal(self):
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "nvb", birth=3)
-        kept, _, removed = coarsen(fine, all_marks(fine), [], "nvb",
+        kept, _, removed = coarsen(fine, all_marks(fine), [],
                                    protect_birth=3)
         assert removed == 0
         assert kept is fine
-        undone, _, removed = coarsen(fine, all_marks(fine), [], "nvb",
+        undone, _, removed = coarsen(fine, all_marks(fine), [],
                                      protect_birth=4)
         assert removed == fine.n_nodes - m.n_nodes
 
     def test_without_genealogy_is_noop(self):
         m = icosphere(1)
-        back, fns, removed = coarsen(m, all_marks(m), [], "nvb")
+        back, fns, removed = coarsen(m, all_marks(m), [])
         assert back is m
         assert removed == 0
 
@@ -355,13 +474,13 @@ class TestCoarsen:
         fine, _ = refine(m, all_marks(m), "nvb")
         stale = FeFunction.on_mesh(m, np.zeros(m.n_nodes))
         with pytest.raises(GenerationMismatch):
-            coarsen(fine, all_marks(fine), [stale], "nvb")
+            coarsen(fine, all_marks(fine), [stale])
 
     def test_out_of_range_mark(self):
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "nvb")
         with pytest.raises(ValueError):
-            coarsen(fine, MarkSet([fine.n_triangles]), [], "nvb")
+            coarsen(fine, MarkSet([fine.n_triangles]), [])
 
 
 @settings(max_examples=20, deadline=None)
@@ -395,6 +514,66 @@ def test_fuzz_refine_coarsen(strategy):
             mesh = lift_new_nodes(refined, surface)
         else:
             marks = mark_coarsen(rng.random(mesh.n_triangles), 0.7)
-            mesh, (u,), _ = coarsen(mesh, marks, [u], strategy)
+            mesh, (u,), _ = coarsen(mesh, marks, [u])
         validate_mesh(mesh, surface)
         u.check(mesh)
+
+
+def assert_same_refinement(mesh, marks, strategy, birth, u):
+    """``refine`` and ``transfer`` against the references, bitwise."""
+    new, tmap = refine(mesh, marks, strategy, birth=birth)
+    ref, smap = reference_refine(mesh, marks, strategy, birth=birth)
+    pairs = [(getattr(new, name), getattr(ref, name), name)
+             for name in ("nodes", "triangles", "node_birth", "tri_parent",
+                          "tri_slot")]
+    pairs += [(getattr(new.genealogy, name), getattr(ref.genealogy, name),
+               f"genealogy.{name}")
+              for name in ("verts", "parent", "slot", "nchild")]
+    for got, expected, name in pairs:
+        assert got.dtype == expected.dtype, name
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+    assert new.strategy == ref.strategy
+    # the endpoint rows are the parents of the new nodes, in node order
+    n_old = mesh.n_nodes
+    np.testing.assert_array_equal(
+        tmap.endpoints,
+        np.column_stack([smap.source_a, smap.source_b])[n_old:])
+    v, w = transfer(u, tmap), reference_transfer(u, smap)
+    assert v.coefficients.tobytes() == w.coefficients.tobytes()
+    return new, v
+
+
+@pytest.mark.parametrize("strategy", ["nvb", "rgb"])
+def test_refine_matches_reference_on_graded_meshes(strategy):
+    # indicators peaked at a wandering centre grade the mesh towards it;
+    # coarsening above 3,000 triangles keeps the mesh graded but bounded
+    rng = np.random.default_rng(7 if strategy == "nvb" else 8)
+    surface = unit_sphere()
+    mesh = icosphere(1)
+    u = interpolate(mesh, lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2])
+    centre = np.array([1.0, 0.0, 0.0])
+    refinements = coarsenings = 0
+    for step in range(1, 400):
+        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+        eta = (np.sqrt(mesh.metrics.area)
+               * np.exp(-8.0 * np.sum((centroids - centre) ** 2, axis=1))
+               * rng.uniform(0.5, 1.0, mesh.n_triangles))
+        if mesh.n_triangles > 3000:
+            marks = mark_coarsen(eta, float(rng.uniform(0.6, 0.95)))
+            mesh, (u,), _ = coarsen(mesh, marks, [u])
+            coarsenings += 1
+        else:
+            marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)),
+                                ("bulk", "doerfler")[step % 2])
+            refined, u = assert_same_refinement(mesh, marks, strategy,
+                                                step, u)
+            mesh = lift_new_nodes(refined, surface)
+            refinements += 1
+            if refinements == 40:
+                break
+        centre = centre + 0.15 * rng.standard_normal(3)
+        centre /= np.linalg.norm(centre)
+    assert refinements == 40
+    assert coarsenings > 0
+    assert len(mesh.genealogy) > 0
