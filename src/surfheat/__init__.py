@@ -9,12 +9,14 @@ Public layers
 -------------
 ``geometry``    signed-distance surfaces, closest-point lift, geometric
                 operators of the lifted setting
-``mesh``        oriented triangulations, lazily cached adjacency and metrics,
+``mesh``        oriented triangulations, the lazily cached half-edge sort,
+                adjacency and metrics, the genealogy arena of refinement,
                 OFF/VTK I/O
 ``refinement``  bisection/red-green-blue refinement, coarsening, marking,
                 nodal transfer
-``fem``         the per-mesh P1 operator cache, implicit Euler step,
-                preconditioned CG, lifted error norms (``ErrorEvaluator``
+``fem``         the per-mesh P1 operator bundle (one build from the half-edge
+                sort), implicit Euler step, preconditioned CG, the degree-4
+                quadrature rule, lifted error norms (``ErrorEvaluator``
                 against an exact solution, ``lifted_l2_distance`` against a
                 field)
 ``estimator``   per-element spatial/temporal/coarsening indicators in one
@@ -36,9 +38,8 @@ from .errors import (  # noqa: F401
 from .estimator import (  # noqa: F401
     Indicators, coarsening_indicator, combined, compute_indicators)
 from .fem import (  # noqa: F401
-    ErrorEvaluator, FeFunction, QuadratureRule, assemble,
-    backward_euler_step, interpolate, jacobi_cg, lifted_l2_distance,
-    p1_operators)
+    ErrorEvaluator, FeFunction, assemble, backward_euler_step, interpolate,
+    jacobi_cg, lifted_l2_distance, p1_operators, quadrature_points)
 from .geometry import (  # noqa: F401
     GeometricOperators, LevelSetSurface, geometric_operators, lift, torus,
     unit_sphere)

@@ -103,10 +103,6 @@ class StepRecord:
     cg_iters: int
     wall_ms: float
 
-    FIELDS = ("step", "t", "tau", "dofs", "eta_h_sq", "eta_tau_sq",
-              "eta_c_sq", "eta_combined", "spatial_iters", "coarsen_iters",
-              "nodes_removed", "cg_iters", "wall_ms")
-
 
 class RunLog:
     """Accepted-step records plus run-wide counters.
@@ -142,13 +138,17 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     ``on_accept(record, mesh, u)``, when given, is called once per accepted
     step with the final (post-coarsening) mesh and solution of that step.
 
-    Raises ``ValueError`` when the interpolated initial datum misses the
-    tolerance, ``SpatialStagnation``/``TauUnderflow``/``DofCapExceeded``
-    when a safety guard trips, ``NonFiniteValue`` when a solve meets a NaN;
-    each names the step, its start t, tau and the working mesh's dofs.
+    Raises ``NonManifold`` or ``InconsistentOrientation`` before any solve
+    when the initial mesh is not a closed oriented surface, ``ValueError``
+    when the interpolated initial datum misses the tolerance,
+    ``SpatialStagnation``/``TauUnderflow``/``DofCapExceeded`` when a safety
+    guard trips, ``NonFiniteValue`` when a solve meets a NaN; the last four
+    name the step, its start t, tau and the working mesh's dofs.
     """
     if not initial_mesh.refedge_ready:
         raise MetadataMissing("initial mesh carries no reference edges")
+    # the closed-surface checks of the adjacency, which refinement reads
+    initial_mesh.edges  # noqa: B018
     log = RunLog()
     eps = 1e-12 * max(1.0, config.t_end)
 

@@ -12,6 +12,7 @@ one-line message on stderr and exit with status 2.
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -21,8 +22,8 @@ import numpy as np
 from .adaptive import AdaptiveConfig, StepRecord, run
 from .errors import SurfheatError
 from .estimator import compute_indicators
-from .fem import (ErrorEvaluator, QuadratureRule, assemble,
-                  backward_euler_step, interpolate)
+from .fem import (ErrorEvaluator, assemble, backward_euler_step,
+                  interpolate, quadrature_points)
 from .geometry import geometric_operators, torus, unit_sphere
 from .mesh import write_vtk
 from .problems import get_problem, icosphere, torus_grid
@@ -132,10 +133,10 @@ def cmd_run(args):
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(StepRecord.FIELDS)
+        writer.writerow(f.name for f in dataclasses.fields(StepRecord))
 
         def on_accept(record, mesh, u):
-            writer.writerow([getattr(record, f) for f in StepRecord.FIELDS])
+            writer.writerow(dataclasses.astuple(record))
             fh.flush()
             if snapshot_dir is not None:
                 write_vtk(mesh, snapshot_dir / f"step_{record.step:04d}.vtk",
@@ -168,11 +169,10 @@ def geometry_report(surface_name, levels):
         make = lambda lv: torus_grid(3 * 2 ** lv)  # noqa: E731
     else:
         raise ValueError(f"unknown surface {surface_name!r}")
-    rule = QuadratureRule.degree4()
     rows = []
     for level in levels:
         mesh = make(level)
-        points = rule.physical_points(mesh)
+        points = quadrature_points(mesh)
         normals = np.broadcast_to(mesh.metrics.normal[:, None, :],
                                   points.shape)
         points = points.reshape(-1, 3)

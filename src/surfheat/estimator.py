@@ -7,9 +7,10 @@ indicator (its L2 part, bounding what nodal coarsening may spoil).  All are
 exact integrals of piecewise polynomials -- no quadrature error enters.
 
 ``compute_indicators`` evaluates all three in one pass over the mesh's cached
-P1 operators (``fem.p1_operators``, built on the first solve of a mesh): the
-increment, its element L2 part and its gradient are formed once, and the
-edge jumps are one sparse product.  ``coarsening_indicator`` needs only the
+P1 operators (``fem.p1_operators``, built with its gradient, jump and
+half-incidence operators on the first solve of a mesh): the increment, its
+element L2 part and its gradient are formed once, and the edge jumps are one
+sparse product.  ``coarsening_indicator`` needs only the
 element areas, so a mesh that is only tested for coarsening builds no
 operators.
 """
@@ -96,7 +97,7 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     w, coarsening_sq = _increment(mesh, u_n, u_prev)
-    ops = p1_operators(mesh, edges=True)
+    ops = p1_operators(mesh)
     met = mesh.metrics
     g = (ops.grad @ w).reshape(3, -1)  # one row per gradient component
     g *= g

@@ -8,13 +8,12 @@ lift.
 Everything that depends on the mesh alone is built once per mesh and cached
 on it (meshes are immutable):
 
-- ``p1_operators`` builds the P1 operator bundle on the first assembly,
-  indicator pass or error evaluation of a mesh: basis gradients and element
-  stiffness blocks on contiguous coordinate rows, mass and stiffness written
-  straight into CSR on the pattern of the mesh's half-edge sort
-  (``mesh.half_edges``), and a sparse gradient operator.  The co-normal
-  jump and half-incidence operators, which need the closed-surface
-  adjacency, join it on the first indicator pass.  ``assemble`` is a lookup.
+- ``p1_operators`` builds the whole P1 operator bundle on the first
+  assembly, indicator pass or error evaluation of a mesh, from the mesh's
+  half-edge sort (``mesh.half_edges``) alone: mass and stiffness written
+  straight into CSR on its pattern, a sparse gradient operator, and the
+  co-normal jump and half-incidence operators of the indicators.  Nothing
+  in it needs a closed surface.  ``assemble`` is a lookup.
 - the lifted degree-4 quadrature on a surface is built on the first
   ``ErrorEvaluator`` or ``lifted_l2_distance`` of a mesh and shared by all
   later ones.
@@ -30,6 +29,7 @@ with fresh vectors, bit for bit.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,41 +86,19 @@ class FeFunction:
         return self
 
 
-class QuadratureRule:
-    """Symmetric barycentric quadrature on the reference triangle.
-
-    Weights are normalized to sum to one, so an integral is approximated by
-    ``area * sum_q w_q f(x_q)``.
-    """
-
-    __slots__ = ("points", "weights", "degree")
-
-    def __init__(self, points, weights, degree):
-        self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        self.degree = int(degree)
-        if not np.isclose(self.weights.sum(), 1.0, atol=1e-14):
-            raise ValueError("quadrature weights must sum to 1")
-
-    @classmethod
-    def degree4(cls):
-        """Six-point symmetric rule, exact for degree 4."""
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts, wts = [], []
-        for a, w in ((a1, w1), (a2, w2)):
-            b = 1.0 - 2.0 * a
-            pts += [(b, a, a), (a, b, a), (a, a, b)]
-            wts += [w, w, w]
-        return cls(pts, wts, degree=4)
-
-    def physical_points(self, mesh):
-        """Map the rule onto every triangle: returns (M, Q, 3) coordinates."""
-        corners = mesh.nodes[mesh.triangles]  # (M, 3, 3)
-        return np.einsum("qi,mij->mqj", self.points, corners)
+# The six-point symmetric rule on the reference triangle, exact for degree 4:
+# barycentric points and weights summing to one, so an integral over a
+# triangle is ``area * sum_q w_q f(x_q)``.  Every lifted error norm uses it.
+QUAD_POINTS = np.array([np.roll((1.0 - 2.0 * a, a, a), k)
+                        for a in (0.445948490915965, 0.091576213509771)
+                        for k in range(3)])
+QUAD_WEIGHTS = np.repeat([0.223381589678011, 0.109951743655322], 3)
 
 
-_RULE = QuadratureRule.degree4()  # the rule of every lifted error norm
+def quadrature_points(mesh):
+    """The rule's points on every triangle: (M, Q, 3) coordinates."""
+    corners = mesh.nodes[mesh.triangles]  # (M, 3, 3)
+    return np.einsum("qi,mij->mqj", QUAD_POINTS, corners)
 
 
 def basis_gradients(mesh):
@@ -139,34 +117,21 @@ def basis_gradients(mesh):
     return G.transpose(2, 1, 0)
 
 
-class P1Operators:
-    """The P1 operators of one mesh, built by :func:`p1_operators`.
-
-    Attributes
-    ----------
-    grads : (M, 3, 3) array
-        Basis gradients, see :func:`basis_gradients`.
-    blocks : (M, 3, 3) array
-        Element stiffness blocks ``A_T = |T| G_T G_T^T``.
-    mass, stiffness : (N, N) csr_array
-        The assembled matrices; they share one ``indptr`` and ``indices``.
-    grad : (3M, N) csr_array
-        ``(grad @ u).reshape(3, M)`` holds component k of the tangential
-        gradient of ``u`` on every triangle in row k.
-    jump : (E, N) csr_array or None
-        ``jump @ u`` is the length-weighted co-normal flux jump
-        ``|e| [d_n u]`` of every edge, in edge-id order.
-    half_incidence : (M, E) csr_array or None
-        ``half_incidence @ q`` gives every element half of the edge quantity
-        ``q`` of each of its three edges.
-
-    ``jump`` and ``half_incidence`` need the closed-surface adjacency; they
-    stay None until ``p1_operators(mesh, edges=True)`` asks for them, so the
-    element part also works on open triangle sets.
-    """
-
-    __slots__ = ("grads", "blocks", "mass", "stiffness", "grad", "jump",
-                 "half_incidence")
+# The P1 operators of one mesh, built by :func:`p1_operators`:
+#   mass, stiffness : (N, N) csr_array
+#       the assembled matrices; they share one ``indptr`` and ``indices``;
+#   grad : (3M, N) csr_array
+#       ``(grad @ u).reshape(3, M)`` holds component k of the tangential
+#       gradient of ``u`` on every triangle in row k;
+#   jump : (E, N) csr_array
+#       ``jump @ u`` is the length-weighted co-normal flux jump
+#       ``|e| [d_n u]`` of every edge, in edge-id order (on a boundary edge
+#       of an open set, the flux of its one side);
+#   half_incidence : (M, E) csr_array
+#       ``half_incidence @ q`` gives every element half of the edge quantity
+#       ``q`` of each of its three edges.
+P1Operators = namedtuple("P1Operators",
+                         "mass stiffness grad jump half_incidence")
 
 
 def _fixed_width_csr(data, indices, shape):
@@ -202,68 +167,64 @@ def _p1_pattern(edges, n):
     return indptr, np.concatenate((np.arange(n), hi, lo))[source], source
 
 
-def p1_operators(mesh, edges=False):
+def p1_operators(mesh):
     """The cached :class:`P1Operators` of ``mesh``, built on first use.
 
     Meshes are immutable, so the bundle lives as long as the mesh and never
-    needs invalidating.  ``edges=True`` also builds the edge operators.  An
-    off-diagonal matrix entry sums the element blocks of its edge's
-    half-edges, a diagonal one those of its node's triangle corners.
+    needs invalidating.  An off-diagonal matrix entry sums the element
+    blocks ``A_T = |T| G_T G_T^T`` of its edge's half-edges, a diagonal one
+    those of its node's triangle corners.
     """
-    ops = mesh._operators
-    if ops is None:
-        ops = P1Operators()
-        tri = mesh.triangles
-        m, n = mesh.n_triangles, mesh.n_nodes
-        area = mesh.metrics.area
-        he = mesh.half_edges
-        G = basis_gradients(mesh)
-        ops.grads = G
-        g = G.transpose(2, 1, 0)  # (component, vertex, triangle) rows
-        ops.blocks = np.einsum("kit,kjt->tij", g, g)
-        ops.blocks *= area[:, None, None]
-        # (t, j) order, as in tri.ravel() and tri_edges.ravel(): local edge j
-        # joins vertices j and j + 1, so it carries block entry (j, j + 1)
-        entries = ops.blocks.reshape(m, 9)
-        corners, half = tri.ravel(), he.tri_edges.ravel()
-        n_edges = len(he.edges)
-        indptr, indices, source = _p1_pattern(he.edges, n)
+    if mesh._operators is not None:
+        return mesh._operators
+    tri = mesh.triangles
+    m, n = mesh.n_triangles, mesh.n_nodes
+    area = mesh.metrics.area
+    he = mesh.half_edges
+    G = basis_gradients(mesh)
+    g = G.transpose(2, 1, 0)  # (component, vertex, triangle) rows
+    blocks = np.einsum("kit,kjt->tij", g, g)
+    blocks *= area[:, None, None]
+    # (t, j) order, as in tri.ravel() and tri_edges.ravel(): local edge j
+    # joins vertices j and j + 1, so it carries block entry (j, j + 1)
+    entries = blocks.reshape(m, 9)
+    corners, half = tri.ravel(), he.tri_edges.ravel()
+    n_edges = len(he.edges)
+    indptr, indices, source = _p1_pattern(he.edges, n)
 
-        def on_pattern(diag, off):
-            data = np.concatenate((diag, off, off))[source]
-            return sp.csr_array((data, indices, indptr), shape=(n, n))
+    def on_pattern(diag, off):
+        data = np.concatenate((diag, off, off))[source]
+        return sp.csr_array((data, indices, indptr), shape=(n, n))
 
-        weights = np.repeat(area, 3)
-        ops.mass = on_pattern(
-            np.bincount(corners, weights, minlength=n) / 6.0,
-            np.bincount(half, weights, minlength=n_edges) / 12.0)
-        ops.stiffness = on_pattern(
-            np.bincount(corners, entries[:, ::4].ravel(), minlength=n),
-            np.bincount(half, entries[:, [1, 5, 6]].ravel(),
-                        minlength=n_edges))
-        # csr_array keeps its own view of ``indices``; one object for both
-        # lets backward_euler_step see the shared pattern without comparing
-        ops.stiffness.indices = ops.mass.indices
+    weights = np.repeat(area, 3)
+    mass = on_pattern(
+        np.bincount(corners, weights, minlength=n) / 6.0,
+        np.bincount(half, weights, minlength=n_edges) / 12.0)
+    stiffness = on_pattern(
+        np.bincount(corners, entries[:, ::4].ravel(), minlength=n),
+        np.bincount(half, entries[:, [1, 5, 6]].ravel(), minlength=n_edges))
+    # csr_array keeps its own view of ``indices``; one object for both lets
+    # backward_euler_step see the shared pattern without comparing
+    stiffness.indices = mass.indices
+    # The outward co-normal of edge e in triangle T is
+    # -2 |T| grad(phi_o) / |e|, o the vertex opposite e, so
+    # |e| d_n u = -2 sum_i A_T[o, i] u_i; row e sums this over the sides of
+    # its half-edges, in ``he.order``.  Its nodes appear once per side, and
+    # products sum duplicates.
+    t, local = np.divmod(he.order, 3)
+    rows = np.take(blocks.reshape(-1, 3), 3 * t + (local + 2) % 3, axis=0)
+    jump = sp.csr_array(
+        (-2.0 * rows.ravel(), np.take(tri, t, axis=0).ravel(),
+         3 * np.concatenate(([0], np.cumsum(he.counts)))), shape=(n_edges, n))
+    mesh._operators = P1Operators(
+        mass, stiffness,
         # row k M + t holds G[t, i, k] at column tri[t, i]
-        ops.grad = _fixed_width_csr(G.transpose(2, 0, 1),
-                                    np.tile(tri, (3, 1)), (3 * m, n))
-        ops.jump = ops.half_incidence = None
-        mesh._operators = ops
-    if edges and ops.jump is None:
-        # The outward co-normal of edge e in triangle T is
-        # -2 |T| grad(phi_o) / |e|, o the vertex opposite e, so
-        # |e| d_n u = -2 sum_i A_T[o, i] u_i; the jump sums both sides.  The
-        # edge's two nodes appear once per side, and products sum duplicates.
-        et = mesh.edge_tris
-        opposite = (mesh.edge_local + 2) % 3
-        rows = np.take(ops.blocks.reshape(-1, 3), 3 * et + opposite, axis=0)
-        ops.jump = _fixed_width_csr(
-            -2.0 * rows, np.take(mesh.triangles, et, axis=0).reshape(-1, 6),
-            (len(et), mesh.n_nodes))
-        ops.half_incidence = _fixed_width_csr(
-            np.full(mesh.tri_edges.shape, 0.5), mesh.tri_edges,
-            (mesh.n_triangles, len(et)))
-    return ops
+        _fixed_width_csr(G.transpose(2, 0, 1), np.tile(tri, (3, 1)),
+                         (3 * m, n)),
+        jump,
+        _fixed_width_csr(np.full(he.tri_edges.shape, 0.5), he.tri_edges,
+                         (m, n_edges)))
+    return mesh._operators
 
 
 def assemble(mesh):
@@ -425,13 +386,13 @@ def _lifted_quadrature(mesh, surface):
     """
     cached = mesh._lifted.get(surface)
     if cached is None:
-        x = _RULE.physical_points(mesh)
+        x = quadrature_points(mesh)
         m, q = x.shape[:2]
         y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
         nu_h = np.broadcast_to(mesh.metrics.normal[:, None, :], x.shape)
         ops = geometric_operators(surface, x.reshape(-1, 3),
                                   nu_h.reshape(-1, 3))
-        w = mesh.metrics.area[:, None] * _RULE.weights[None, :] \
+        w = mesh.metrics.area[:, None] * QUAD_WEIGHTS[None, :] \
             * ops.mu.reshape(m, q)
         cached = (y, np.sqrt(w), ops.grad_transform.reshape(m, q, 3, 3))
         mesh._lifted[surface] = cached
@@ -440,7 +401,7 @@ def _lifted_quadrature(mesh, surface):
 
 def _point_values(mesh, u):
     """Values of ``u`` at the rule's points of every triangle, (M, Q)."""
-    return u.coefficients[mesh.triangles] @ _RULE.points.T
+    return u.coefficients[mesh.triangles] @ QUAD_POINTS.T
 
 
 def _weighted_sum_sq(diff, sqrt_w):

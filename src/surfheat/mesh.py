@@ -6,16 +6,16 @@ immutable -- refinement, coarsening and node lifting build new meshes -- so
 every derived quantity is computed lazily, on first use, and cached on the
 mesh for its lifetime; nothing ever needs invalidating:
 
-- the half-edge sort (:class:`HalfEdges`), the mesh's one sort: edge ids
-  and ``tri_edges`` for open and closed triangle sets alike;
+- the half-edge sort (:class:`HalfEdges`), the mesh's one sort: edge ids,
+  ``tri_edges`` and the half-edges of every edge, for open and closed
+  triangle sets alike;
 - the adjacency (edge table): that sort plus the closed-surface checks;
 - the element metrics, computed on contiguous coordinate rows;
 - the edge geometry (lengths and co-normals), kept as a reference;
-- the P1 operator bundle (basis gradients, element stiffness blocks, mass
-  and stiffness on the pattern of the half-edge sort, the gradient,
-  co-normal jump and half-incidence operators), built by
-  ``fem.p1_operators`` when a mesh is first assembled, estimated or used
-  for error norms;
+- the P1 operator bundle (mass and stiffness on the pattern of the
+  half-edge sort, the gradient, co-normal jump and half-incidence
+  operators), built from the half-edge sort alone by ``fem.p1_operators``
+  when a mesh is first assembled, estimated or used for error norms;
 - the lifted quadrature per surface, built by ``fem`` on the first lifted
   error norm.
 
@@ -33,10 +33,10 @@ Refinement history
 ------------------
 Coarsening needs to know which triangles are siblings and what their parent
 looked like.  That history lives in a :class:`Genealogy` arena owned by the
-mesh: every refined triangle leaves behind one arena row (its vertex triple
-plus a link to *its* parent's row), and each current triangle carries the row
-index of its parent (``tri_parent``, ``-1`` for initial triangles) and its
-position among the siblings (``tri_slot``).
+mesh: every refined triangle leaves behind one arena row (its vertex triple,
+a link to *its* parent's row and its number of children), and each current
+triangle carries the row index of its parent (``tri_parent``, ``-1`` for
+initial triangles).  Siblings are the triangles that share a parent row.
 """
 
 import itertools
@@ -58,30 +58,22 @@ class Genealogy:
         Vertex triple of each refined parent, in reference-edge-first order.
     parent : (P,) int array
         Arena row of the parent's own parent record, or -1.
-    slot : (P,) int array
-        Child slot the parent occupied within its parent, or -1.
     nchild : (P,) int array
         Number of children the refinement produced (2, 3 or 4).
     """
 
-    __slots__ = ("verts", "parent", "slot", "nchild")
+    __slots__ = ("verts", "parent", "nchild")
 
-    def __init__(self, verts=None, parent=None, slot=None, nchild=None):
+    def __init__(self, verts=None, parent=None, nchild=None):
         self.verts = (np.empty((0, 3), dtype=np.int64) if verts is None
                       else np.asarray(verts, dtype=np.int64))
         self.parent = (np.empty(0, dtype=np.int64) if parent is None
                        else np.asarray(parent, dtype=np.int64))
-        self.slot = (np.empty(0, dtype=np.int64) if slot is None
-                     else np.asarray(slot, dtype=np.int64))
         self.nchild = (np.empty(0, dtype=np.int64) if nchild is None
                        else np.asarray(nchild, dtype=np.int64))
 
     def __len__(self):
         return len(self.nchild)
-
-    def copy(self):
-        return Genealogy(self.verts.copy(), self.parent.copy(),
-                         self.slot.copy(), self.nchild.copy())
 
 
 # Per-element geometry: diameters, inradii, areas, unit normals, h and rho.
@@ -189,8 +181,9 @@ class SurfaceMesh:
         once ``refedge_ready`` is set.
     node_birth : (N,) int array, optional
         Refinement round at which each node appeared (0 for initial nodes).
-    tri_parent, tri_slot : (M,) int arrays, optional
-        Genealogy links; -1 for triangles of the initial mesh.
+    tri_parent : (M,) int array, optional
+        Genealogy row of each triangle's parent; -1 for triangles of the
+        initial mesh.
     genealogy : Genealogy, optional
     strategy : {None, "nvb", "rgb"}
         Which refinement family produced this mesh.
@@ -199,8 +192,7 @@ class SurfaceMesh:
     """
 
     def __init__(self, nodes, triangles, node_birth=None, tri_parent=None,
-                 tri_slot=None, genealogy=None, strategy=None,
-                 refedge_ready=False):
+                 genealogy=None, strategy=None, refedge_ready=False):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -215,8 +207,6 @@ class SurfaceMesh:
                            else np.asarray(node_birth, dtype=np.int64))
         self.tri_parent = (np.full(m, -1, dtype=np.int64) if tri_parent is None
                            else np.asarray(tri_parent, dtype=np.int64))
-        self.tri_slot = (np.full(m, -1, dtype=np.int64) if tri_slot is None
-                         else np.asarray(tri_slot, dtype=np.int64))
         self.genealogy = Genealogy() if genealogy is None else genealogy
         self.strategy = strategy
         self.refedge_ready = bool(refedge_ready)
@@ -250,8 +240,8 @@ class SurfaceMesh:
         lifting freshly created nodes onto the surface.
         """
         m = SurfaceMesh(nodes, self.triangles, self.node_birth,
-                        self.tri_parent, self.tri_slot, self.genealogy,
-                        self.strategy, self.refedge_ready)
+                        self.tri_parent, self.genealogy, self.strategy,
+                        self.refedge_ready)
         m.generation = self.generation
         return m
 
@@ -409,12 +399,16 @@ def conormal_flux_jumps(mesh, tri_grads):
             + np.einsum("ej,ej->e", g[et[:, 1]], geom.conormal[:, 1]))
 
 
-def validate_mesh(mesh, surface=None, lift_tol=1e-10):
+# |d| up to which validate_mesh counts a node as on the surface
+_ON_SURFACE_TOL = 1e-10
+
+
+def validate_mesh(mesh, surface=None):
     """Full structural audit; raises on the first violated invariant.
 
     Checks: closed 2-manifold adjacency, consistent orientation,
     non-degenerate elements, and (when ``surface`` is given) that every node
-    lies on the surface to ``lift_tol``.
+    lies on the surface to within 1e-10.
     """
     build_adjacency(mesh.triangles, mesh.n_nodes)  # NonManifold / orientation
     element_metrics(mesh)  # DegenerateTriangle
@@ -424,19 +418,20 @@ def validate_mesh(mesh, surface=None, lift_tol=1e-10):
         raise ValueError(f"{int((~used).sum())} unreferenced nodes")
     if surface is not None:
         d = np.abs(surface.distance(mesh.nodes))
-        if d.max() > lift_tol:
-            raise ValueError(
-                f"node off the surface by {d.max():.3g} (tol {lift_tol:.3g})")
+        if d.max() > _ON_SURFACE_TOL:
+            raise ValueError(f"node off the surface by {d.max():.3g} "
+                             f"(tol {_ON_SURFACE_TOL:.3g})")
     return True
 
 
 # --------------------------------------------------------------------- file IO
 
 def write_off(mesh, path):
-    """Write the mesh in ASCII OFF format."""
+    """Write the mesh (closed or not) in ASCII OFF format."""
+    n_edges = len(mesh.half_edges.edges)
     with open(path, "w") as fh:
         fh.write("OFF\n")
-        fh.write(f"{mesh.n_nodes} {mesh.n_triangles} {mesh.n_edges}\n")
+        fh.write(f"{mesh.n_nodes} {mesh.n_triangles} {n_edges}\n")
         for x, y, z in mesh.nodes.tolist():
             fh.write(f"{x!r} {y!r} {z!r}\n")
         for a, b, c in mesh.triangles.tolist():

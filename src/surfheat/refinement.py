@@ -154,8 +154,7 @@ def init_reference_edges(mesh):
                          "re-initializing them would corrupt the genealogy")
     rotated = _rotate_reference_first(mesh.nodes, mesh.triangles)
     out = SurfaceMesh(mesh.nodes, rotated, mesh.node_birth, mesh.tri_parent,
-                      mesh.tri_slot, mesh.genealogy, mesh.strategy,
-                      refedge_ready=True)
+                      mesh.genealogy, mesh.strategy, refedge_ready=True)
     out.generation = mesh.generation
     return out
 
@@ -258,7 +257,6 @@ def refine(mesh, marks, strategy, birth=None):
     counts = np.array([1, 2, 0, 3, 0, 3, 0, 4], dtype=np.int64)[pattern]
     offsets = np.cumsum(counts) - counts
     split = pattern != 0
-    child = np.repeat(split, counts)
 
     # every per-triangle array is repeated over the child counts: a kept
     # triangle is its own only child, and the rows of the split ones are
@@ -273,23 +271,20 @@ def refine(mesh, marks, strategy, birth=None):
     # split parents get new genealogy rows, in triangle order
     row_of = len(mesh.genealogy) + np.cumsum(split) - 1
     out_parent = np.repeat(np.where(split, row_of, mesh.tri_parent), counts)
-    slot_in_parent = np.arange(len(child)) - np.repeat(offsets, counts)
-    out_slot = np.where(child, slot_in_parent,
-                        np.repeat(mesh.tri_slot, counts))
 
     if strategy == "rgb":
         # keep the reference-edge = longest-edge invariant on the children
+        child = np.repeat(split, counts)
         out_tris[child] = _rotate_reference_first(new_nodes, out_tris[child])
 
     old = mesh.genealogy
     genealogy = Genealogy(
         verts=np.vstack([old.verts, tri[split]]),
         parent=np.concatenate([old.parent, mesh.tri_parent[split]]),
-        slot=np.concatenate([old.slot, mesh.tri_slot[split]]),
         nchild=np.concatenate([old.nchild, counts[split]]),
     )
     refined = SurfaceMesh(new_nodes, out_tris, new_birth, out_parent,
-                          out_slot, genealogy, strategy, refedge_ready=True)
+                          genealogy, strategy, refedge_ready=True)
     return refined, TransferMap(endpoints, mesh.generation,
                                 refined.generation)
 
@@ -387,29 +382,25 @@ def coarsen(mesh, marks, functions, protect_birth=None):
     rows = np.nonzero(collapsing)[0]
     new_tris_old = np.vstack([tri[~coll_tris], gen.verts[rows]])
     parent_rows_old = np.concatenate([tp[~coll_tris], gen.parent[rows]])
-    new_slot = np.concatenate([mesh.tri_slot[~coll_tris], gen.slot[rows]])
 
     referenced = np.zeros(n_nodes, dtype=bool)
     referenced[new_tris_old.ravel()] = True
     removed = int(n_nodes - referenced.sum())
     node_map = np.cumsum(referenced) - 1
 
+    # new row of every old genealogy row; the extra last entry maps the
+    # parent link -1 of an initial triangle to -1
     keep_rows = ~collapsing
-    row_map = np.full(n_rows, -1, dtype=np.int64)
-    row_map[keep_rows] = np.arange(int(keep_rows.sum()))
-    old_parent = gen.parent[keep_rows]
-    safe = np.where(old_parent >= 0, old_parent, 0)
+    row_map = np.full(n_rows + 1, -1, dtype=np.int64)
+    row_map[:-1][keep_rows] = np.arange(int(keep_rows.sum()))
     genealogy = Genealogy(
         verts=node_map[gen.verts[keep_rows]],
-        parent=np.where(old_parent >= 0, row_map[safe], -1),
-        slot=gen.slot[keep_rows],
+        parent=row_map[gen.parent[keep_rows]],
         nchild=gen.nchild[keep_rows],
     )
-    safe_tp = np.where(parent_rows_old >= 0, parent_rows_old, 0)
-    new_tp = np.where(parent_rows_old >= 0, row_map[safe_tp], -1)
 
     coarse = SurfaceMesh(mesh.nodes[referenced], node_map[new_tris_old],
-                         mesh.node_birth[referenced], new_tp, new_slot,
+                         mesh.node_birth[referenced], row_map[parent_rows_old],
                          genealogy, mesh.strategy, refedge_ready=True)
     restricted = [FeFunction(coarse.generation, u.coefficients[referenced])
                   for u in functions]

@@ -10,11 +10,12 @@ import pytest
 from surfheat import adaptive
 from surfheat.adaptive import AdaptiveConfig, RunLog, StepRecord, run
 from surfheat.errors import (DofCapExceeded, MetadataMissing,
-                             NonFiniteValue, SpatialStagnation, TauUnderflow)
+                             NonFiniteValue, NonManifold, SpatialStagnation,
+                             TauUnderflow)
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh
 from surfheat.problems import Problem, get_problem, icosphere
-from surfheat.refinement import refine
+from surfheat.refinement import init_reference_edges, refine
 
 
 def constant_source(value=10.0):
@@ -181,6 +182,24 @@ class TestGuards:
         config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
         with pytest.raises(MetadataMissing):
             run(problem, problem.surface, bare, config)
+
+    def test_open_initial_mesh_fails_before_any_solve(self, monkeypatch):
+        solves = []
+        step = adaptive.backward_euler_step
+
+        def counted_step(*args, **kwargs):
+            solves.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "backward_euler_step", counted_step)
+        problem = get_problem("zero")
+        base = icosphere(1)
+        half = init_reference_edges(
+            SurfaceMesh(base.nodes, base.triangles[:base.n_triangles // 2]))
+        config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
+        with pytest.raises(NonManifold):
+            run(problem, problem.surface, half, config)
+        assert solves == []
 
 
 class TestConfigValidation:

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from surfheat.cli import (CONVERGENCE_FIELDS, GEOMETRY_FIELDS, TIMING_FIELDS,
                           _parse_taus, convergence_sweep, fitted_orders,
                           geometry_report, main, timing_table)
-from surfheat.fem import QuadratureRule
+from surfheat.fem import quadrature_points
 from surfheat.geometry import torus, unit_sphere
 from surfheat.problems import get_problem, icosphere, torus_grid
 from test_geometry import report_operators
@@ -199,7 +199,7 @@ class TestVerifyGeometryCommand:
         # the report forms A~ from B Q; the reference from inv and P_h
         surface = unit_sphere() if surface_name == "sphere" else torus()
         mesh = icosphere(2) if surface_name == "sphere" else torus_grid(12)
-        points = QuadratureRule.degree4().physical_points(mesh)
+        points = quadrature_points(mesh)
         normals = np.broadcast_to(mesh.metrics.normal[:, None, :],
                                   points.shape)
         _, P_h, _, a_tilde = report_operators(

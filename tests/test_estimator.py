@@ -4,6 +4,7 @@ exact scaling laws, and transfer invariance of the temporal term."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
 
 from surfheat import estimator
 from surfheat.errors import GenerationMismatch
@@ -300,6 +301,27 @@ def reference_indicators(mesh, u_n, u_prev, f_h, tau):
     return spatial, temporal, l2_sq(w)
 
 
+def reference_jump(mesh):
+    """Reference edge operators ``(jump, half_incidence)`` built from the
+    closed-surface adjacency: every edge row holds the block rows of the
+    vertex opposite it in its two triangles ``edge_tris``."""
+    tri, m, n = mesh.triangles, mesh.n_triangles, mesh.n_nodes
+    g = basis_gradients(mesh).transpose(2, 1, 0)
+    blocks = np.einsum("kit,kjt->tij", g, g)
+    blocks *= mesh.metrics.area[:, None, None]
+    et = mesh.edge_tris
+    opposite = (mesh.edge_local + 2) % 3
+    rows = np.take(blocks.reshape(-1, 3), 3 * et + opposite, axis=0)
+    n_edges = len(et)
+    jump = sp.csr_array(
+        ((-2.0 * rows).ravel(), np.take(tri, et, axis=0).ravel(),
+         np.arange(0, 6 * n_edges + 1, 6)), shape=(n_edges, n))
+    half_incidence = sp.csr_array(
+        (np.full(3 * m, 0.5), mesh.tri_edges.ravel(),
+         np.arange(0, 3 * m + 1, 3)), shape=(m, n_edges))
+    return jump, half_incidence
+
+
 def graded_sphere():
     """NVB-refined icosphere, graded towards one pole over four rounds."""
     surface = unit_sphere()
@@ -339,9 +361,21 @@ class TestOnePass:
         grads = element_gradients(mesh, u)
         expected = (mesh.edge_geometry.length
                     * conormal_flux_jumps(mesh, grads))
-        ops = p1_operators(mesh, edges=True)
+        ops = p1_operators(mesh)
         npt.assert_allclose(ops.jump @ u.coefficients, expected,
                             atol=1e-12 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
+                             ids=["graded-sphere", "torus"])
+    def test_edge_operators_match_adjacency_reference(self, make):
+        mesh = make()
+        ops = p1_operators(mesh)
+        for got, expected in zip((ops.jump, ops.half_incidence),
+                                 reference_jump(mesh)):
+            assert got.shape == expected.shape
+            for part in ("data", "indices", "indptr"):
+                a, b = getattr(got, part), getattr(expected, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
 
     def test_coarsening_only_mesh_builds_no_operators(self):
         mesh = init_reference_edges(icosphere(1))
@@ -362,19 +396,21 @@ class TestOnePass:
     def test_lifted_mesh_has_its_own_gradients(self):
         mesh = init_reference_edges(icosphere(1))
         refined, _ = refine(mesh, all_marks(mesh), "nvb")
-        before = p1_operators(refined).grads
+        before = p1_operators(refined).grad.data
         lifted = lift_new_nodes(refined, unit_sphere())
-        after = p1_operators(lifted).grads
+        after = p1_operators(lifted).grad.data
         assert lifted._operators is not refined._operators
         assert not np.allclose(before, after)
-        npt.assert_array_equal(after, basis_gradients(lifted))
+        npt.assert_array_equal(after,
+                               basis_gradients(lifted).transpose(2, 0, 1)
+                               .ravel())
 
     def test_operators_are_built_once(self):
         mesh = icosphere(2)
         first = assemble(mesh)
         u = fe(mesh, np.ones(mesh.n_nodes))
-        estimator.compute_indicators(mesh, u, u, u, 0.5)
         ops = p1_operators(mesh)
+        estimator.compute_indicators(mesh, u, u, u, 0.5)
+        assert p1_operators(mesh) is ops
         assert ops.mass is first[0] and ops.stiffness is first[1]
-        assert ops.jump is not None
         assert assemble(mesh)[0] is first[0]

@@ -11,9 +11,10 @@ import scipy.sparse.linalg
 from surfheat import fem
 from surfheat.errors import (DegenerateTriangle, GenerationMismatch,
                              NonFiniteValue, SolverDivergence)
-from surfheat.fem import (ErrorEvaluator, FeFunction, QuadratureRule,
-                          assemble, backward_euler_step, basis_gradients,
-                          interpolate, jacobi_cg, lifted_l2_distance)
+from surfheat.fem import (QUAD_POINTS, QUAD_WEIGHTS, ErrorEvaluator,
+                          FeFunction, assemble, backward_euler_step,
+                          basis_gradients, interpolate, jacobi_cg,
+                          lifted_l2_distance, quadrature_points)
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh, element_metrics
 from surfheat.problems import icosphere, sphere_decay, torus_grid
@@ -40,12 +41,6 @@ def zero(y):
     return np.zeros(y.shape[:-1])
 
 
-def edge_midpoints():
-    """Three-point edge-midpoint rule, exact for degree 2."""
-    pts = [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
-    return QuadratureRule(pts, [1.0 / 3.0] * 3, degree=2)
-
-
 def element_gradient(corners, values):
     """Reference: constant tangential gradient of a P1 function on one flat
     triangle, from its (3, 3) corner coordinates and (3,) nodal values."""
@@ -64,51 +59,49 @@ def element_gradient(corners, values):
     return g
 
 
+def rule_sum(monomial):
+    """The rule applied to ``lambda^monomial`` on the reference triangle."""
+    return float(np.sum(QUAD_WEIGHTS
+                        * np.prod(QUAD_POINTS ** list(monomial), axis=1)))
+
+
 class TestQuadrature:
-    @pytest.mark.parametrize("rule", [edge_midpoints(),
-                                      QuadratureRule.degree4()],
-                             ids=["midpoint", "degree4"])
-    def test_exact_for_declared_degree(self, rule):
+    @pytest.mark.parametrize("degree", [4], ids=["degree4"])
+    def test_exact_for_declared_degree(self, degree):
         # integral of lambda^alpha lambda^beta lambda^gamma over the unit
         # reference triangle, divided by the area
-        for total in range(rule.degree + 1):
+        for total in range(degree + 1):
             for alpha in range(total + 1):
                 for beta in range(total - alpha + 1):
                     gamma = total - alpha - beta
                     exact = (2.0 * factorial(alpha) * factorial(beta)
                              * factorial(gamma) / factorial(total + 2))
-                    approx = float(np.sum(
-                        rule.weights
-                        * np.prod(rule.points ** [alpha, beta, gamma],
-                                  axis=1)))
+                    approx = rule_sum((alpha, beta, gamma))
                     assert approx == pytest.approx(exact, abs=5e-14), \
                         (alpha, beta, gamma)
 
-    @pytest.mark.parametrize("rule,monomial", [
-        (edge_midpoints(), (3, 0, 0)),
-        (QuadratureRule.degree4(), (5, 0, 0)),
-    ], ids=["midpoint", "degree4"])
-    def test_degree_is_tight(self, rule, monomial):
+    @pytest.mark.parametrize("monomial", [(5, 0, 0)], ids=["degree4"])
+    def test_degree_is_tight(self, monomial):
         total = sum(monomial)
         exact = (2.0 * np.prod([factorial(k) for k in monomial])
                  / factorial(total + 2))
-        approx = float(np.sum(rule.weights
-                              * np.prod(rule.points ** list(monomial),
-                                        axis=1)))
-        assert abs(approx - exact) > 1e-6
+        assert abs(rule_sum(monomial) - exact) > 1e-6
 
-    def test_weights_must_normalize(self):
-        with pytest.raises(ValueError):
-            QuadratureRule([(1.0, 0.0, 0.0)], [0.5], degree=1)
+    def test_weights_sum_to_one(self):
+        assert QUAD_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(QUAD_POINTS.sum(axis=1), 1.0, atol=1e-15)
 
     def test_physical_points(self):
-        m = single_triangle([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0),
-                             (0.0, 2.0, 0.0)])
-        pts = edge_midpoints().physical_points(m)
-        assert pts.shape == (1, 3, 3)
+        corners = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0),
+                            (0.0, 2.0, 0.0)])
+        pts = quadrature_points(single_triangle(corners))
+        assert pts.shape == (1, 6, 3)
+        # (b, a, a) and its rotations map to 2 (lambda_1, lambda_2, 0)
+        b, a = QUAD_POINTS[0, :2]
         np.testing.assert_allclose(
-            sorted(map(tuple, pts[0])),
-            [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+            pts[0, :3], [(2 * a, 2 * a, 0.0), (2 * b, 2 * a, 0.0),
+                         (2 * a, 2 * b, 0.0)], atol=1e-15)
+        np.testing.assert_allclose(pts[0], QUAD_POINTS @ corners, atol=1e-15)
 
 
 class TestGradients:

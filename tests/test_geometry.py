@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from surfheat.errors import NonConvergence, OutsideTube, SingularShapeOperator
-from surfheat.fem import QuadratureRule
+from surfheat.fem import quadrature_points
 from surfheat.geometry import (
     GeometricOperators,
     LevelSetSurface,
@@ -238,7 +238,7 @@ class TestLift:
         mesh = mesh()
         fine, _ = refine(mesh, MarkSet(np.arange(mesh.n_triangles)), "nvb")
         x = np.concatenate([
-            QuadratureRule.degree4().physical_points(mesh).reshape(-1, 3),
+            quadrature_points(mesh).reshape(-1, 3),
             fine.nodes[mesh.n_nodes:]])
         y, expected = lift(surface, x), reference_lift(surface, x)
         if ulps == 0:

@@ -347,6 +347,20 @@ class TestFileIO:
         np.testing.assert_array_equal(back.triangles, m.triangles)
         np.testing.assert_array_equal(back.nodes, m.nodes)  # repr round trip
 
+    def test_off_round_trip_of_open_set(self, tmp_path):
+        # half an icosphere has boundary edges: the header counts every
+        # edge once, whether one or two triangles share it
+        full = icosphere(2)
+        m = SurfaceMesh(full.nodes, full.triangles[:full.n_triangles // 2])
+        path = tmp_path / "half.off"
+        write_off(m, path)
+        n_edges = len(m.half_edges.edges)
+        assert (path.read_text().splitlines()[1]
+                == f"{m.n_nodes} {m.n_triangles} {n_edges}")
+        back = read_off(path)
+        np.testing.assert_array_equal(back.triangles, m.triangles)
+        np.testing.assert_array_equal(back.nodes, m.nodes)
+
     def test_off_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("PLY\n3 1 0\n")

@@ -99,7 +99,6 @@ def reference_refine(mesh, marks, strategy, birth=None):
                "m0": mids[:, 0], "m1": mids[:, 1], "m2": mids[:, 2]}
     out_tris = np.empty((total, 3), dtype=np.int64)
     out_parent = np.empty(total, dtype=np.int64)
-    out_slot = np.empty(total, dtype=np.int64)
     is_child = np.zeros(total, dtype=bool)
     split = pattern != 0
     row_of = np.full(m_tris, -1, dtype=np.int64)
@@ -107,7 +106,6 @@ def reference_refine(mesh, marks, strategy, birth=None):
     keep = np.nonzero(~split)[0]
     out_tris[offsets[keep]] = tri[keep]
     out_parent[offsets[keep]] = mesh.tri_parent[keep]
-    out_slot[offsets[keep]] = mesh.tri_slot[keep]
     for pat, table in _REF_TABLES[strategy].items():
         idx = np.nonzero(pattern == pat)[0]
         if len(idx) == 0:
@@ -118,7 +116,6 @@ def reference_refine(mesh, marks, strategy, birth=None):
             for axis, token in enumerate(tokens):
                 out_tris[rows, axis] = columns[token][idx]
             out_parent[rows] = row_of[idx]
-            out_slot[rows] = slot
             is_child[rows] = True
     if strategy == "rgb":
         child_rows = np.nonzero(is_child)[0]
@@ -128,11 +125,10 @@ def reference_refine(mesh, marks, strategy, birth=None):
     genealogy = Genealogy(
         verts=np.vstack([old.verts, tri[split]]),
         parent=np.concatenate([old.parent, mesh.tri_parent[split]]),
-        slot=np.concatenate([old.slot, mesh.tri_slot[split]]),
         nchild=np.concatenate([old.nchild, counts[split]]),
     )
     refined = SurfaceMesh(new_nodes, out_tris, new_birth, out_parent,
-                          out_slot, genealogy, strategy, refedge_ready=True)
+                          genealogy, strategy, refedge_ready=True)
     smap = SentinelMap(
         np.concatenate([np.arange(n_old), endpoints[:, 0]]),
         np.concatenate([np.full(n_old, -1, dtype=np.int64), endpoints[:, 1]]),
@@ -524,11 +520,10 @@ def assert_same_refinement(mesh, marks, strategy, birth, u):
     new, tmap = refine(mesh, marks, strategy, birth=birth)
     ref, smap = reference_refine(mesh, marks, strategy, birth=birth)
     pairs = [(getattr(new, name), getattr(ref, name), name)
-             for name in ("nodes", "triangles", "node_birth", "tri_parent",
-                          "tri_slot")]
+             for name in ("nodes", "triangles", "node_birth", "tri_parent")]
     pairs += [(getattr(new.genealogy, name), getattr(ref.genealogy, name),
                f"genealogy.{name}")
-              for name in ("verts", "parent", "slot", "nchild")]
+              for name in ("verts", "parent", "nchild")]
     for got, expected, name in pairs:
         assert got.dtype == expected.dtype, name
         assert got.shape == expected.shape, name
