@@ -1,18 +1,50 @@
 """Command-line driver tests: CSV schemas, determinism, exit codes."""
 
 import csv
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from surfheat import cli
 from surfheat.cli import (CONVERGENCE_FIELDS, GEOMETRY_FIELDS, TIMING_FIELDS,
                           _parse_taus, convergence_sweep, fitted_orders,
                           geometry_report, main, timing_table)
-from surfheat.fem import quadrature_points
+from surfheat.errors import NonFiniteValue
+from surfheat.estimator import compute_indicators
+from surfheat.fem import (ErrorEvaluator, assemble, backward_euler_step,
+                          interpolate, quadrature_points)
 from surfheat.geometry import torus, unit_sphere
 from surfheat.problems import get_problem, icosphere, torus_grid
 from test_geometry import report_operators
+
+
+def reference_march_uniform(problem, mesh, mass, stiffness, evaluator, tau,
+                            t_end):
+    """The fixed-mesh march with its error norms in line, one step after
+    the other: the oracle for the pipelined ``cli._march_uniform``."""
+    u = interpolate(mesh, problem.u0)
+    l2, _ = evaluator.errors(u, problem.u, problem.grad_u, 0.0)
+    err_linf_l2 = l2
+    err_l2_h1_sq = 0.0
+    estimator = 0.0
+    t = 0.0
+    eps = 1e-12 * max(1.0, t_end)
+    while t_end - t > eps:
+        step_tau = tau if t + tau < t_end - eps else t_end - t
+        target = t + step_tau
+        f_h = interpolate(mesh, problem.f, time=target)
+        u_new, _ = backward_euler_step(mass, stiffness, u, f_h, step_tau)
+        ind = compute_indicators(mesh, u_new, u, f_h, step_tau)
+        estimator += ind.eta_combined ** 2
+        l2, h1 = evaluator.errors(u_new, problem.u, problem.grad_u, target)
+        err_linf_l2 = max(err_linf_l2, l2)
+        err_l2_h1_sq += step_tau * (l2 ** 2 + h1 ** 2)
+        u = u_new
+        t = target
+    return err_linf_l2, np.sqrt(err_l2_h1_sq), estimator
 
 
 def read_csv(path):
@@ -82,9 +114,93 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="exact"):
             convergence_sweep(problem, [2], [0.1])
 
-    def test_rejects_tau_beyond_t_end(self):
+    def test_rejects_tau_beyond_t_end(self, monkeypatch):
+        # every tau is checked before the first mesh is built or solved on
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return backward_euler_step(*args)
+
+        monkeypatch.setattr(cli, "backward_euler_step", counted)
         with pytest.raises(ValueError, match="tau"):
-            convergence_sweep(get_problem("zero"), [2], [2.0], t_end=1.0)
+            convergence_sweep(get_problem("zero"), [2], [0.5, 2.0], t_end=1.0)
+        assert solves == []
+
+    @pytest.mark.parametrize("taus,t_end", [([1.0, 0.05], None),
+                                            ([0.3], 1.0)])
+    def test_rows_bitwise_equal_serial_march(self, taus, t_end):
+        # tau = 0.3 with T = 1 shortens the last step to 0.1
+        problem = get_problem("sphere-decay")
+        threads = threading.active_count()
+        rows = convergence_sweep(problem, [2, 3], taus, t_end=t_end)
+        assert threading.active_count() == threads
+        expected = []
+        for level in (2, 3):
+            mesh = icosphere(level)
+            evaluator = ErrorEvaluator(mesh, problem.surface)
+            mass, stiffness = assemble(mesh)
+            for tau in taus:
+                expected.append((mesh.metrics.h, tau, mesh.n_nodes,
+                                 *reference_march_uniform(
+                                     problem, mesh, mass, stiffness, evaluator,
+                                     tau, t_end or problem.t_end)))
+        assert np.array(rows).tobytes() == np.array(expected).tobytes()
+
+    def test_solver_error_cancels_queued_norms_and_joins_worker(
+            self, monkeypatch):
+        # The worker is held in the t = 0 norms until the sweep has failed
+        # on the main thread, so the norms of steps 1 and 2 are still queued
+        # when the pool shuts down; they must be cancelled, not run.
+        problem = get_problem("sphere-decay")
+        exact, source = problem.u, problem.f
+        release, futures = threading.Event(), []
+
+        def held(x, t):
+            assert release.wait(timeout=60.0)
+            return exact(x, t)
+
+        def nan_from_step_3(x, t):
+            return np.full(len(x), np.nan) if t > 0.25 else source(x, t)
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                release.set()
+                super().shutdown(wait=wait)
+
+        problem.u, problem.f = held, nan_from_step_3
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        threads = threading.active_count()
+        with pytest.raises(NonFiniteValue):
+            convergence_sweep(problem, [2], [0.1], t_end=1.0)
+        assert threading.active_count() == threads
+        assert len(futures) == 3
+        assert not futures[0].cancelled()
+        assert all(f.cancelled() for f in futures[1:])
+
+    def test_worker_error_reraises_unchanged(self):
+        class ExactFailure(Exception):
+            pass
+
+        problem = get_problem("sphere-decay")
+        exact = problem.u
+
+        def failing(x, t):
+            if t > 0.25:
+                raise ExactFailure(f"exact solution undefined at t={t:.2f}")
+            return exact(x, t)
+
+        problem.u = failing
+        threads = threading.active_count()
+        with pytest.raises(ExactFailure,
+                           match=r"^exact solution undefined at t=0\.30$"):
+            convergence_sweep(problem, [2], [0.1], t_end=1.0)
+        assert threading.active_count() == threads
 
 
 class TestConvergenceCommand:
