@@ -10,17 +10,18 @@ Public layers
 ``geometry``    signed-distance surfaces, closest-point lift, geometric
                 operators of the lifted setting
 ``mesh``        oriented triangulations, the lazily cached half-edge sort,
-                adjacency and metrics, the genealogy arena of refinement,
-                OFF/VTK I/O
+                adjacency and metrics (with squared edge lengths), the
+                genealogy arena of refinement, OFF/VTK I/O
 ``refinement``  bisection/red-green-blue refinement, coarsening, marking,
                 nodal transfer
-``fem``         the per-mesh P1 operator bundle (one build from the half-edge
-                sort), implicit Euler step, preconditioned CG, the degree-4
+``fem``         the per-mesh P1 bundle of mass, stiffness and half-cotangent
+                weights, implicit Euler step, preconditioned CG, the degree-4
                 quadrature rule, lifted error norms (``ErrorEvaluator``
                 against an exact solution, ``lifted_l2_distance`` against a
                 field)
 ``estimator``   per-element spatial/temporal/coarsening indicators in one
-                pass (``compute_indicators``); ``coarsening_indicator`` for
+                element-local pass on the half-cotangent weights
+                (``compute_indicators``); ``coarsening_indicator`` for
                 coarsening trials
 ``adaptive``    the space-time adaptive driver
 ``problems``    benchmark problems and structured mesh generators

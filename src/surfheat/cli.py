@@ -124,9 +124,16 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _levels(finest):
+    """Levels 2..``finest`` of a ``--levels`` option; at least one."""
+    if finest < 2:
+        raise ValueError(f"--levels must be at least 2, got {finest}")
+    return range(2, finest + 1)
+
+
 def cmd_convergence(args):
     problem = get_problem(args.problem)
-    levels = range(2, args.levels + 1)
+    levels = _levels(args.levels)
     taus = _parse_taus(args.taus)
     rows = convergence_sweep(problem, levels, taus, t_end=args.t_end)
     _write_csv(args.out, CONVERGENCE_FIELDS, rows)
@@ -224,7 +231,7 @@ def fitted_orders(rows):
 
 
 def cmd_verify_geometry(args):
-    levels = range(2, args.levels + 1)
+    levels = _levels(args.levels)
     rows = geometry_report(args.surface, levels)
     _write_csv(args.out, GEOMETRY_FIELDS, rows)
     if len(rows) >= 2:

@@ -6,13 +6,11 @@ indicator (full H1 norm of the discrete time increment), and a coarsening
 indicator (its L2 part, bounding what nodal coarsening may spoil).  All are
 exact integrals of piecewise polynomials -- no quadrature error enters.
 
-``compute_indicators`` evaluates all three in one pass over the mesh's cached
-P1 operators (``fem.p1_operators``, built with its gradient, jump and
-half-incidence operators on the first solve of a mesh): the increment, its
-element L2 part and its gradient are formed once, and the edge jumps are one
-sparse product.  ``coarsening_indicator`` needs only the
-element areas, so a mesh that is only tested for coarsening builds no
-operators.
+``compute_indicators`` evaluates all three in one element-local pass on the
+corner rows of the nodal values and the mesh's half-cotangent weights
+(``fem.p1_operators``); the edge jumps are one ``np.bincount`` (Funken,
+Praetorius and Wissgott, CMAM 11, 2011).  ``coarsening_indicator`` needs only
+the element areas, so a mesh only tested for coarsening builds no operators.
 """
 
 import numpy as np
@@ -49,20 +47,33 @@ class Indicators:
                                      np.sqrt(self.eta_tau_sq), tau, h)
 
 
-def _element_l2_sq(mesh, values):
-    """Exact integral of the square of a P1 function, per element."""
-    v = values[mesh.triangles.T]  # (3, M): one contiguous row per corner
+def _corner_l2_sq(area, v):
+    """Element integrals of the square of a P1 function; ``v`` (3, M) corner
+    rows, overwritten."""
     total = v[0] + v[1] + v[2]
     v *= v
-    return mesh.metrics.area / 12.0 * (total * total + (v[0] + v[1] + v[2]))
+    return area / 12.0 * (total * total + (v[0] + v[1] + v[2]))
 
 
 def _increment(mesh, u_n, u_prev):
-    """The time increment ``w = u_n - u_prev`` and its element L2 squares."""
+    """Corner rows of ``u_n - u_prev`` and its element L2 squares."""
     u_n.check(mesh)
     u_prev.check(mesh)
-    w = u_n.coefficients - u_prev.coefficients
-    return w, _element_l2_sq(mesh, w)
+    w = (u_n.coefficients - u_prev.coefficients)[mesh.triangles.T]
+    return w, _corner_l2_sq(mesh.metrics.area, w.copy())
+
+
+def edge_jumps(mesh, values):
+    """Length-weighted co-normal flux jumps ``|e| [d_n u]`` of every edge (on a
+    boundary edge of an open set, its one side's flux).  With corner values
+    ``u`` and ``c[k] = cot[k] (u[k + 1] - u[k])``, the flux out of a triangle
+    across its local edge j is ``2 (c[j + 2] - c[j + 1])``."""
+    u = values[mesh.triangles.T]
+    c = p1_operators(mesh).cot * (u[[1, 2, 0]] - u)
+    flux = 2.0 * (c[[2, 0, 1]] - c[[1, 2, 0]])
+    he = mesh.half_edges
+    return np.bincount(he.tri_edges.T.ravel(), flux.ravel(),
+                       minlength=len(he.edges))
 
 
 def coarsening_indicator(mesh, u_n, u_prev):
@@ -90,20 +101,23 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     square integral of the strong residual ``(u_n - u_prev)/tau - f_h``.
     Temporal: the squared H1(T) norms of the increment ``u_n - u_prev``.
     The increment's element L2 squares are both the coarsening indicator and
-    the L2 part of the temporal one; the jump operator turns ``u_n`` into
-    ``|e| [d_n u_n]`` for every edge with one sparse product.
+    the L2 part of the temporal one; its H1 part is
+    ``sum_j cot[j] (w[j + 1] - w[j])^2``.
     """
     f_h.check(mesh)
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     w, coarsening_sq = _increment(mesh, u_n, u_prev)
-    ops = p1_operators(mesh)
     met = mesh.metrics
-    g = (ops.grad @ w).reshape(3, -1)  # one row per gradient component
-    g *= g
-    temporal_sq = coarsening_sq + met.area * (g[0] + g[1] + g[2])
-    weighted_jumps = ops.jump @ u_n.coefficients
-    spatial_sq = (met.h_T ** 2 * _element_l2_sq(mesh,
-                                                w / tau - f_h.coefficients)
-                  + ops.half_incidence @ weighted_jumps ** 2)
+    d = w[[1, 2, 0]] - w
+    d *= d
+    d *= p1_operators(mesh).cot
+    temporal_sq = coarsening_sq + (d[0] + d[1] + d[2])
+    w /= tau
+    w -= f_h.coefficients[mesh.triangles.T]
+    jumps = edge_jumps(mesh, u_n.coefficients)
+    jumps *= jumps
+    edge_sq = jumps[mesh.half_edges.tri_edges.T]
+    spatial_sq = (met.h_T ** 2 * _corner_l2_sq(met.area, w)
+                  + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
     return Indicators(spatial_sq, temporal_sq, coarsening_sq, tau, met.h)

@@ -8,12 +8,11 @@ lift.
 Everything that depends on the mesh alone is built once per mesh and cached
 on it (meshes are immutable):
 
-- ``p1_operators`` builds the whole P1 operator bundle on the first
-  assembly, indicator pass or error evaluation of a mesh, from the mesh's
-  half-edge sort (``mesh.half_edges``) alone: mass and stiffness written
-  straight into CSR on its pattern, a sparse gradient operator, and the
-  co-normal jump and half-incidence operators of the indicators.  Nothing
-  in it needs a closed surface.  ``assemble`` is a lookup.
+- ``p1_operators`` builds the P1 bundle on the first assembly or indicator
+  pass of a mesh from its half-edge sort and squared edge lengths: the
+  (3, M) half-cotangent weights the indicators run on, and mass and
+  stiffness written straight into CSR on the sort's pattern.  Nothing in it
+  needs a closed surface or basis gradients.  ``assemble`` is a lookup.
 - the lifted degree-4 quadrature on a surface is built on the first
   ``ErrorEvaluator`` or ``lifted_l2_distance`` of a mesh and shared by all
   later ones.
@@ -120,26 +119,11 @@ def basis_gradients(mesh):
 # The P1 operators of one mesh, built by :func:`p1_operators`:
 #   mass, stiffness : (N, N) csr_array
 #       the assembled matrices; they share one ``indptr`` and ``indices``;
-#   grad : (3M, N) csr_array
-#       ``(grad @ u).reshape(3, M)`` holds component k of the tangential
-#       gradient of ``u`` on every triangle in row k;
-#   jump : (E, N) csr_array
-#       ``jump @ u`` is the length-weighted co-normal flux jump
-#       ``|e| [d_n u]`` of every edge, in edge-id order (on a boundary edge
-#       of an open set, the flux of its one side);
-#   half_incidence : (M, E) csr_array
-#       ``half_incidence @ q`` gives every element half of the edge quantity
-#       ``q`` of each of its three edges.
-P1Operators = namedtuple("P1Operators",
-                         "mass stiffness grad jump half_incidence")
-
-
-def _fixed_width_csr(data, indices, shape):
-    """CSR array with ``indices.shape[1]`` entries in every row, built from
-    its arrays directly (no COO conversion, no sort)."""
-    rows, width = indices.shape
-    indptr = np.arange(0, rows * width + 1, width)
-    return sp.csr_array((data.ravel(), indices.ravel(), indptr), shape=shape)
+#   cot : (3, M) array
+#       the half-cotangent weights: ``cot[j, t]`` is half the cotangent of
+#       the angle of triangle t opposite its local edge j (vertex j to
+#       j + 1), so ``|T| |grad u|^2 = sum_j cot[j] (u[j + 1] - u[j])^2``.
+P1Operators = namedtuple("P1Operators", "mass stiffness cot")
 
 
 def _p1_pattern(edges, n):
@@ -153,9 +137,9 @@ def _p1_pattern(edges, n):
     n_edges = len(lo)
     below = np.cumsum(np.bincount(hi, minlength=n))  # edges with hi <= i
     above = np.searchsorted(lo, np.arange(n + 1))    # edges with lo < i
-    # row i: lower neighbours (edges (j, i), in the transpose order), i,
-    # then upper neighbours (edges (i, j), in edge order)
-    by_hi = np.argsort(hi, kind="stable")
+    # row i: lower neighbours (edges (j, i), in the transpose order of the
+    # unique keys hi N + lo < N^2), i, then upper neighbours (edge order)
+    by_hi = np.argsort(hi * np.int64(n) + lo)
     slot = np.empty(n + 2 * n_edges, dtype=np.int64)
     slot[:n] = np.arange(n) + below + above[:-1]
     slot[n:n + n_edges] = lo + below[lo] + np.arange(1, n_edges + 1)
@@ -171,24 +155,21 @@ def p1_operators(mesh):
     """The cached :class:`P1Operators` of ``mesh``, built on first use.
 
     Meshes are immutable, so the bundle lives as long as the mesh and never
-    needs invalidating.  An off-diagonal matrix entry sums the element
-    blocks ``A_T = |T| G_T G_T^T`` of its edge's half-edges, a diagonal one
-    those of its node's triangle corners.
+    needs invalidating.  With ``s[j]`` the squared length of local edge j,
+    ``cot[j] = (s[j + 1] + s[j + 2] - s[j]) / (8 |T|)``.  A stiffness entry
+    of an edge is minus the sum of ``cot`` over its half-edges, a diagonal
+    entry of node i the sum of ``cot[j] + cot[j - 1]`` over the corners
+    where i is vertex j.
     """
     if mesh._operators is not None:
         return mesh._operators
-    tri = mesh.triangles
-    m, n = mesh.n_triangles, mesh.n_nodes
-    area = mesh.metrics.area
+    n = mesh.n_nodes
+    met = mesh.metrics
     he = mesh.half_edges
-    G = basis_gradients(mesh)
-    g = G.transpose(2, 1, 0)  # (component, vertex, triangle) rows
-    blocks = np.einsum("kit,kjt->tij", g, g)
-    blocks *= area[:, None, None]
-    # (t, j) order, as in tri.ravel() and tri_edges.ravel(): local edge j
-    # joins vertices j and j + 1, so it carries block entry (j, j + 1)
-    entries = blocks.reshape(m, 9)
-    corners, half = tri.ravel(), he.tri_edges.ravel()
+    s = met.edge_sq
+    cot = (s[[1, 2, 0]] + s[[2, 0, 1]] - s) / (8.0 * met.area)
+    # (t, j) order, as in triangles.ravel() and tri_edges.ravel()
+    corners, half = mesh.triangles.ravel(), he.tri_edges.ravel()
     n_edges = len(he.edges)
     indptr, indices, source = _p1_pattern(he.edges, n)
 
@@ -196,34 +177,17 @@ def p1_operators(mesh):
         data = np.concatenate((diag, off, off))[source]
         return sp.csr_array((data, indices, indptr), shape=(n, n))
 
-    weights = np.repeat(area, 3)
+    weights = np.repeat(met.area, 3)
     mass = on_pattern(
         np.bincount(corners, weights, minlength=n) / 6.0,
         np.bincount(half, weights, minlength=n_edges) / 12.0)
     stiffness = on_pattern(
-        np.bincount(corners, entries[:, ::4].ravel(), minlength=n),
-        np.bincount(half, entries[:, [1, 5, 6]].ravel(), minlength=n_edges))
+        np.bincount(corners, (cot + cot[[2, 0, 1]]).T.ravel(), minlength=n),
+        -np.bincount(half, cot.T.ravel(), minlength=n_edges))
     # csr_array keeps its own view of ``indices``; one object for both lets
     # backward_euler_step see the shared pattern without comparing
     stiffness.indices = mass.indices
-    # The outward co-normal of edge e in triangle T is
-    # -2 |T| grad(phi_o) / |e|, o the vertex opposite e, so
-    # |e| d_n u = -2 sum_i A_T[o, i] u_i; row e sums this over the sides of
-    # its half-edges, in ``he.order``.  Its nodes appear once per side, and
-    # products sum duplicates.
-    t, local = np.divmod(he.order, 3)
-    rows = np.take(blocks.reshape(-1, 3), 3 * t + (local + 2) % 3, axis=0)
-    jump = sp.csr_array(
-        (-2.0 * rows.ravel(), np.take(tri, t, axis=0).ravel(),
-         3 * np.concatenate(([0], np.cumsum(he.counts)))), shape=(n_edges, n))
-    mesh._operators = P1Operators(
-        mass, stiffness,
-        # row k M + t holds G[t, i, k] at column tri[t, i]
-        _fixed_width_csr(G.transpose(2, 0, 1), np.tile(tri, (3, 1)),
-                         (3 * m, n)),
-        jump,
-        _fixed_width_csr(np.full(he.tri_edges.shape, 0.5), he.tri_edges,
-                         (m, n_edges)))
+    mesh._operators = P1Operators(mass, stiffness, cot)
     return mesh._operators
 
 
@@ -417,9 +381,9 @@ class ErrorEvaluator:
 
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
-    would repeat it identically every step.  The lifted quadrature and the
-    basis gradients come from the mesh's caches, so construction after the
-    first is cheap and repeated evaluations pay only for the integrand
+    would repeat it identically every step.  The lifted quadrature comes
+    from the mesh's cache, and the evaluator builds its sparse gradient
+    operator once, so repeated evaluations pay only for the integrand
     arithmetic.  Works on open triangle sets too: nothing here needs the
     adjacency.
     """
@@ -429,7 +393,12 @@ class ErrorEvaluator:
     def __init__(self, mesh, surface):
         self.mesh = mesh
         self._y, self._sqrt_w, self._trans = _lifted_quadrature(mesh, surface)
-        self._grad = p1_operators(mesh).grad
+        # row k M + t holds G[t, i, k] at column tri[t, i]
+        m = mesh.n_triangles
+        self._grad = sp.csr_array(
+            (basis_gradients(mesh).transpose(2, 0, 1).ravel(),
+             np.tile(mesh.triangles, (3, 1)).ravel(),
+             np.arange(0, 9 * m + 1, 3)), shape=(3 * m, mesh.n_nodes))
 
     def errors(self, u_h, exact_u, exact_grad, time):
         """L2 and H1-seminorm errors of the lifted discrete solution.

@@ -10,12 +10,11 @@ mesh for its lifetime; nothing ever needs invalidating:
   ``tri_edges`` and the half-edges of every edge, for open and closed
   triangle sets alike;
 - the adjacency (edge table): that sort plus the closed-surface checks;
-- the element metrics, computed on contiguous coordinate rows;
+- the element metrics and squared edge lengths, on contiguous coordinate rows;
 - the edge geometry (lengths and co-normals), kept as a reference;
-- the P1 operator bundle (mass and stiffness on the pattern of the
-  half-edge sort, the gradient, co-normal jump and half-incidence
-  operators), built from the half-edge sort alone by ``fem.p1_operators``
-  when a mesh is first assembled, estimated or used for error norms;
+- the P1 operator bundle (mass, stiffness and half-cotangent weights), built
+  from the half-edge sort and the metrics by ``fem.p1_operators`` when a
+  mesh is first assembled or estimated;
 - the lifted quadrature per surface, built by ``fem`` on the first lifted
   error norm.
 
@@ -76,8 +75,10 @@ class Genealogy:
         return len(self.nchild)
 
 
-# Per-element geometry: diameters, inradii, areas, unit normals, h and rho.
-ElementMetrics = namedtuple("ElementMetrics", "h_T r_T area normal h rho")
+# Per-element geometry: diameters, inradii, areas, unit normals, h and rho,
+# and the (3, M) squared edge lengths ``edge_sq`` (row j: local edge j).
+ElementMetrics = namedtuple("ElementMetrics",
+                            "h_T r_T area normal h rho edge_sq")
 
 # Per-edge geometry: lengths and in-plane outward co-normals.
 # ``conormal[e, k]`` is the unit vector lying in the plane of the k-th
@@ -88,13 +89,13 @@ EdgeGeometry = namedtuple("EdgeGeometry", "length conormal")
 
 class HalfEdges:
     """The 3M half-edges ``3 t + j`` (local vertex j to j + 1 of triangle t),
-    sorted by one stable argsort of their keys ``lo * N + hi``.
+    sorted by one unstable argsort of their keys ``lo * N + hi``.
 
     ``order`` (3M,) lists the edges lexicographically, each with its
-    ``counts`` (E,) half-edges in index order; ``edges`` (E, 2) holds the
-    endpoints ``lo < hi``, ``tri_edges`` (M, 3) the edge of each half-edge,
-    ``forward`` (3M,) whether a half-edge runs from ``lo`` to ``hi``.  No
-    closed surface is assumed.
+    ``counts`` (E,) half-edges in no particular order; ``edges`` (E, 2)
+    holds the endpoints ``lo < hi``, ``tri_edges`` (M, 3) the edge of each
+    half-edge, ``forward`` (3M,) whether a half-edge runs from ``lo`` to
+    ``hi``.  No closed surface is assumed.
     """
 
     __slots__ = ("order", "counts", "edges", "tri_edges", "forward")
@@ -105,7 +106,7 @@ class HalfEdges:
         self.forward = a < b
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         key = lo * np.int64(n_nodes) + hi
-        self.order = np.argsort(key, kind="stable")
+        self.order = np.argsort(key)
         key = key[self.order]
         new_edge = np.empty(len(key) + 1, dtype=bool)
         new_edge[0] = new_edge[-1] = True
@@ -157,8 +158,10 @@ def build_adjacency(triangles, n_nodes, half_edges=None):
         bad = int(np.argmax(he.counts != 2))
         raise NonManifold(f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) "
                           f"has {he.counts[bad]} incident triangles")
-    # every edge owns two consecutive half-edges, the smaller index first
-    pair = he.order.reshape(-1, 2)
+    # every edge owns two consecutive half-edges; the smaller index first
+    # (min and max of the two columns: a row-wise np.sort is ten times slower)
+    a, b = he.order[0::2], he.order[1::2]
+    pair = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
     forward = he.forward[pair]
     if np.any(forward[:, 0] == forward[:, 1]):
         bad = int(np.argmax(forward[:, 0] == forward[:, 1]))
@@ -329,7 +332,8 @@ def element_metrics(mesh):
 
     ``h_T`` is the longest edge, ``r_T = 2 area / perimeter`` the inradius,
     ``rho = max h_T / r_T`` the shape-regularity measure.  ``normal`` is an
-    (M, 3) view of contiguous coordinate rows (``normal.T``).
+    (M, 3) view of contiguous coordinate rows (``normal.T``); ``edge_sq``
+    keeps the squared edge lengths for ``fem.p1_operators``.
 
     Raises
     ------
@@ -337,7 +341,8 @@ def element_metrics(mesh):
         If some triangle's area is not above ``1e-14 * h**2``.
     """
     e = edge_rows(mesh)
-    lengths = np.sqrt((e * e).sum(axis=0))  # (3, M): one row per local edge
+    edge_sq = (e * e).sum(axis=0)  # (3, M): one row per local edge
+    lengths = np.sqrt(edge_sq)
     h_T = lengths.max(axis=0)
     perimeter = lengths.sum(axis=0)
     cr = cross_rows(e[:, 2], e[:, 0])  # (p1 - p0) x (p2 - p0)
@@ -352,7 +357,7 @@ def element_metrics(mesh):
     r_T = 2.0 * area / perimeter
     rho = float((h_T / r_T).max()) if len(h_T) else 0.0
     return ElementMetrics(h_T=h_T, r_T=r_T, area=area, normal=normal,
-                          h=h, rho=rho)
+                          h=h, rho=rho, edge_sq=edge_sq)
 
 
 def _compute_edge_geometry(mesh):

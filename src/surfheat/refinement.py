@@ -31,12 +31,15 @@ from .mesh import Genealogy, SurfaceMesh
 
 
 class MarkSet:
-    """Set of triangle ids selected by a marking criterion."""
+    """Set of triangle ids selected by a marking criterion, kept sorted and
+    free of duplicates (a strictly increasing input is taken as it is)."""
 
     __slots__ = ("marked",)
 
     def __init__(self, marked):
-        self.marked = np.unique(np.asarray(marked, dtype=np.int64))
+        m = np.array(marked, dtype=np.int64)
+        ordered = m.ndim == 1 and not (m[1:] <= m[:-1]).any()
+        self.marked = m if ordered else np.unique(m)
 
     def __len__(self):
         return len(self.marked)
@@ -353,31 +356,31 @@ def coarsen(mesh, marks, functions, protect_birth=None):
     if not collapsing.any():
         return mesh, list(functions), 0
 
-    protected = np.zeros(n_nodes, dtype=bool)
-    if protect_birth is not None:
-        protected = mesh.node_birth >= protect_birth
     tri = mesh.triangles
-
-    # fixed point: drop groups whose midpoint nodes would stay referenced
+    coll_tris = np.zeros(m_tris, dtype=bool)
+    coll_tris[has_parent] = collapsing[tp[has_parent]]
+    # a node stays referenced if a surviving triangle or a restored parent
+    # uses it; every child pattern holds all of its parent's vertices, so
+    # dropping a group only adds its children's vertices to ``blocked``
+    blocked = (np.zeros(n_nodes, dtype=bool) if protect_birth is None
+               else mesh.node_birth >= protect_birth)
+    blocked[tri[~coll_tris].ravel()] = True
+    blocked[gen.verts[collapsing].ravel()] = True
+    ct = np.nonzero(coll_tris)[0]
+    child_verts, group = tri[ct], tp[ct]
+    child, corner = np.nonzero((child_verts[:, :, None]
+                                != gen.verts[group][:, None, :]).all(axis=2))
+    vanishing, owner = child_verts[child, corner], group[child]
+    # fixed point: drop groups whose vanishing nodes would stay referenced
     while True:
-        coll_tris = np.zeros(m_tris, dtype=bool)
-        coll_tris[has_parent] = collapsing[tp[has_parent]]
-        ext_ref = np.zeros(n_nodes, dtype=bool)
-        ext_ref[tri[~coll_tris].ravel()] = True
-        parent_used = np.zeros(n_nodes, dtype=bool)
-        parent_used[gen.verts[collapsing].ravel()] = True
-        blocked = ext_ref | parent_used | protected
-        ct = np.nonzero(coll_tris)[0]
-        child_verts = tri[ct]
-        parent_verts = gen.verts[tp[ct]]
-        in_parent = (child_verts[:, :, None]
-                     == parent_verts[:, None, :]).any(axis=2)
-        bad = (~in_parent & blocked[child_verts]).any(axis=1)
-        if not bad.any():
+        hit = blocked[vanishing] & collapsing[owner]
+        if not hit.any():
             break
-        collapsing[np.unique(tp[ct[bad]])] = False
+        collapsing[owner[hit]] = False
         if not collapsing.any():
             return mesh, list(functions), 0
+        blocked[child_verts[~collapsing[group]].ravel()] = True
+    coll_tris[has_parent] = collapsing[tp[has_parent]]
 
     rows = np.nonzero(collapsing)[0]
     new_tris_old = np.vstack([tri[~coll_tris], gen.verts[rows]])

@@ -237,6 +237,12 @@ class TestConvergenceCommand:
         assert code == 2
         assert "unknown problem" in capsys.readouterr().err
 
+    def test_levels_below_2_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["convergence", "--levels", "1", "--out", str(out)]) == 2
+        assert "--levels" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_csv_schema_and_snapshots(self, tmp_path, capsys):
@@ -326,6 +332,14 @@ class TestVerifyGeometryCommand:
     def test_unknown_surface_rejected(self):
         with pytest.raises(ValueError, match="unknown surface"):
             geometry_report("plane", [2])
+
+    def test_levels_below_2_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "geo.csv"
+        assert main(["verify-geometry", "--levels", "1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "--levels" in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 class TestTimingTable:

@@ -199,6 +199,50 @@ class TestMarking:
         with pytest.raises(ValueError):
             mark_refine([1.0], 0.5, criterion="fancy")
 
+    def test_markset_normalises_unsorted_input_with_duplicates(self):
+        for raw in ([5, 1, 3, 1, 5], np.array([[4, 2], [2, 0]]), 7,
+                    np.array([2, 2])):
+            marked = MarkSet(raw).marked
+            expected = np.unique(np.asarray(raw, dtype=np.int64))
+            assert marked.dtype == np.int64
+            np.testing.assert_array_equal(marked, expected)
+
+    def test_markset_keeps_strictly_increasing_input(self):
+        raw = np.array([0, 3, 4, 9])
+        marked = MarkSet(raw).marked
+        np.testing.assert_array_equal(marked, raw)
+        raw[0] = 8  # a copy: the caller's array is not aliased
+        assert marked[0] == 0
+
+    @pytest.mark.parametrize("criterion", ["bulk", "doerfler"])
+    def test_marks_are_the_selected_ids_sorted(self, criterion):
+        # ties included: every seventh indicator repeats one value
+        eta = RNG.random(300)
+        eta[::7] = eta[3]
+        ids = np.arange(len(eta))
+        for mark, theta in ((mark_refine, 0.4), (mark_coarsen, 0.3)):
+            got = mark(eta, theta, criterion).marked
+            sq = eta ** 2
+            if criterion == "bulk":
+                keep = (eta >= theta * eta.max() if mark is mark_refine
+                        else eta <= theta * eta.max())
+                expected = ids[keep]
+            elif mark is mark_refine:
+                order = np.lexsort((ids, -eta))
+                csum = np.cumsum(sq[order])
+                k = int(np.argmax(csum >= (1.0 - theta) * sq.sum()
+                                  - 1e-12 * sq.sum())) + 1
+                expected = np.sort(order[:k])
+            else:
+                order = np.lexsort((ids, eta))
+                csum = np.cumsum(sq[order])
+                k = int(np.searchsorted(csum, theta * sq.sum()
+                                        * (1.0 + 1e-12), side="right"))
+                expected = np.sort(order[:k])
+            assert len(expected) > 0
+            assert got.dtype == np.int64
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestReferenceEdges:
     def test_longest_edge_rotated_first(self):
@@ -572,3 +616,129 @@ def test_refine_matches_reference_on_graded_meshes(strategy):
     assert refinements == 40
     assert coarsenings > 0
     assert len(mesh.genealogy) > 0
+
+
+def reference_coarsen(mesh, marks, functions, protect_birth=None):
+    """Reference coarsening that recomputes the collapsing triangles, the
+    externally referenced and parent nodes and the (k, 3, 3) parent-vertex
+    comparison on every pass of the fixed point.  Returns the result of
+    ``coarsen`` and the number of passes."""
+    gen = mesh.genealogy
+    m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
+    if len(gen) == 0 or len(marks.marked) == 0:
+        return (mesh, list(functions), 0), 0
+    marked = np.zeros(m_tris, dtype=bool)
+    marked[marks.marked] = True
+    tp = mesh.tri_parent
+    has_parent = tp >= 0
+    n_rows = len(gen)
+    live = np.bincount(tp[has_parent], minlength=n_rows)
+    marked_live = np.bincount(tp[has_parent & marked], minlength=n_rows)
+    collapsing = (live == gen.nchild) & (marked_live == gen.nchild)
+    if not collapsing.any():
+        return (mesh, list(functions), 0), 0
+    protected = np.zeros(n_nodes, dtype=bool)
+    if protect_birth is not None:
+        protected = mesh.node_birth >= protect_birth
+    tri = mesh.triangles
+    passes = 0
+    while True:
+        passes += 1
+        coll_tris = np.zeros(m_tris, dtype=bool)
+        coll_tris[has_parent] = collapsing[tp[has_parent]]
+        ext_ref = np.zeros(n_nodes, dtype=bool)
+        ext_ref[tri[~coll_tris].ravel()] = True
+        parent_used = np.zeros(n_nodes, dtype=bool)
+        parent_used[gen.verts[collapsing].ravel()] = True
+        blocked = ext_ref | parent_used | protected
+        ct = np.nonzero(coll_tris)[0]
+        child_verts = tri[ct]
+        parent_verts = gen.verts[tp[ct]]
+        in_parent = (child_verts[:, :, None]
+                     == parent_verts[:, None, :]).any(axis=2)
+        bad = (~in_parent & blocked[child_verts]).any(axis=1)
+        if not bad.any():
+            break
+        collapsing[np.unique(tp[ct[bad]])] = False
+        if not collapsing.any():
+            return (mesh, list(functions), 0), passes
+    rows = np.nonzero(collapsing)[0]
+    new_tris_old = np.vstack([tri[~coll_tris], gen.verts[rows]])
+    parent_rows_old = np.concatenate([tp[~coll_tris], gen.parent[rows]])
+    referenced = np.zeros(n_nodes, dtype=bool)
+    referenced[new_tris_old.ravel()] = True
+    removed = int(n_nodes - referenced.sum())
+    node_map = np.cumsum(referenced) - 1
+    keep_rows = ~collapsing
+    row_map = np.full(n_rows + 1, -1, dtype=np.int64)
+    row_map[:-1][keep_rows] = np.arange(int(keep_rows.sum()))
+    genealogy = Genealogy(verts=node_map[gen.verts[keep_rows]],
+                          parent=row_map[gen.parent[keep_rows]],
+                          nchild=gen.nchild[keep_rows])
+    coarse = SurfaceMesh(mesh.nodes[referenced], node_map[new_tris_old],
+                         mesh.node_birth[referenced], row_map[parent_rows_old],
+                         genealogy, mesh.strategy, refedge_ready=True)
+    restricted = [FeFunction(coarse.generation, u.coefficients[referenced])
+                  for u in functions]
+    return (coarse, restricted, removed), passes
+
+
+def assert_same_coarsening(mesh, marks, u, protect_birth):
+    """``coarsen`` against the recomputing reference, bitwise; returns the
+    result and the reference's number of passes."""
+    new, (v,), removed = coarsen(mesh, marks, [u], protect_birth)
+    (ref, (w,), ref_removed), passes = reference_coarsen(mesh, marks, [u],
+                                                         protect_birth)
+    assert removed == ref_removed
+    if ref is mesh:
+        assert new is mesh
+    pairs = [(getattr(new, name), getattr(ref, name), name)
+             for name in ("nodes", "triangles", "node_birth", "tri_parent")]
+    pairs += [(getattr(new.genealogy, name), getattr(ref.genealogy, name),
+               f"genealogy.{name}")
+              for name in ("verts", "parent", "nchild")]
+    pairs.append((v.coefficients, w.coefficients, "function"))
+    for got, expected, name in pairs:
+        assert got.dtype == expected.dtype, name
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+    assert new.strategy == ref.strategy
+    v.check(new)
+    return (new, v, removed), passes
+
+
+@pytest.mark.parametrize("protect", [False, True],
+                         ids=["unprotected", "protect-birth"])
+@pytest.mark.parametrize("strategy", ["nvb", "rgb"])
+def test_coarsen_matches_recomputing_reference(strategy, protect):
+    # a graded refine/coarsen sequence towards a wandering centre; every
+    # coarsening (with marks of varying density) is checked bitwise
+    rng = np.random.default_rng(21 if strategy == "nvb" else 22)
+    surface = unit_sphere()
+    mesh = icosphere(1)
+    u = interpolate(mesh, lambda x: np.cos(2.0 * x[:, 2]) + x[:, 0])
+    centre = np.array([0.0, 1.0, 0.0])
+    removed_total = max_passes = coarsenings = 0
+    for step in range(1, 60):
+        centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+        eta = (np.sqrt(mesh.metrics.area)
+               * np.exp(-8.0 * np.sum((centroids - centre) ** 2, axis=1))
+               * rng.uniform(0.5, 1.0, mesh.n_triangles))
+        if mesh.n_triangles > 1500 or step % 3 == 0:
+            marks = mark_coarsen(eta, float(rng.uniform(0.3, 0.95)))
+            protect_birth = step - 2 if protect else None
+            (mesh, u, removed), passes = assert_same_coarsening(
+                mesh, marks, u, protect_birth)
+            removed_total += removed
+            max_passes = max(max_passes, passes)
+            coarsenings += 1
+        else:
+            marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)))
+            refined, tmap = refine(mesh, marks, strategy, birth=step)
+            u = transfer(u, tmap)
+            mesh = lift_new_nodes(refined, surface)
+        centre = centre + 0.2 * rng.standard_normal(3)
+        centre /= np.linalg.norm(centre)
+    assert coarsenings >= 15
+    assert removed_total > 0
+    assert max_passes >= 2  # the fixed point dropped groups at least once
