@@ -9,9 +9,9 @@ Public layers
 -------------
 ``geometry``    signed-distance surfaces, closest-point lift, geometric
                 operators of the lifted setting
-``mesh``        oriented triangulations, the lazily cached half-edge sort,
-                adjacency and metrics (with squared edge lengths), the
-                genealogy arena of refinement, OFF/VTK I/O
+``mesh``        oriented triangulations, the lazily cached half-edge sort
+                and metrics (with squared edge lengths), closed-surface
+                validation, the genealogy arena of refinement, OFF/VTK I/O
 ``refinement``  bisection/red-green-blue refinement, coarsening, marking,
                 nodal transfer
 ``fem``         the per-mesh P1 bundle of mass, stiffness and half-cotangent

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DofCapExceeded, MetadataMissing, NonFiniteValue,
-                     SpatialStagnation, TauUnderflow)
+                     SolverDivergence, SpatialStagnation, TauUnderflow)
 from .estimator import coarsening_indicator, compute_indicators
 from .fem import (FeFunction, assemble, backward_euler_step, interpolate,
                   lifted_l2_distance)
+from .mesh import validate_mesh
 from .refinement import (coarsen, lift_new_nodes, mark_coarsen, mark_refine,
                          refine, transfer)
 
@@ -59,10 +60,10 @@ class AdaptiveConfig:
     def __post_init__(self):
         if self.tau_min is None:
             object.__setattr__(self, "tau_min", 1e-8 * self.t_end)
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
         if not 0.0 < self.theta < 1.0:
             raise ValueError("theta must lie in (0, 1)")
         if not 0.0 < self.theta_star < 1.0:
@@ -87,7 +88,8 @@ class AdaptiveConfig:
 class StepRecord:
     """One accepted step.  ``dofs`` counts nodes at acceptance, before the
     coarsening phase; ``eta_c_sq`` is the value on the final grid of the
-    step.  Iteration counters aggregate over rejected attempts too."""
+    matching coarsening loop, and on the accepted grid under ``none`` and
+    ``reset``.  Iteration counters aggregate over rejected attempts too."""
 
     step: int
     t: float
@@ -117,19 +119,16 @@ class RunLog:
         self.cum_dof_steps = 0
         self.peak_dofs = 0
 
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
     @property
     def accepted_steps(self):
         return len(self.records)
 
     @property
     def final_dofs(self):
-        return self.records[-1].dofs if self.records else 0
+        """Nodes of the last step's mesh after its coarsening phase."""
+        if not self.records:
+            return 0
+        return self.records[-1].dofs - self.records[-1].nodes_removed
 
 
 def run(problem, surface, initial_mesh, config, on_accept=None):
@@ -138,17 +137,20 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     ``on_accept(record, mesh, u)``, when given, is called once per accepted
     step with the final (post-coarsening) mesh and solution of that step.
 
-    Raises ``NonManifold`` or ``InconsistentOrientation`` before any solve
-    when the initial mesh is not a closed oriented surface, ``ValueError``
+    Before any solve, ``validate_mesh`` raises ``NonManifold`` or
+    ``InconsistentOrientation`` when the initial mesh is not a closed
+    oriented surface, ``DegenerateTriangle`` for a degenerate triangle and
+    ``ValueError`` for an unreferenced node; refinement and coarsening keep
+    these invariants, so they are checked only here.  Raises ``ValueError``
     when the interpolated initial datum misses the tolerance,
     ``SpatialStagnation``/``TauUnderflow``/``DofCapExceeded`` when a safety
-    guard trips, ``NonFiniteValue`` when a solve meets a NaN; the last four
-    name the step, its start t, tau and the working mesh's dofs.
+    guard trips, ``NonFiniteValue`` or ``SolverDivergence`` when a solve
+    meets a NaN or fails; the last five name the step, its start t, tau and
+    the working mesh's dofs.
     """
     if not initial_mesh.refedge_ready:
         raise MetadataMissing("initial mesh carries no reference edges")
-    # the closed-surface checks of the adjacency, which refinement reads
-    initial_mesh.edges  # noqa: B018
+    validate_mesh(initial_mesh)
     log = RunLog()
     eps = 1e-12 * max(1.0, config.t_end)
 
@@ -189,8 +191,8 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                 try:
                     u_new, iters = backward_euler_step(
                         mass, stiffness, work_uprev, f_h, tau)
-                except NonFiniteValue as exc:
-                    raise NonFiniteValue(f"{exc} {where()}") from exc
+                except (NonFiniteValue, SolverDivergence) as exc:
+                    raise type(exc)(f"{exc} {where()}") from exc
                 step_spatial_iters += 1
                 step_cg_iters += iters
                 log.cum_dof_steps += work_mesh.n_nodes

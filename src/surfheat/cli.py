@@ -91,8 +91,8 @@ def convergence_sweep(problem, levels, taus, t_end=None):
         raise ValueError(
             f"problem {problem.name!r} has no exact solution to compare with")
     t_end = problem.t_end if t_end is None else float(t_end)
-    if not t_end > 0.0:
-        raise ValueError("t-end must be positive")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t-end must be positive and finite")
     for tau in taus:
         if not 0.0 < tau <= t_end:
             raise ValueError(f"tau {tau} outside (0, t_end]")
@@ -166,9 +166,8 @@ def cmd_run(args):
 
         log = run(problem, problem.surface, initial_mesh, config,
                   on_accept=on_accept)
-    last = log.records[-1]
     print(f"accepted {log.accepted_steps} steps; peak dofs {log.peak_dofs}; "
-          f"final dofs {last.dofs - last.nodes_removed}; "
+          f"final dofs {log.final_dofs}; "
           f"cumulative dof-steps {log.cum_dof_steps}")
 
 

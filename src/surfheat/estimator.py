@@ -71,9 +71,8 @@ def edge_jumps(mesh, values):
     u = values[mesh.triangles.T]
     c = p1_operators(mesh).cot * (u[[1, 2, 0]] - u)
     flux = 2.0 * (c[[2, 0, 1]] - c[[1, 2, 0]])
-    he = mesh.half_edges
-    return np.bincount(he.tri_edges.T.ravel(), flux.ravel(),
-                       minlength=len(he.edges))
+    return np.bincount(mesh.tri_edges.T.ravel(), flux.ravel(),
+                       minlength=mesh.n_edges)
 
 
 def coarsening_indicator(mesh, u_n, u_prev):
@@ -117,7 +116,7 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     w -= f_h.coefficients[mesh.triangles.T]
     jumps = edge_jumps(mesh, u_n.coefficients)
     jumps *= jumps
-    edge_sq = jumps[mesh.half_edges.tri_edges.T]
+    edge_sq = jumps[mesh.tri_edges.T]
     spatial_sq = (met.h_T ** 2 * _corner_l2_sq(met.area, w)
                   + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
     return Indicators(spatial_sq, temporal_sq, coarsening_sq, tau, met.h)

@@ -66,9 +66,6 @@ class FeFunction:
                 f"expected {mesh.n_nodes} coefficients, got {c.shape}")
         return cls(mesh.generation, c)
 
-    def copy(self):
-        return FeFunction(self.generation, self.coefficients.copy())
-
     def __len__(self):
         return len(self.coefficients)
 
@@ -165,13 +162,12 @@ def p1_operators(mesh):
         return mesh._operators
     n = mesh.n_nodes
     met = mesh.metrics
-    he = mesh.half_edges
     s = met.edge_sq
     cot = (s[[1, 2, 0]] + s[[2, 0, 1]] - s) / (8.0 * met.area)
     # (t, j) order, as in triangles.ravel() and tri_edges.ravel()
-    corners, half = mesh.triangles.ravel(), he.tri_edges.ravel()
-    n_edges = len(he.edges)
-    indptr, indices, source = _p1_pattern(he.edges, n)
+    corners, half = mesh.triangles.ravel(), mesh.tri_edges.ravel()
+    n_edges = mesh.n_edges
+    indptr, indices, source = _p1_pattern(mesh.edges, n)
 
     def on_pattern(diag, off):
         data = np.concatenate((diag, off, off))[source]

@@ -6,12 +6,11 @@ immutable -- refinement, coarsening and node lifting build new meshes -- so
 every derived quantity is computed lazily, on first use, and cached on the
 mesh for its lifetime; nothing ever needs invalidating:
 
-- the half-edge sort (:class:`HalfEdges`), the mesh's one sort: edge ids,
-  ``tri_edges`` and the half-edges of every edge, for open and closed
-  triangle sets alike;
-- the adjacency (edge table): that sort plus the closed-surface checks;
+- the half-edge sort (:class:`HalfEdges`), the mesh's one edge record:
+  edge ids, ``tri_edges`` and the half-edges of every edge, for open and
+  closed triangle sets alike; ``edges``, ``tri_edges`` and ``n_edges`` read
+  it unchecked;
 - the element metrics and squared edge lengths, on contiguous coordinate rows;
-- the edge geometry (lengths and co-normals), kept as a reference;
 - the P1 operator bundle (mass, stiffness and half-cotangent weights), built
   from the half-edge sort and the metrics by ``fem.p1_operators`` when a
   mesh is first assembled or estimated;
@@ -19,6 +18,9 @@ mesh for its lifetime; nothing ever needs invalidating:
   error norm.
 
 A mesh that is only tested for coarsening builds neither of the last two.
+The closed-surface checks of :func:`build_adjacency` are not cached: refinement
+and coarsening keep a closed oriented mesh closed and oriented, so
+:func:`validate_mesh` runs them once, on the initial mesh of a run.
 
 Triangle storage convention
 ---------------------------
@@ -215,9 +217,7 @@ class SurfaceMesh:
         self.refedge_ready = bool(refedge_ready)
         self.generation = next(_generation_counter)
         self._half_edges = None
-        self._adjacency = None
         self._metrics = None
-        self._edge_geom = None
         self._operators = None  # fem.P1Operators, filled by fem.p1_operators
         self._lifted = {}  # lifted quadratures, filled by fem
 
@@ -257,31 +257,15 @@ class SurfaceMesh:
             self._half_edges = HalfEdges(self.triangles, self.n_nodes)
         return self._half_edges
 
-    def _ensure_adjacency(self):
-        if self._adjacency is None:
-            self._adjacency = build_adjacency(self.triangles, self.n_nodes,
-                                              self.half_edges)
-        return self._adjacency
-
     @property
     def edges(self):
         """(E, 2) endpoints, smaller id first, lexicographically sorted."""
-        return self._ensure_adjacency()[0]
-
-    @property
-    def edge_tris(self):
-        """(E, 2) incident triangles, smaller triangle id first."""
-        return self._ensure_adjacency()[1]
-
-    @property
-    def edge_local(self):
-        """(E, 2) local edge index within each incident triangle."""
-        return self._ensure_adjacency()[2]
+        return self.half_edges.edges
 
     @property
     def tri_edges(self):
         """(M, 3) global edge id of each triangle's local edges."""
-        return self._ensure_adjacency()[4]
+        return self.half_edges.tri_edges
 
     @property
     def n_edges(self):
@@ -299,13 +283,6 @@ class SurfaceMesh:
         if self._metrics is None:
             self._metrics = element_metrics(self)
         return self._metrics
-
-    @property
-    def edge_geometry(self):
-        """Edge lengths and co-normals (cached)."""
-        if self._edge_geom is None:
-            self._edge_geom = _compute_edge_geometry(self)
-        return self._edge_geom
 
 
 def edge_rows(mesh):
@@ -361,9 +338,10 @@ def element_metrics(mesh):
 
 
 def _compute_edge_geometry(mesh):
+    """Edge lengths and co-normals of a closed mesh (a reference for tests)."""
     en = mesh.edges
-    et = mesh.edge_tris
-    el = mesh.edge_local
+    _, et, el, _, _ = build_adjacency(mesh.triangles, mesh.n_nodes,
+                                      mesh.half_edges)
     p = mesh.nodes
     normal = mesh.metrics.normal
     length = np.linalg.norm(p[en[:, 1]] - p[en[:, 0]], axis=1)
@@ -397,8 +375,8 @@ def conormal_flux_jumps(mesh, tri_grads):
     -------
     (E,) array of jump values in edge-id order.
     """
-    geom = mesh.edge_geometry
-    et = mesh.edge_tris
+    geom = _compute_edge_geometry(mesh)
+    et = build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)[1]
     g = np.asarray(tri_grads, dtype=float)
     return (np.einsum("ej,ej->e", g[et[:, 0]], geom.conormal[:, 0])
             + np.einsum("ej,ej->e", g[et[:, 1]], geom.conormal[:, 1]))
@@ -412,10 +390,12 @@ def validate_mesh(mesh, surface=None):
     """Full structural audit; raises on the first violated invariant.
 
     Checks: closed 2-manifold adjacency, consistent orientation,
-    non-degenerate elements, and (when ``surface`` is given) that every node
-    lies on the surface to within 1e-10.
+    non-degenerate elements, every node referenced, and (when ``surface`` is
+    given) that every node lies on the surface to within 1e-10.  The
+    half-edge sort it reads stays cached on the mesh.
     """
-    build_adjacency(mesh.triangles, mesh.n_nodes)  # NonManifold / orientation
+    # NonManifold / InconsistentOrientation
+    build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)
     element_metrics(mesh)  # DegenerateTriangle
     used = np.zeros(mesh.n_nodes, dtype=bool)
     used[mesh.triangles.ravel()] = True
@@ -433,10 +413,9 @@ def validate_mesh(mesh, surface=None):
 
 def write_off(mesh, path):
     """Write the mesh (closed or not) in ASCII OFF format."""
-    n_edges = len(mesh.half_edges.edges)
     with open(path, "w") as fh:
         fh.write("OFF\n")
-        fh.write(f"{mesh.n_nodes} {mesh.n_triangles} {n_edges}\n")
+        fh.write(f"{mesh.n_nodes} {mesh.n_triangles} {mesh.n_edges}\n")
         for x, y, z in mesh.nodes.tolist():
             fh.write(f"{x!r} {y!r} {z!r}\n")
         for a, b, c in mesh.triangles.tolist():
@@ -458,6 +437,8 @@ def read_off(path):
     if len(tokens) < 4 or tokens[0] != "OFF":
         raise ValueError("not an OFF file")
     nv, nf = int(tokens[1]), int(tokens[2])
+    if nv < 0 or nf < 0:
+        raise ValueError(f"OFF header declares {nv} nodes and {nf} faces")
     pos = 4
     found = (len(tokens) - pos) // 3
     if found < nv:

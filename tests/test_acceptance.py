@@ -1,15 +1,14 @@
 """End-to-end acceptance checks.
 
-Each test covers one numbered acceptance criterion and emits a single
-``[criterion NN] PASS/FAIL`` line on the real stdout (bypassing capture so
-the lines are visible in plain ``pytest -v`` output).  Expensive artifacts
+Each test covers one numbered acceptance criterion and records a single
+``[criterion NN] PASS/FAIL`` line, which ``tests/conftest.py`` prints in the
+terminal summary under any capture mode.  Expensive artifacts
 -- the uniform convergence sweep, the long adaptive decay run, and the
 coarsening-strategy comparison runs -- are computed once per module and
 shared.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -44,10 +43,15 @@ TIMING_KWARGS = dict(tol=0.4, tau0=0.02, theta=0.8, theta_star=0.2)
 TIMING_LEVEL = 3
 
 
-def report(number, ok, detail):
-    line = f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}: {detail}"
-    print(line, file=sys.__stdout__, flush=True)
-    assert ok, line
+@pytest.fixture
+def report(record_property):
+    """``report(number, ok, detail)``: record the criterion's line for the
+    terminal summary, then assert ``ok``."""
+    def emit(number, ok, detail):
+        line = f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}: {detail}"
+        record_property("criterion", line)
+        assert ok, line
+    return emit
 
 
 def eoc(errors, hs):
@@ -104,7 +108,7 @@ def rgb_run():
 
 # ----------------------------------------------------------------- criteria
 
-def test_criterion_01_convergence_orders(sweep):
+def test_criterion_01_convergence_orders(sweep, report):
     hs = [sweep[(lv, TAU_FINE)][0] for lv in SWEEP_LEVELS]
     linf = [sweep[(lv, TAU_FINE)][3] for lv in SWEEP_LEVELS]
     l2h1 = [sweep[(lv, TAU_FINE)][4] for lv in SWEEP_LEVELS]
@@ -116,7 +120,7 @@ def test_criterion_01_convergence_orders(sweep):
                   f"EOC L2(H1) {np.round(eoc_l2h1, 3)} in [0.8, 1.2]")
 
 
-def test_criterion_02_quantitative_anchor(sweep):
+def test_criterion_02_quantitative_anchor(sweep, report):
     h, _, _, linf, _, est = sweep[(ANCHOR_LEVEL, TAU_FINE)]
     ok_linf = (ANCHOR_LINF_L2 / ANCHOR_FACTOR <= linf
                <= ANCHOR_LINF_L2 * ANCHOR_FACTOR)
@@ -128,7 +132,7 @@ def test_criterion_02_quantitative_anchor(sweep):
            f"(factor {ANCHOR_FACTOR})")
 
 
-def test_criterion_03_efficiency_ratio(sweep):
+def test_criterion_03_efficiency_ratio(sweep, report):
     finest = SWEEP_LEVELS[-3:]
     ratios = []
     for lv in finest:
@@ -140,7 +144,7 @@ def test_criterion_03_efficiency_ratio(sweep):
            f"{finest}, spread {spread:.2f} <= 4")
 
 
-def test_criterion_04_temporal_saturation(sweep):
+def test_criterion_04_temporal_saturation(sweep, report):
     e5 = sweep[(SWEEP_LEVELS[-2], TAU_COARSE)][3]
     e6 = sweep[(SWEEP_LEVELS[-1], TAU_COARSE)][3]
     rel = abs(e5 - e6) / max(e5, e6)
@@ -149,7 +153,7 @@ def test_criterion_04_temporal_saturation(sweep):
            f"relative gap {rel:.3%} < 5%")
 
 
-def test_criterion_05_geometric_orders():
+def test_criterion_05_geometric_orders(report):
     rows = geometry_report("sphere", SWEEP_LEVELS)
     orders = fitted_orders(rows)
     ok = all(1.7 <= o <= 2.3 for o in orders)
@@ -157,7 +161,7 @@ def test_criterion_05_geometric_orders():
                   f"in [1.7, 2.3]")
 
 
-def test_criterion_06_norm_equivalence():
+def test_criterion_06_norm_equivalence(report):
     surface = unit_sphere()
     rng = np.random.default_rng(20250825)
     worst = []
@@ -179,7 +183,7 @@ def test_criterion_06_norm_equivalence():
            f"all within 0.1 and decreasing")
 
 
-def test_criterion_07_decay_envelope(decay_run):
+def test_criterion_07_decay_envelope(decay_run, report):
     _, log, sizes = decay_run
     ratio = sizes[-1] / log.peak_dofs
     report(7, ratio < 0.10,
@@ -187,18 +191,19 @@ def test_criterion_07_decay_envelope(decay_run):
            f"ratio {ratio:.4f} < 0.10")
 
 
-def test_criterion_08_gate_invariants(decay_run, timing_runs, rgb_run):
+def test_criterion_08_gate_invariants(decay_run, timing_runs, rgb_run,
+                                      report):
     runs = [(decay_run[0], decay_run[1]), rgb_run]
     runs += [pair for pair in timing_runs.values()]
     checked = 0
     worst = 0.0
     for config, log in runs:
-        for record in log:
+        for record in log.records:
             assert record.eta_h_sq <= config.tol
             assert record.eta_tau_sq <= config.tol
             assert record.eta_c_sq <= config.tol
             checked += 1
-        drift = abs(math.fsum(r.tau for r in log) - config.t_end)
+        drift = abs(math.fsum(r.tau for r in log.records) - config.t_end)
         worst = max(worst, drift)
         assert drift <= 1e-12
     report(8, True,
@@ -206,7 +211,7 @@ def test_criterion_08_gate_invariants(decay_run, timing_runs, rgb_run):
            f"eta_h/eta_tau/eta_c gates; max |sum(tau) - T| = {worst:.2e}")
 
 
-def test_criterion_09_mesh_machinery():
+def test_criterion_09_mesh_machinery(report):
     surface = unit_sphere()
     rng = np.random.default_rng(42)
 
@@ -276,7 +281,7 @@ def test_criterion_09_mesh_machinery():
            f"conforming")
 
 
-def test_criterion_10_coarsening_benefit(timing_runs):
+def test_criterion_10_coarsening_benefit(timing_runs, report):
     cum = {mode: log.cum_dof_steps
            for mode, (_, log) in timing_runs.items()}
     ok = cum["matching"] < cum["reset"] < cum["none"]

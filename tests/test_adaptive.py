@@ -7,11 +7,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from surfheat import adaptive
+from surfheat import adaptive, mesh as meshmod
 from surfheat.adaptive import AdaptiveConfig, RunLog, StepRecord, run
 from surfheat.errors import (DofCapExceeded, MetadataMissing,
-                             NonFiniteValue, NonManifold, SpatialStagnation,
-                             TauUnderflow)
+                             NonFiniteValue, NonManifold, SolverDivergence,
+                             SpatialStagnation, TauUnderflow)
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh
 from surfheat.problems import Problem, get_problem, icosphere
@@ -42,6 +42,19 @@ def fast_decay():
 
 def records_without_wall(log):
     return [dataclasses.replace(r, wall_ms=0.0) for r in log.records]
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call in the returned list."""
+    calls = []
+    function = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestZeroProblem:
@@ -184,14 +197,7 @@ class TestGuards:
             run(problem, problem.surface, bare, config)
 
     def test_open_initial_mesh_fails_before_any_solve(self, monkeypatch):
-        solves = []
-        step = adaptive.backward_euler_step
-
-        def counted_step(*args, **kwargs):
-            solves.append(1)
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(adaptive, "backward_euler_step", counted_step)
+        solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
         problem = get_problem("zero")
         base = icosphere(1)
         half = init_reference_edges(
@@ -200,6 +206,38 @@ class TestGuards:
         with pytest.raises(NonManifold):
             run(problem, problem.surface, half, config)
         assert solves == []
+
+    def test_unreferenced_node_fails_before_any_solve(self, monkeypatch):
+        solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
+        problem = get_problem("zero")
+        base = icosphere(1)
+        extra = init_reference_edges(SurfaceMesh(
+            np.vstack([base.nodes, [[0.0, 0.0, 2.0]]]), base.triangles))
+        config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
+        with pytest.raises(ValueError, match="1 unreferenced nodes"):
+            run(problem, problem.surface, extra, config)
+        assert solves == []
+
+    def test_solver_divergence_names_step(self, monkeypatch):
+        def failing_step(*args, **kwargs):
+            raise SolverDivergence("PCG stopped")
+
+        monkeypatch.setattr(adaptive, "backward_euler_step", failing_step)
+        problem = get_problem("zero")
+        config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
+        with pytest.raises(SolverDivergence,
+                           match=r"^PCG stopped \[step 1, t = 0, "
+                           r"tau = 0\.5, dofs = 42\]$"):
+            run(problem, problem.surface, icosphere(1), config)
+
+    def test_closed_surface_checked_once_per_run(self, monkeypatch):
+        # the benchmark's layer trace wraps this binding as mesh.adjacency
+        calls = count_calls(monkeypatch, meshmod, "build_adjacency")
+        problem = fast_decay()
+        config = AdaptiveConfig(tol=1.0, tau0=0.05, t_end=0.3)
+        log = run(problem, problem.surface, icosphere(2), config)
+        assert log.peak_dofs > icosphere(2).n_nodes  # it did refine
+        assert calls == [1]
 
 
 class TestConfigValidation:
@@ -232,6 +270,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AdaptiveConfig(**base)
 
+    @pytest.mark.parametrize("name", ["tol", "t_end"])
+    def test_infinite_value_named(self, name):
+        kwargs = dict(tol=0.1, tau0=0.01, t_end=1.0)
+        kwargs[name] = np.inf
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be positive and finite$"):
+            AdaptiveConfig(**kwargs)
+
 
 class TestCoarseningModes:
     def test_matching_sheds_nodes_as_solution_decays(self):
@@ -239,10 +285,13 @@ class TestCoarseningModes:
         config = AdaptiveConfig(tol=1.0, tau0=0.05, t_end=1.5,
                                 theta=0.5, theta_star=0.2,
                                 coarsening="matching")
-        log = run(problem, problem.surface, icosphere(2), config)
+        sizes = []
+        log = run(problem, problem.surface, icosphere(2), config,
+                  on_accept=lambda r, m, u: sizes.append(m.n_nodes))
         assert log.peak_dofs > icosphere(2).n_nodes  # it did refine
         assert sum(r.nodes_removed for r in log.records) > 0
-        assert log.final_dofs - log.records[-1].nodes_removed < log.peak_dofs
+        assert log.final_dofs < log.peak_dofs
+        assert log.final_dofs == sizes[-1]
 
     def test_none_never_removes_and_grows_monotonically(self):
         problem = fast_decay()
@@ -254,6 +303,16 @@ class TestCoarseningModes:
         assert all(r.nodes_removed == 0 for r in log.records)
         assert all(r.coarsen_iters == 0 for r in log.records)
         assert all(b >= a for a, b in zip(meshes, meshes[1:]))
+        assert log.final_dofs == meshes[-1]
+
+    def test_final_dofs_count_after_coarsening(self):
+        log = RunLog()
+        assert log.final_dofs == 0
+        log.records.append(StepRecord(
+            step=1, t=0.1, tau=0.1, dofs=100, eta_h_sq=0.0, eta_tau_sq=0.0,
+            eta_c_sq=0.0, eta_combined=0.0, spatial_iters=1, coarsen_iters=1,
+            nodes_removed=30, cg_iters=5, wall_ms=1.0))
+        assert log.final_dofs == 70
 
     def test_reset_returns_to_initial_mesh_each_step(self):
         problem = fast_decay()
@@ -264,5 +323,6 @@ class TestCoarseningModes:
         log = run(problem, problem.surface, initial, config,
                   on_accept=lambda r, m, u: sizes.append(m.n_nodes))
         assert all(n == initial.n_nodes for n in sizes)
+        assert log.final_dofs == initial.n_nodes
         for r in log.records:
             assert r.nodes_removed == r.dofs - initial.n_nodes

@@ -243,6 +243,14 @@ class TestConvergenceCommand:
         assert "--levels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_t_end_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["convergence", "--problem", "zero", "--levels", "2",
+                     "--taus", "0.5", "--t-end", "inf",
+                     "--out", str(out)]) == 2
+        assert "t-end must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_csv_schema_and_snapshots(self, tmp_path, capsys):
@@ -264,7 +272,10 @@ class TestRunCommand:
         text = files[0].read_text()
         assert "SCALARS u double 1" in text
         assert "DATASET POLYDATA" in text
-        assert "cumulative dof-steps" in capsys.readouterr().out
+        out_text = capsys.readouterr().out
+        assert "cumulative dof-steps" in out_text
+        final = int(rows[-1][3]) - int(rows[-1][10])  # dofs - nodes_removed
+        assert f"final dofs {final};" in out_text
 
     def test_times_sum_to_t_end(self, tmp_path):
         out = tmp_path / "log.csv"

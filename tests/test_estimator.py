@@ -10,7 +10,8 @@ from surfheat import estimator
 from surfheat.errors import GenerationMismatch
 from surfheat.fem import FeFunction, assemble, basis_gradients, p1_operators
 from surfheat.geometry import unit_sphere
-from surfheat.mesh import SurfaceMesh, conormal_flux_jumps
+from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
+                           build_adjacency, conormal_flux_jumps)
 from surfheat.problems import icosphere, torus_grid
 from surfheat.refinement import (MarkSet, coarsen, init_reference_edges,
                                  lift_new_nodes, mark_coarsen, refine,
@@ -280,8 +281,9 @@ class TestBundle:
 
 def reference_indicators(mesh, u_n, u_prev, f_h, tau):
     """The per-indicator formulas the one-pass evaluation replaced: element
-    gradients from ``basis_gradients``, flux jumps from the ``edge_geometry``
-    co-normals, each indicator computed on its own."""
+    gradients from ``basis_gradients``, flux jumps from the
+    ``_compute_edge_geometry`` co-normals, each indicator computed on its
+    own."""
     tri, met = mesh.triangles, mesh.metrics
     G = basis_gradients(mesh)
 
@@ -293,7 +295,7 @@ def reference_indicators(mesh, u_n, u_prev, f_h, tau):
         return np.einsum("mi,mij->mj", values[tri], G)
 
     jumps = conormal_flux_jumps(mesh, gradients(u_n))
-    edge_sq = mesh.edge_geometry.length ** 2 * jumps ** 2
+    edge_sq = _compute_edge_geometry(mesh).length ** 2 * jumps ** 2
     w = u_n - u_prev
     spatial = (met.h_T ** 2 * l2_sq(w / tau - f_h)
                + 0.5 * edge_sq[mesh.tri_edges].sum(axis=1))
@@ -310,8 +312,8 @@ def reference_jump(mesh):
     g = basis_gradients(mesh).transpose(2, 1, 0)
     blocks = np.einsum("kit,kjt->tij", g, g)
     blocks *= mesh.metrics.area[:, None, None]
-    et = mesh.edge_tris
-    opposite = (mesh.edge_local + 2) % 3
+    _, et, el, _, _ = build_adjacency(tri, n, mesh.half_edges)
+    opposite = (el + 2) % 3
     rows = np.take(blocks.reshape(-1, 3), 3 * et + opposite, axis=0)
     n_edges = len(et)
     jump = sp.csr_array(
@@ -360,7 +362,7 @@ class TestOnePass:
         mesh = make()
         u = fe(mesh, np.random.default_rng(17).standard_normal(mesh.n_nodes))
         grads = element_gradients(mesh, u)
-        expected = (mesh.edge_geometry.length
+        expected = (_compute_edge_geometry(mesh).length
                     * conormal_flux_jumps(mesh, grads))
         npt.assert_allclose(estimator.edge_jumps(mesh, u.coefficients),
                             expected, atol=1e-12 * np.abs(expected).max())

@@ -640,7 +640,7 @@ class TestLiftedNorms:
             h1_parts.append(e_h1 ** 2)
             dist_parts.append(lifted_l2_distance(part, surface, u_part,
                                                  problem.u, time=t) ** 2)
-            assert part._adjacency is None
+            assert part._half_edges is None
         assert np.sqrt(sum(l2_parts)) == pytest.approx(l2, rel=1e-12)
         assert np.sqrt(sum(h1_parts)) == pytest.approx(h1, rel=1e-12)
         assert np.sqrt(sum(dist_parts)) == pytest.approx(l2, rel=1e-12)

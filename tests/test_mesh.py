@@ -6,7 +6,8 @@ import pytest
 from surfheat import fem, mesh as meshmod
 from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
                              NonManifold)
-from surfheat.mesh import (SurfaceMesh, build_adjacency, conormal_flux_jumps,
+from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
+                           build_adjacency, conormal_flux_jumps,
                            element_metrics, read_off, validate_mesh, write_off,
                            write_vtk)
 from surfheat.problems import icosahedron, icosphere, torus_grid
@@ -25,6 +26,12 @@ def tetrahedron():
     return SurfaceMesh(nodes, tris)
 
 
+def edge_incidence(mesh):
+    """``(edge_tris, edge_local)`` of a closed mesh, from its half-edge
+    sort."""
+    return build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)[1:3]
+
+
 def conormal_flux_jump(mesh, edge, grad_t1, grad_t2):
     """Reference: co-normal flux jump of a P1 function across one edge.
 
@@ -32,7 +39,7 @@ def conormal_flux_jump(mesh, edge, grad_t1, grad_t2):
     triangles adjacent to ``edge`` (in ``edge_tris`` order).  Returns the sum
     of the outward co-normal fluxes.
     """
-    geom = mesh.edge_geometry
+    geom = _compute_edge_geometry(mesh)
     return float(np.dot(grad_t1, geom.conormal[edge, 0])
                  + np.dot(grad_t2, geom.conormal[edge, 1]))
 
@@ -62,19 +69,21 @@ class TestAdjacency:
     def test_edge_tri_incidence_consistent(self):
         m = icosahedron()
         tri = m.triangles
+        edge_tris, edge_local = edge_incidence(m)
         for e in range(m.n_edges):
             endpoints = set(m.edges[e])
             for k in (0, 1):
-                t, loc = m.edge_tris[e, k], m.edge_local[e, k]
+                t, loc = edge_tris[e, k], edge_local[e, k]
                 assert {tri[t, loc], tri[t, (loc + 1) % 3]} == endpoints
-        assert (m.edge_tris[:, 0] < m.edge_tris[:, 1]).all()
+        assert (edge_tris[:, 0] < edge_tris[:, 1]).all()
 
     def test_tri_edges_inverse(self):
         m = icosphere(1)
+        edge_tris, _ = edge_incidence(m)
         for t in range(m.n_triangles):
             for loc in range(3):
                 e = m.tri_edges[t, loc]
-                assert t in m.edge_tris[e]
+                assert t in edge_tris[e]
 
     def test_every_edge_traversed_both_ways(self):
         # closed oriented surface: each undirected edge appears once per
@@ -149,7 +158,7 @@ class TestOneSortAdjacency:
         m = make()
         expected = two_sort_adjacency(m.triangles, m.n_nodes)
         for got in (build_adjacency(m.triangles, m.n_nodes),
-                    m._ensure_adjacency()):
+                    build_adjacency(m.triangles, m.n_nodes, m.half_edges)):
             for a, b in zip(got, expected):
                 assert a.dtype == b.dtype
                 np.testing.assert_array_equal(a, b)
@@ -217,7 +226,8 @@ def m_area(m):
 class TestConormals:
     def test_unit_in_plane_orthogonal(self):
         m = icosahedron()
-        geom = m.edge_geometry
+        geom = _compute_edge_geometry(m)
+        edge_tris, _ = edge_incidence(m)
         ev = m.nodes[m.edges[:, 1]] - m.nodes[m.edges[:, 0]]
         for k in (0, 1):
             co = geom.conormal[:, k]
@@ -227,18 +237,19 @@ class TestConormals:
             np.testing.assert_allclose(np.einsum("ij,ij->i", co, ev), 0.0,
                                        atol=1e-13)
             # in the triangle plane
-            n = m.metrics.normal[m.edge_tris[:, k]]
+            n = m.metrics.normal[edge_tris[:, k]]
             np.testing.assert_allclose(np.einsum("ij,ij->i", co, n), 0.0,
                                        atol=1e-13)
 
     def test_points_away_from_opposite_vertex(self):
         m = tetrahedron()
-        geom = m.edge_geometry
+        geom = _compute_edge_geometry(m)
+        edge_tris, edge_local = edge_incidence(m)
         tri = m.triangles
         for e in range(m.n_edges):
             mid = m.nodes[m.edges[e]].mean(axis=0)
             for k in (0, 1):
-                t, loc = m.edge_tris[e, k], m.edge_local[e, k]
+                t, loc = edge_tris[e, k], edge_local[e, k]
                 opp = m.nodes[tri[t, (loc + 2) % 3]]
                 assert np.dot(geom.conormal[e, k], mid - opp) > 0
 
@@ -246,9 +257,10 @@ class TestConormals:
         m = icosahedron()
         expected = np.linalg.norm(m.nodes[m.edges[:, 1]]
                                   - m.nodes[m.edges[:, 0]], axis=1)
-        np.testing.assert_allclose(m.edge_geometry.length, expected)
+        length = _compute_edge_geometry(m).length
+        np.testing.assert_allclose(length, expected)
         # icosahedron inscribed in the unit sphere has a single edge length
-        np.testing.assert_allclose(m.edge_geometry.length, 4.0 / np.sqrt(
+        np.testing.assert_allclose(length, 4.0 / np.sqrt(
             10.0 + 2.0 * np.sqrt(5.0)), rtol=1e-12)
 
 
@@ -265,13 +277,14 @@ class TestFluxJumps:
         u = fem.FeFunction.on_mesh(m, m.nodes @ coeff + 7.0)
         grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
-        shared = int(np.nonzero((m.edge_tris[:, 0] == 0)
-                                & (m.edge_tris[:, 1] == 1))[0][0])
+        edge_tris, _ = edge_incidence(m)
+        shared = int(np.nonzero((edge_tris[:, 0] == 0)
+                                & (edge_tris[:, 1] == 1))[0][0])
         assert abs(jumps[shared]) < 1e-13
 
     def test_unit_jump_construction(self):
         m = tetrahedron()
-        geom = m.edge_geometry
+        geom = _compute_edge_geometry(m)
         e = 2
         assert conormal_flux_jump(m, e, geom.conormal[e, 0],
                                   np.zeros(3)) == pytest.approx(1.0)
@@ -283,8 +296,9 @@ class TestFluxJumps:
         u = fem.FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
         grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
+        edge_tris, _ = edge_incidence(m)
         for e in range(0, m.n_edges, 7):
-            t1, t2 = m.edge_tris[e]
+            t1, t2 = edge_tris[e]
             assert jumps[e] == pytest.approx(
                 conormal_flux_jump(m, e, grads[t1], grads[t2]), abs=1e-13)
 
@@ -299,7 +313,7 @@ class TestFluxJumps:
         grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
         acc = np.zeros(m.n_nodes)
-        w = 0.5 * m.edge_geometry.length * jumps
+        w = 0.5 * _compute_edge_geometry(m).length * jumps
         np.add.at(acc, m.edges[:, 0], w)
         np.add.at(acc, m.edges[:, 1], w)
         np.testing.assert_allclose(stiffness @ u.coefficients, acc,
@@ -384,6 +398,13 @@ class TestFileIO:
         path = tmp_path / "short.off"
         path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
         with pytest.raises(ValueError, match="declares 2 faces, file holds 1"):
+            read_off(path)
+
+    @pytest.mark.parametrize("header", ["-1 0 0", "0 -1 0"])
+    def test_off_rejects_negative_counts(self, tmp_path, header):
+        path = tmp_path / "negative.off"
+        path.write_text(f"OFF\n{header}\n")
+        with pytest.raises(ValueError, match="OFF header declares .*-1"):
             read_off(path)
 
     def test_off_comments_ignored(self, tmp_path):
