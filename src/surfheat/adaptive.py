@@ -10,9 +10,10 @@ the time step for the next attempt and enters a coarsening loop that keeps
 removing nodes while the squared coarsening indicator stays within the
 tolerance, rolling back the iteration that overshoots.
 
-Nodes created while resolving the current step are tagged with the step
-index and are off-limits to the same step's coarsening phase, so genealogy
-birth tags grow monotonically along the run.
+A step's coarsening never removes a node created while resolving that step.
+Refinement appends nodes and coarsening keeps the survivors in order, so those
+nodes are the tail from the step's starting node count, less the nodes removed
+so far.  ``reset`` relies on the same order: the initial nodes are a prefix.
 """
 
 import time
@@ -177,6 +178,7 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
         started = time.perf_counter()
         step_spatial_iters = 0
         step_cg_iters = 0
+        n_start = mesh.n_nodes
         work_mesh = mesh
         work_uprev = u
 
@@ -207,8 +209,7 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                         f"(tol {config.tol:.3e}) {where()}")
                 marks = mark_refine(np.sqrt(ind.spatial_sq), config.theta,
                                     config.criterion)
-                refined, tmap = refine(work_mesh, marks, config.strategy,
-                                       birth=step)
+                refined, tmap = refine(work_mesh, marks, config.strategy)
                 if refined is work_mesh:
                     raise SpatialStagnation(
                         "marking selected no element while the spatial "
@@ -247,7 +248,8 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                 marks = mark_coarsen(np.sqrt(coarsening_sq),
                                      config.theta_star, config.criterion)
                 new_mesh, (new_u, new_uprev), removed = coarsen(
-                    mesh, marks, [u, u_prev_acc], protect_birth=step)
+                    mesh, marks, [u, u_prev_acc],
+                    protect_from=n_start - nodes_removed)
                 coarsen_iters += 1
                 if removed == 0:
                     break

@@ -125,27 +125,18 @@ P1Operators = namedtuple("P1Operators", "mass stiffness cot")
 
 def _p1_pattern(edges, n):
     """Sorted CSR pattern of the P1 matrices: the diagonal plus both
-    orientations of the lexicographically sorted edges ``lo < hi``.
+    orientations of the edges ``lo < hi``, given in any edge order.
 
     Returns ``indptr``, ``indices`` and ``source``; the entries of a matrix
     with diagonal ``d`` and edge values ``v`` are ``concat(d, v, v)[source]``.
     """
     lo, hi = edges.T
-    n_edges = len(lo)
-    below = np.cumsum(np.bincount(hi, minlength=n))  # edges with hi <= i
-    above = np.searchsorted(lo, np.arange(n + 1))    # edges with lo < i
-    # row i: lower neighbours (edges (j, i), in the transpose order of the
-    # unique keys hi N + lo < N^2), i, then upper neighbours (edge order)
-    by_hi = np.argsort(hi * np.int64(n) + lo)
-    slot = np.empty(n + 2 * n_edges, dtype=np.int64)
-    slot[:n] = np.arange(n) + below + above[:-1]
-    slot[n:n + n_edges] = lo + below[lo] + np.arange(1, n_edges + 1)
-    slot[n + n_edges + by_hi] = (hi[by_hi] + above[hi[by_hi]]
-                                 + np.arange(n_edges))
-    source = np.empty_like(slot)
-    source[slot] = np.arange(len(slot))
-    indptr = np.arange(n + 1) + np.concatenate(([0], below)) + above
-    return indptr, np.concatenate((np.arange(n), hi, lo))[source], source
+    diag = np.arange(n)
+    rows = np.concatenate((diag, lo, hi))
+    cols = np.concatenate((diag, hi, lo))
+    source = np.argsort(rows * np.int64(n) + cols)  # the keys are unique
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return indptr, cols[source], source
 
 
 def p1_operators(mesh):

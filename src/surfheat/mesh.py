@@ -184,8 +184,6 @@ class SurfaceMesh:
     triangles : (M, 3) int array
         Consistently oriented vertex triples; first edge = reference edge
         once ``refedge_ready`` is set.
-    node_birth : (N,) int array, optional
-        Refinement round at which each node appeared (0 for initial nodes).
     tri_parent : (M,) int array, optional
         Genealogy row of each triangle's parent; -1 for triangles of the
         initial mesh.
@@ -196,8 +194,8 @@ class SurfaceMesh:
         Whether triangles are stored in reference-edge-first order.
     """
 
-    def __init__(self, nodes, triangles, node_birth=None, tri_parent=None,
-                 genealogy=None, strategy=None, refedge_ready=False):
+    def __init__(self, nodes, triangles, tri_parent=None, genealogy=None,
+                 strategy=None, refedge_ready=False):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -207,10 +205,8 @@ class SurfaceMesh:
         if len(self.triangles) and (self.triangles.min() < 0
                                     or self.triangles.max() >= len(self.nodes)):
             raise ValueError("triangle refers to nonexistent node")
-        n, m = len(self.nodes), len(self.triangles)
-        self.node_birth = (np.zeros(n, dtype=np.int64) if node_birth is None
-                           else np.asarray(node_birth, dtype=np.int64))
-        self.tri_parent = (np.full(m, -1, dtype=np.int64) if tri_parent is None
+        self.tri_parent = (np.full(len(self.triangles), -1, dtype=np.int64)
+                           if tri_parent is None
                            else np.asarray(tri_parent, dtype=np.int64))
         self.genealogy = Genealogy() if genealogy is None else genealogy
         self.strategy = strategy
@@ -242,9 +238,8 @@ class SurfaceMesh:
         generation id: nodal coefficient vectors remain valid.  Used for
         lifting freshly created nodes onto the surface.
         """
-        m = SurfaceMesh(nodes, self.triangles, self.node_birth,
-                        self.tri_parent, self.genealogy, self.strategy,
-                        self.refedge_ready)
+        m = SurfaceMesh(nodes, self.triangles, self.tri_parent,
+                        self.genealogy, self.strategy, self.refedge_ready)
         m.generation = self.generation
         return m
 
@@ -436,7 +431,11 @@ def read_off(path):
                 tokens.extend(line.split())
     if len(tokens) < 4 or tokens[0] != "OFF":
         raise ValueError("not an OFF file")
-    nv, nf = int(tokens[1]), int(tokens[2])
+    try:
+        nv, nf = int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise ValueError(f"OFF header counts {tokens[1]!r} and {tokens[2]!r} "
+                         "must be integers") from None
     if nv < 0 or nf < 0:
         raise ValueError(f"OFF header declares {nv} nodes and {nf} faces")
     pos = 4
@@ -450,10 +449,14 @@ def read_off(path):
     for i in range(nf):
         if pos + 4 > len(tokens):
             raise ValueError(f"OFF header declares {nf} faces, file holds {i}")
-        k = int(tokens[pos])
+        try:
+            k = int(tokens[pos])
+            triangles[i] = [int(t) for t in tokens[pos + 1:pos + 4]]
+        except ValueError:
+            raise ValueError(f"OFF face {i} has a non-integer entry in "
+                             f"{' '.join(tokens[pos:pos + 4])!r}") from None
         if k != 3:
             raise ValueError("only triangle faces are supported")
-        triangles[i] = [int(t) for t in tokens[pos + 1:pos + 4]]
         pos += 1 + k
     return SurfaceMesh(nodes, triangles)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .geometry import unit_sphere
 from .mesh import HalfEdges, SurfaceMesh
-from .refinement import init_reference_edges
+from .refinement import _RED_TABLE, init_reference_edges
 
 
 class Problem:
@@ -178,15 +178,8 @@ def red_subdivide(nodes, triangles):
     n = len(nodes)
     he = HalfEdges(tri, n)
     mids = 0.5 * (nodes[he.edges[:, 0]] + nodes[he.edges[:, 1]])
-    m = n + he.tri_edges  # m[:, j] = midpoint of local edge j
-    v0, v1, v2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    m0, m1, m2 = m[:, 0], m[:, 1], m[:, 2]
-    children = np.empty((4 * len(tri), 3), dtype=np.int64)
-    children[0::4] = np.stack([v0, m0, m2], axis=1)
-    children[1::4] = np.stack([m0, v1, m1], axis=1)
-    children[2::4] = np.stack([m2, m1, v2], axis=1)
-    children[3::4] = np.stack([m1, m2, m0], axis=1)
-    return np.vstack([nodes, mids]), children
+    children = np.hstack([tri, n + he.tri_edges])[:, _RED_TABLE]
+    return np.vstack([nodes, mids]), children.reshape(-1, 3)
 
 
 def icosphere(level):

@@ -156,8 +156,8 @@ def init_reference_edges(mesh):
         raise ValueError("reference edges of a refined mesh are structural; "
                          "re-initializing them would corrupt the genealogy")
     rotated = _rotate_reference_first(mesh.nodes, mesh.triangles)
-    out = SurfaceMesh(mesh.nodes, rotated, mesh.node_birth, mesh.tri_parent,
-                      mesh.genealogy, mesh.strategy, refedge_ready=True)
+    out = SurfaceMesh(mesh.nodes, rotated, mesh.tri_parent, mesh.genealogy,
+                      mesh.strategy, refedge_ready=True)
     out.generation = mesh.generation
     return out
 
@@ -180,7 +180,7 @@ _TABLES = {
 }
 
 
-def refine(mesh, marks, strategy, birth=None):
+def refine(mesh, marks, strategy):
     """Subdivide the marked triangles, with conformity closure.
 
     Parameters
@@ -191,9 +191,6 @@ def refine(mesh, marks, strategy, birth=None):
     strategy : {"nvb", "rgb"}
         nvb bisects reference edges recursively; rgb subdivides marked
         triangles into four and closes with green/blue bisections.
-    birth : int, optional
-        Birth tag for the created nodes (defaults to one past the current
-        maximum).
 
     Returns
     -------
@@ -239,21 +236,12 @@ def refine(mesh, marks, strategy, birth=None):
             break
         edge_marked[te[need, 0]] = True
 
-    n_old = mesh.n_nodes
     split_edges = np.nonzero(edge_marked)[0]
     mid_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
-    mid_of_edge[split_edges] = n_old + np.arange(len(split_edges))
+    mid_of_edge[split_edges] = mesh.n_nodes + np.arange(len(split_edges))
     endpoints = mesh.edges[split_edges]
-    new_nodes = np.vstack([
-        mesh.nodes,
-        0.5 * (mesh.nodes[endpoints[:, 0]] + mesh.nodes[endpoints[:, 1]]),
-    ])
-    if birth is None:
-        birth = int(mesh.node_birth.max(initial=0)) + 1
-    new_birth = np.concatenate([
-        mesh.node_birth,
-        np.full(len(split_edges), birth, dtype=np.int64),
-    ])
+    mids = 0.5 * mesh.nodes[endpoints].sum(axis=1)
+    new_nodes = np.vstack([mesh.nodes, mids])
 
     has = edge_marked[te]  # (M, 3)
     pattern = (has[:, 0].astype(np.int64) + 2 * has[:, 1] + 4 * has[:, 2])
@@ -286,8 +274,8 @@ def refine(mesh, marks, strategy, birth=None):
         parent=np.concatenate([old.parent, mesh.tri_parent[split]]),
         nchild=np.concatenate([old.nchild, counts[split]]),
     )
-    refined = SurfaceMesh(new_nodes, out_tris, new_birth, out_parent,
-                          genealogy, strategy, refedge_ready=True)
+    refined = SurfaceMesh(new_nodes, out_tris, out_parent, genealogy,
+                          strategy, refedge_ready=True)
     return refined, TransferMap(endpoints, mesh.generation,
                                 refined.generation)
 
@@ -311,14 +299,15 @@ def lift_new_nodes(mesh, surface):
     return mesh.with_nodes(nodes)
 
 
-def coarsen(mesh, marks, functions, protect_birth=None):
+def coarsen(mesh, marks, functions, protect_from=None):
     """Collapse marked sibling groups back to their parents.
 
     A group collapses only if all siblings are present and marked and the
     midpoint nodes that would vanish are referenced by no surviving triangle
     (good-to-coarsen).  Function values at surviving nodes are carried over
-    unchanged; surviving nodes keep their coordinates.  The genealogy
-    records the refinement, so the coarse mesh keeps ``mesh.strategy``.
+    unchanged; surviving nodes keep their coordinates and relative order.
+    The genealogy records the refinement, so the coarse mesh keeps
+    ``mesh.strategy``.
 
     Parameters
     ----------
@@ -326,8 +315,8 @@ def coarsen(mesh, marks, functions, protect_birth=None):
     marks : MarkSet
     functions : list of FeFunction
         Bound to this mesh; restricted nodally onto the coarser mesh.
-    protect_birth : int, optional
-        Nodes with ``node_birth >= protect_birth`` are never removed.
+    protect_from : int, optional
+        Nodes with index ``>= protect_from`` are never removed.
 
     Returns
     -------
@@ -362,8 +351,9 @@ def coarsen(mesh, marks, functions, protect_birth=None):
     # a node stays referenced if a surviving triangle or a restored parent
     # uses it; every child pattern holds all of its parent's vertices, so
     # dropping a group only adds its children's vertices to ``blocked``
-    blocked = (np.zeros(n_nodes, dtype=bool) if protect_birth is None
-               else mesh.node_birth >= protect_birth)
+    blocked = np.zeros(n_nodes, dtype=bool)
+    if protect_from is not None:
+        blocked[protect_from:] = True
     blocked[tri[~coll_tris].ravel()] = True
     blocked[gen.verts[collapsing].ravel()] = True
     ct = np.nonzero(coll_tris)[0]
@@ -396,15 +386,13 @@ def coarsen(mesh, marks, functions, protect_birth=None):
     keep_rows = ~collapsing
     row_map = np.full(n_rows + 1, -1, dtype=np.int64)
     row_map[:-1][keep_rows] = np.arange(int(keep_rows.sum()))
-    genealogy = Genealogy(
-        verts=node_map[gen.verts[keep_rows]],
-        parent=row_map[gen.parent[keep_rows]],
-        nchild=gen.nchild[keep_rows],
-    )
+    genealogy = Genealogy(verts=node_map[gen.verts[keep_rows]],
+                          parent=row_map[gen.parent[keep_rows]],
+                          nchild=gen.nchild[keep_rows])
 
     coarse = SurfaceMesh(mesh.nodes[referenced], node_map[new_tris_old],
-                         mesh.node_birth[referenced], row_map[parent_rows_old],
-                         genealogy, mesh.strategy, refedge_ready=True)
+                         row_map[parent_rows_old], genealogy, mesh.strategy,
+                         refedge_ready=True)
     restricted = [FeFunction(coarse.generation, u.coefficients[referenced])
                   for u in functions]
     return coarse, restricted, removed

@@ -267,7 +267,7 @@ def test_criterion_09_mesh_machinery(report):
             else:
                 marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)),
                                     criterion)
-                mesh, tmap = refine(mesh, marks, strategy, birth=step + 1)
+                mesh, tmap = refine(mesh, marks, strategy)
                 u = transfer(u, tmap)
                 if rng.random() < 0.5:
                     mesh = lift_new_nodes(mesh, surface)

@@ -293,6 +293,37 @@ class TestCoarseningModes:
         assert log.final_dofs < log.peak_dofs
         assert log.final_dofs == sizes[-1]
 
+    def test_matching_protects_the_step_tail(self, monkeypatch):
+        # every pass protects the nodes made in its step: those past the
+        # previous accepted mesh's node count, less what the step removed
+        problem = get_problem("moving-peak-timing")
+        initial = icosphere(3)
+        config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.05, theta=0.8,
+                                theta_star=0.2, coarsening="matching")
+        state = {"n_prev": initial.n_nodes, "removed": 0}
+        tails = []
+        coarsen = adaptive.coarsen
+
+        def checked(mesh, marks, functions, protect_from=None):
+            assert protect_from == state["n_prev"] - state["removed"]
+            out, restricted, removed = coarsen(mesh, marks, functions,
+                                               protect_from=protect_from)
+            tail = mesh.n_nodes - protect_from
+            assert (out.nodes[out.n_nodes - tail:].tobytes()
+                    == mesh.nodes[protect_from:].tobytes())
+            state["removed"] += removed
+            tails.append((tail, removed))
+            return out, restricted, removed
+
+        def on_accept(record, mesh, u):
+            state["n_prev"], state["removed"] = mesh.n_nodes, 0
+
+        monkeypatch.setattr(adaptive, "coarsen", checked)
+        log = run(problem, problem.surface, initial, config,
+                  on_accept=on_accept)
+        assert sum(r.nodes_removed for r in log.records) > 0
+        assert any(tail > 0 and removed > 0 for tail, removed in tails)
+
     def test_none_never_removes_and_grows_monotonically(self):
         problem = fast_decay()
         config = AdaptiveConfig(tol=1.0, tau0=0.05, t_end=1.5,

@@ -200,6 +200,22 @@ class TestDirectCsrAssembly:
         assert mass.indices is stiffness.indices
 
     @ORACLE_MESHES
+    def test_pattern_does_not_depend_on_edge_order(self, make):
+        m = make()
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(m.n_edges)
+        indptr, indices, source = fem._p1_pattern(m.edges, m.n_nodes)
+        p_indptr, p_indices, p_source = fem._p1_pattern(m.edges[perm],
+                                                        m.n_nodes)
+        np.testing.assert_array_equal(p_indptr, indptr)
+        np.testing.assert_array_equal(p_indices, indices)
+        # edge values given in the permuted order land on the same entries
+        d, v = rng.random(m.n_nodes), rng.random(m.n_edges)
+        np.testing.assert_array_equal(
+            np.concatenate((d, v[perm], v[perm]))[p_source],
+            np.concatenate((d, v, v))[source])
+
+    @ORACLE_MESHES
     def test_geometry_matches_gather_formulas(self, make):
         m = make()
         met = element_metrics(m)

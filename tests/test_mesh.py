@@ -407,6 +407,19 @@ class TestFileIO:
         with pytest.raises(ValueError, match="OFF header declares .*-1"):
             read_off(path)
 
+    def test_off_names_a_non_integer_header_count(self, tmp_path):
+        path = tmp_path / "fractional.off"
+        path.write_text("OFF\n3.5 1 0\n")
+        with pytest.raises(ValueError, match="OFF header counts '3.5'"):
+            read_off(path)
+
+    def test_off_names_the_face_with_a_non_integer_entry(self, tmp_path):
+        path = tmp_path / "face.off"
+        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n"
+                        "3 0 1 2\n3 0 1 x\n")
+        with pytest.raises(ValueError, match="OFF face 1 .*'3 0 1 x'"):
+            read_off(path)
+
     def test_off_comments_ignored(self, tmp_path):
         m = tetrahedron()
         path = tmp_path / "mesh.off"

@@ -54,7 +54,7 @@ SentinelMap = namedtuple("SentinelMap",
                          "source_a source_b src_generation dst_generation")
 
 
-def reference_refine(mesh, marks, strategy, birth=None):
+def reference_refine(mesh, marks, strategy):
     """Reference refinement: ``(SurfaceMesh, SentinelMap)``."""
     identity = SentinelMap(np.arange(mesh.n_nodes),
                            np.full(mesh.n_nodes, -1, dtype=np.int64),
@@ -83,10 +83,6 @@ def reference_refine(mesh, marks, strategy, birth=None):
         mesh.nodes,
         0.5 * (mesh.nodes[endpoints[:, 0]] + mesh.nodes[endpoints[:, 1]]),
     ])
-    if birth is None:
-        birth = int(mesh.node_birth.max(initial=0)) + 1
-    new_birth = np.concatenate([
-        mesh.node_birth, np.full(len(split_edges), birth, dtype=np.int64)])
 
     has = edge_marked[te]
     pattern = (has[:, 0].astype(np.int64) + 2 * has[:, 1] + 4 * has[:, 2])
@@ -127,8 +123,8 @@ def reference_refine(mesh, marks, strategy, birth=None):
         parent=np.concatenate([old.parent, mesh.tri_parent[split]]),
         nchild=np.concatenate([old.nchild, counts[split]]),
     )
-    refined = SurfaceMesh(new_nodes, out_tris, new_birth, out_parent,
-                          genealogy, strategy, refedge_ready=True)
+    refined = SurfaceMesh(new_nodes, out_tris, out_parent, genealogy,
+                          strategy, refedge_ready=True)
     smap = SentinelMap(
         np.concatenate([np.arange(n_old), endpoints[:, 0]]),
         np.concatenate([np.full(n_old, -1, dtype=np.int64), endpoints[:, 1]]),
@@ -331,15 +327,6 @@ class TestRefine:
         with pytest.raises(ValueError):
             refine(m, all_marks(m), "quadtree")
 
-    def test_birth_tags(self):
-        m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "rgb", birth=7)
-        assert (new.node_birth[:12] == 0).all()
-        assert (new.node_birth[12:] == 7).all()
-        # default: one past the current maximum
-        again, _ = refine(new, MarkSet([0]), "rgb")
-        assert again.node_birth.max() == 8
-
     def test_rgb_children_longest_edge_first(self):
         m = init_reference_edges(icosahedron())
         new, _ = refine(m, MarkSet(range(7)), "rgb")
@@ -492,16 +479,18 @@ class TestCoarsen:
         assert removed == 0
         assert back is fine
 
-    def test_protect_birth_blocks_removal(self):
+    def test_protect_from_blocks_removal(self):
+        # the midpoints are the tail from m.n_nodes on
         m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb", birth=3)
+        fine, _ = refine(m, all_marks(m), "nvb")
         kept, _, removed = coarsen(fine, all_marks(fine), [],
-                                   protect_birth=3)
+                                   protect_from=m.n_nodes)
         assert removed == 0
         assert kept is fine
-        undone, _, removed = coarsen(fine, all_marks(fine), [],
-                                     protect_birth=4)
-        assert removed == fine.n_nodes - m.n_nodes
+        for protect_from in (None, fine.n_nodes):
+            undone, _, removed = coarsen(fine, all_marks(fine), [],
+                                         protect_from=protect_from)
+            assert removed == fine.n_nodes - m.n_nodes
 
     def test_without_genealogy_is_noop(self):
         m = icosphere(1)
@@ -549,7 +538,7 @@ def test_fuzz_refine_coarsen(strategy):
         grow = rng.random() < 0.6 and mesh.n_triangles < 3000
         if grow or mesh.n_triangles <= 20:
             marks = mark_refine(rng.random(mesh.n_triangles), 0.6)
-            refined, tmap = refine(mesh, marks, strategy, birth=step)
+            refined, tmap = refine(mesh, marks, strategy)
             u = transfer(u, tmap)
             mesh = lift_new_nodes(refined, surface)
         else:
@@ -559,12 +548,12 @@ def test_fuzz_refine_coarsen(strategy):
         u.check(mesh)
 
 
-def assert_same_refinement(mesh, marks, strategy, birth, u):
+def assert_same_refinement(mesh, marks, strategy, u):
     """``refine`` and ``transfer`` against the references, bitwise."""
-    new, tmap = refine(mesh, marks, strategy, birth=birth)
-    ref, smap = reference_refine(mesh, marks, strategy, birth=birth)
+    new, tmap = refine(mesh, marks, strategy)
+    ref, smap = reference_refine(mesh, marks, strategy)
     pairs = [(getattr(new, name), getattr(ref, name), name)
-             for name in ("nodes", "triangles", "node_birth", "tri_parent")]
+             for name in ("nodes", "triangles", "tri_parent")]
     pairs += [(getattr(new.genealogy, name), getattr(ref.genealogy, name),
                f"genealogy.{name}")
               for name in ("verts", "parent", "nchild")]
@@ -605,8 +594,7 @@ def test_refine_matches_reference_on_graded_meshes(strategy):
         else:
             marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)),
                                 ("bulk", "doerfler")[step % 2])
-            refined, u = assert_same_refinement(mesh, marks, strategy,
-                                                step, u)
+            refined, u = assert_same_refinement(mesh, marks, strategy, u)
             mesh = lift_new_nodes(refined, surface)
             refinements += 1
             if refinements == 40:
@@ -618,7 +606,7 @@ def test_refine_matches_reference_on_graded_meshes(strategy):
     assert len(mesh.genealogy) > 0
 
 
-def reference_coarsen(mesh, marks, functions, protect_birth=None):
+def reference_coarsen(mesh, marks, functions, protect_from=None):
     """Reference coarsening that recomputes the collapsing triangles, the
     externally referenced and parent nodes and the (k, 3, 3) parent-vertex
     comparison on every pass of the fixed point.  Returns the result of
@@ -638,8 +626,8 @@ def reference_coarsen(mesh, marks, functions, protect_birth=None):
     if not collapsing.any():
         return (mesh, list(functions), 0), 0
     protected = np.zeros(n_nodes, dtype=bool)
-    if protect_birth is not None:
-        protected = mesh.node_birth >= protect_birth
+    if protect_from is not None:
+        protected[protect_from:] = True
     tri = mesh.triangles
     passes = 0
     while True:
@@ -676,35 +664,37 @@ def reference_coarsen(mesh, marks, functions, protect_birth=None):
                           parent=row_map[gen.parent[keep_rows]],
                           nchild=gen.nchild[keep_rows])
     coarse = SurfaceMesh(mesh.nodes[referenced], node_map[new_tris_old],
-                         mesh.node_birth[referenced], row_map[parent_rows_old],
-                         genealogy, mesh.strategy, refedge_ready=True)
+                         row_map[parent_rows_old], genealogy, mesh.strategy,
+                         refedge_ready=True)
     restricted = [FeFunction(coarse.generation, u.coefficients[referenced])
                   for u in functions]
     return (coarse, restricted, removed), passes
 
 
-def assert_same_coarsening(mesh, marks, u, protect_birth):
+def assert_same_coarsening(mesh, marks, functions, protect_from):
     """``coarsen`` against the recomputing reference, bitwise; returns the
     result and the reference's number of passes."""
-    new, (v,), removed = coarsen(mesh, marks, [u], protect_birth)
-    (ref, (w,), ref_removed), passes = reference_coarsen(mesh, marks, [u],
-                                                         protect_birth)
+    new, restricted, removed = coarsen(mesh, marks, functions, protect_from)
+    (ref, ref_functions, ref_removed), passes = reference_coarsen(
+        mesh, marks, functions, protect_from)
     assert removed == ref_removed
     if ref is mesh:
         assert new is mesh
     pairs = [(getattr(new, name), getattr(ref, name), name)
-             for name in ("nodes", "triangles", "node_birth", "tri_parent")]
+             for name in ("nodes", "triangles", "tri_parent")]
     pairs += [(getattr(new.genealogy, name), getattr(ref.genealogy, name),
                f"genealogy.{name}")
               for name in ("verts", "parent", "nchild")]
-    pairs.append((v.coefficients, w.coefficients, "function"))
+    pairs += [(v.coefficients, w.coefficients, "function")
+              for v, w in zip(restricted, ref_functions)]
     for got, expected, name in pairs:
         assert got.dtype == expected.dtype, name
         assert got.shape == expected.shape, name
         assert got.tobytes() == expected.tobytes(), name
     assert new.strategy == ref.strategy
-    v.check(new)
-    return (new, v, removed), passes
+    for v in restricted:
+        v.check(new)
+    return (new, restricted, removed), passes
 
 
 @pytest.mark.parametrize("protect", [False, True],
@@ -712,11 +702,15 @@ def assert_same_coarsening(mesh, marks, u, protect_birth):
 @pytest.mark.parametrize("strategy", ["nvb", "rgb"])
 def test_coarsen_matches_recomputing_reference(strategy, protect):
     # a graded refine/coarsen sequence towards a wandering centre; every
-    # coarsening (with marks of varying density) is checked bitwise
+    # coarsening (with marks of varying density) is checked bitwise.  A
+    # birth oracle (the step that made each node) rides along as a nodal
+    # function: it stays nondecreasing in node index, so "made at step
+    # - 2 or later" is the tail from its searchsorted index on
     rng = np.random.default_rng(21 if strategy == "nvb" else 22)
     surface = unit_sphere()
     mesh = icosphere(1)
     u = interpolate(mesh, lambda x: np.cos(2.0 * x[:, 2]) + x[:, 0])
+    births = FeFunction.on_mesh(mesh, np.zeros(mesh.n_nodes))
     centre = np.array([0.0, 1.0, 0.0])
     removed_total = max_passes = coarsenings = 0
     for step in range(1, 60):
@@ -724,18 +718,22 @@ def test_coarsen_matches_recomputing_reference(strategy, protect):
         eta = (np.sqrt(mesh.metrics.area)
                * np.exp(-8.0 * np.sum((centroids - centre) ** 2, axis=1))
                * rng.uniform(0.5, 1.0, mesh.n_triangles))
+        assert (np.diff(births.coefficients) >= 0).all()
         if mesh.n_triangles > 1500 or step % 3 == 0:
             marks = mark_coarsen(eta, float(rng.uniform(0.3, 0.95)))
-            protect_birth = step - 2 if protect else None
-            (mesh, u, removed), passes = assert_same_coarsening(
-                mesh, marks, u, protect_birth)
+            protect_from = (int(np.searchsorted(births.coefficients, step - 2))
+                            if protect else None)
+            (mesh, (u, births), removed), passes = assert_same_coarsening(
+                mesh, marks, [u, births], protect_from)
             removed_total += removed
             max_passes = max(max_passes, passes)
             coarsenings += 1
         else:
             marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)))
-            refined, tmap = refine(mesh, marks, strategy, birth=step)
-            u = transfer(u, tmap)
+            n_old = mesh.n_nodes
+            refined, tmap = refine(mesh, marks, strategy)
+            u, births = transfer(u, tmap), transfer(births, tmap)
+            births.coefficients[n_old:] = step
             mesh = lift_new_nodes(refined, surface)
         centre = centre + 0.2 * rng.standard_normal(3)
         centre /= np.linalg.norm(centre)
