@@ -14,6 +14,10 @@ A step's coarsening never removes a node created while resolving that step.
 Refinement appends nodes and coarsening keeps the survivors in order, so those
 nodes are the tail from the step's starting node count, less the nodes removed
 so far.  ``reset`` relies on the same order: the initial nodes are a prefix.
+
+Guards, as module constants: ``MAX_SPATIAL_ITERS`` solves per attempt,
+``DOF_CAP`` nodes and tau above ``TAU_MIN_FACTOR * t_end``.  One handler per
+step, first solve to coarsening, names the step in any ``SurfheatError``.
 """
 
 import time
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DofCapExceeded, MetadataMissing, NonFiniteValue,
-                     SolverDivergence, SpatialStagnation, TauUnderflow)
+from .errors import (DofCapExceeded, MetadataMissing, SpatialStagnation,
+                     SurfheatError, TauUnderflow)
 from .estimator import coarsening_indicator, compute_indicators
 from .fem import (FeFunction, assemble, backward_euler_step, interpolate,
                   lifted_l2_distance)
@@ -34,15 +38,19 @@ _CRITERIA = ("bulk", "doerfler")
 _STRATEGIES = ("nvb", "rgb")
 _COARSENING_MODES = ("matching", "none", "reset")
 
+MAX_SPATIAL_ITERS = 30  # solves per temporal attempt
+DOF_CAP = 2_000_000  # nodes a refinement may reach
+TAU_MIN_FACTOR = 1e-8  # the smallest time step, relative to t_end
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Tolerances, marking parameters and safety guards for one run.
+    """Tolerances and marking parameters for one run.
 
     ``coarsening`` selects what happens after a step is accepted:
     ``"matching"`` runs the indicator-guarded coarsening loop, ``"none"``
     keeps every node, and ``"reset"`` restricts the solution back to the
-    initial mesh.  ``tau_min`` defaults to ``1e-8 * t_end``.
+    initial mesh.  ``max_coarsen_iters`` caps that loop's passes per step.
     """
 
     tol: float
@@ -53,14 +61,9 @@ class AdaptiveConfig:
     criterion: str = "bulk"
     strategy: str = "nvb"
     coarsening: str = "matching"
-    max_spatial_iters: int = 30
     max_coarsen_iters: int = 10
-    tau_min: float = None
-    dof_cap: int = 2_000_000
 
     def __post_init__(self):
-        if self.tau_min is None:
-            object.__setattr__(self, "tau_min", 1e-8 * self.t_end)
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.t_end < np.inf:
@@ -69,20 +72,16 @@ class AdaptiveConfig:
             raise ValueError("theta must lie in (0, 1)")
         if not 0.0 < self.theta_star < 1.0:
             raise ValueError("theta_star must lie in (0, 1)")
-        if not self.tau_min < self.tau0 <= self.t_end:
-            raise ValueError("need tau_min < tau0 <= t_end")
+        if not TAU_MIN_FACTOR * self.t_end < self.tau0 <= self.t_end:
+            raise ValueError("need 1e-8 * t_end < tau0 <= t_end")
         if self.criterion not in _CRITERIA:
             raise ValueError(f"unknown marking criterion {self.criterion!r}")
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"unknown refinement strategy {self.strategy!r}")
         if self.coarsening not in _COARSENING_MODES:
             raise ValueError(f"unknown coarsening mode {self.coarsening!r}")
-        if self.max_spatial_iters < 1:
-            raise ValueError("max_spatial_iters must be at least 1")
         if self.max_coarsen_iters < 0:
             raise ValueError("max_coarsen_iters must be nonnegative")
-        if self.dof_cap < 1:
-            raise ValueError("dof_cap must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -143,11 +142,12 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     oriented surface, ``DegenerateTriangle`` for a degenerate triangle and
     ``ValueError`` for an unreferenced node; refinement and coarsening keep
     these invariants, so they are checked only here.  Raises ``ValueError``
-    when the interpolated initial datum misses the tolerance,
-    ``SpatialStagnation``/``TauUnderflow``/``DofCapExceeded`` when a safety
-    guard trips, ``NonFiniteValue`` or ``SolverDivergence`` when a solve
-    meets a NaN or fails; the last five name the step, its start t, tau and
-    the working mesh's dofs.
+    when the interpolated initial datum misses the tolerance.  A step's
+    ``SurfheatError`` (a guard's ``SpatialStagnation``, ``DofCapExceeded`` or
+    ``TauUnderflow``, a solve's ``NonFiniteValue`` or ``SolverDivergence``, a
+    lift, refinement or coarsening) is re-raised as its own type from the
+    original, with the step, its start t, tau and working dofs appended;
+    errors of ``on_accept`` pass through unchanged.
     """
     if not initial_mesh.refedge_ready:
         raise MetadataMissing("initial mesh carries no reference edges")
@@ -165,13 +165,10 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     mesh = initial_mesh
     n_initial = initial_mesh.n_nodes
     log.peak_dofs = mesh.n_nodes
+    tau_floor = TAU_MIN_FACTOR * config.t_end
     t = 0.0
     tau = config.tau0
     step = 0
-
-    def where():  # the context an abort names
-        return (f"[step {step}, t = {t:.6g}, tau = {tau:.6g}, "
-                f"dofs = {work_mesh.n_nodes}]")
 
     while config.t_end - t > eps:
         step += 1
@@ -181,98 +178,95 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
         n_start = mesh.n_nodes
         work_mesh = mesh
         work_uprev = u
+        try:
+            while True:  # one temporal attempt per pass
+                if t + tau >= config.t_end - eps:
+                    tau = config.t_end - t
+                target = t + tau
 
-        while True:  # one temporal attempt per pass
-            if t + tau >= config.t_end - eps:
-                tau = config.t_end - t
-            target = t + tau
-
-            for spatial_iter in range(1, config.max_spatial_iters + 1):
-                mass, stiffness = assemble(work_mesh)  # cached per mesh
-                f_h = interpolate(work_mesh, problem.f, time=target)
-                try:
+                for spatial_iter in range(1, MAX_SPATIAL_ITERS + 1):
+                    mass, stiffness = assemble(work_mesh)  # cached per mesh
+                    f_h = interpolate(work_mesh, problem.f, time=target)
                     u_new, iters = backward_euler_step(
                         mass, stiffness, work_uprev, f_h, tau)
-                except (NonFiniteValue, SolverDivergence) as exc:
-                    raise type(exc)(f"{exc} {where()}") from exc
-                step_spatial_iters += 1
-                step_cg_iters += iters
-                log.cum_dof_steps += work_mesh.n_nodes
-                ind = compute_indicators(work_mesh, u_new, work_uprev, f_h,
-                                         tau)
-                if ind.eta_h_sq < config.tol:
-                    break
-                if spatial_iter == config.max_spatial_iters:
-                    raise SpatialStagnation(
-                        f"spatial indicator still at {ind.eta_h_sq:.3e} after "
-                        f"{config.max_spatial_iters} solves "
-                        f"(tol {config.tol:.3e}) {where()}")
-                marks = mark_refine(np.sqrt(ind.spatial_sq), config.theta,
-                                    config.criterion)
-                refined, tmap = refine(work_mesh, marks, config.strategy)
-                if refined is work_mesh:
-                    raise SpatialStagnation(
-                        "marking selected no element while the spatial "
-                        f"indicator is above tolerance {where()}")
-                if refined.n_nodes > config.dof_cap:
-                    raise DofCapExceeded(
-                        f"refinement to {refined.n_nodes} nodes exceeds the "
-                        f"cap of {config.dof_cap} {where()}")
-                work_uprev = transfer(work_uprev, tmap)
-                work_mesh = lift_new_nodes(refined, surface)
-                log.peak_dofs = max(log.peak_dofs, work_mesh.n_nodes)
+                    step_spatial_iters += 1
+                    step_cg_iters += iters
+                    log.cum_dof_steps += work_mesh.n_nodes
+                    ind = compute_indicators(work_mesh, u_new, work_uprev,
+                                             f_h, tau)
+                    if ind.eta_h_sq < config.tol:
+                        break
+                    if spatial_iter == MAX_SPATIAL_ITERS:
+                        raise SpatialStagnation(
+                            f"spatial indicator still at {ind.eta_h_sq:.3e} "
+                            f"after {MAX_SPATIAL_ITERS} solves "
+                            f"(tol {config.tol:.3e})")
+                    marks = mark_refine(np.sqrt(ind.spatial_sq),
+                                        config.theta, config.criterion)
+                    refined, tmap = refine(work_mesh, marks, config.strategy)
+                    if refined is work_mesh:
+                        raise SpatialStagnation(
+                            "marking selected no element while the spatial "
+                            "indicator is above tolerance")
+                    if refined.n_nodes > DOF_CAP:
+                        raise DofCapExceeded(
+                            f"refinement to {refined.n_nodes} nodes exceeds "
+                            f"the cap of {DOF_CAP}")
+                    work_uprev = transfer(work_uprev, tmap)
+                    work_mesh = lift_new_nodes(refined, surface)
+                    log.peak_dofs = max(log.peak_dofs, work_mesh.n_nodes)
 
-            if ind.eta_tau_sq >= config.tol:
-                tau = 0.5 * tau
-                if tau < config.tau_min:
-                    raise TauUnderflow(
-                        f"time step {tau:.3e} fell below {config.tau_min:.3e};"
-                        f" tolerance unreachable in time {where()}")
-                continue  # retry on the refined mesh, fresh spatial loop
-            break
+                if ind.eta_tau_sq >= config.tol:
+                    tau = 0.5 * tau
+                    if tau < tau_floor:
+                        raise TauUnderflow(
+                            f"time step {tau:.3e} fell below "
+                            f"{tau_floor:.3e}; tolerance unreachable in time")
+                    continue  # retry on the refined mesh, fresh spatial loop
+                break
 
-        # Accept: commit time and state, double the step for the next one.
-        mesh, u = work_mesh, u_new
-        t = target
-        accepted_tau = tau
-        dofs = mesh.n_nodes
-        tau = 2.0 * accepted_tau
-
-        coarsening_sq, eta_c_sq = ind.coarsening_sq, ind.eta_c_sq
-        coarsen_iters = 0
-        nodes_removed = 0
-        if config.coarsening == "matching":
-            u_prev_acc = work_uprev
-            while (eta_c_sq <= config.tol
-                   and coarsen_iters < config.max_coarsen_iters):
-                marks = mark_coarsen(np.sqrt(coarsening_sq),
-                                     config.theta_star, config.criterion)
-                new_mesh, (new_u, new_uprev), removed = coarsen(
-                    mesh, marks, [u, u_prev_acc],
-                    protect_from=n_start - nodes_removed)
-                coarsen_iters += 1
-                if removed == 0:
-                    break
-                new_sq, new_total = coarsening_indicator(new_mesh, new_u,
-                                                         new_uprev)
-                if new_total > config.tol:
-                    break  # roll back to the previous grid
-                mesh, u, u_prev_acc = new_mesh, new_u, new_uprev
-                nodes_removed += removed
-                coarsening_sq, eta_c_sq = new_sq, new_total
-        elif config.coarsening == "reset" and mesh is not initial_mesh:
-            nodes_removed = mesh.n_nodes - n_initial
-            u = FeFunction.on_mesh(initial_mesh,
-                                   u.coefficients[:n_initial].copy())
-            mesh = initial_mesh
+            # Accept, then coarsen the accepted state.
+            mesh, u = work_mesh, u_new
+            coarsening_sq, eta_c_sq = ind.coarsening_sq, ind.eta_c_sq
+            coarsen_iters = 0
+            nodes_removed = 0
+            if config.coarsening == "matching":
+                u_prev_acc = work_uprev
+                while (eta_c_sq <= config.tol
+                       and coarsen_iters < config.max_coarsen_iters):
+                    marks = mark_coarsen(np.sqrt(coarsening_sq),
+                                         config.theta_star, config.criterion)
+                    new_mesh, (new_u, new_uprev), removed = coarsen(
+                        mesh, marks, [u, u_prev_acc],
+                        protect_from=n_start - nodes_removed)
+                    coarsen_iters += 1
+                    if removed == 0:
+                        break
+                    new_sq, new_total = coarsening_indicator(
+                        new_mesh, new_u, new_uprev)
+                    if new_total > config.tol:
+                        break  # roll back to the previous grid
+                    mesh, u, u_prev_acc = new_mesh, new_u, new_uprev
+                    nodes_removed += removed
+                    coarsening_sq, eta_c_sq = new_sq, new_total
+            elif config.coarsening == "reset" and mesh is not initial_mesh:
+                nodes_removed = mesh.n_nodes - n_initial
+                u = FeFunction.on_mesh(initial_mesh,
+                                       u.coefficients[:n_initial].copy())
+                mesh = initial_mesh
+        except SurfheatError as exc:  # the one place an abort names its step
+            raise type(exc)(
+                f"{exc} [step {step}, t = {t:.6g}, tau = {tau:.6g}, "
+                f"dofs = {work_mesh.n_nodes}]") from exc
 
         record = StepRecord(
-            step=step, t=t, tau=accepted_tau, dofs=dofs,
+            step=step, t=target, tau=tau, dofs=work_mesh.n_nodes,
             eta_h_sq=ind.eta_h_sq, eta_tau_sq=ind.eta_tau_sq,
             eta_c_sq=eta_c_sq, eta_combined=ind.eta_combined,
             spatial_iters=step_spatial_iters, coarsen_iters=coarsen_iters,
             nodes_removed=nodes_removed, cg_iters=step_cg_iters,
             wall_ms=(time.perf_counter() - started) * 1e3)
+        t, tau = target, 2.0 * tau  # double the step for the next one
         log.records.append(record)
         if on_accept is not None:
             on_accept(record, mesh, u)

@@ -57,7 +57,7 @@ class SolverDivergence(SurfheatError):
 
 
 class NonFiniteValue(SurfheatError):
-    """A NaN or an infinity reached the linear solver."""
+    """A NaN or an infinity reached the linear solver or the marking."""
 
 
 # --- adaptive ---------------------------------------------------------------

@@ -13,6 +13,8 @@ Praetorius and Wissgott, CMAM 11, 2011).  ``coarsening_indicator`` needs only
 the element areas, so a mesh only tested for coarsening builds no operators.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 # ``conormal_flux_jumps`` and ``basis_gradients`` are no longer called here;
@@ -21,30 +23,12 @@ from .mesh import conormal_flux_jumps  # noqa: F401
 from .fem import basis_gradients, p1_operators  # noqa: F401
 
 
-class Indicators:
-    """Per-element squared indicators with their global sums.
-
-    ``spatial_sq``, ``temporal_sq``, ``coarsening_sq`` are per-element
-    vectors; jump contributions are split half/half between the two adjacent
-    elements, so each global value equals the sum of its vector exactly.
-    ``eta_combined`` is the scalar step indicator
-    ``(1 + h^2) sqrt(tau (eta_h^2 + eta_tau^2))`` with the mesh-wide ``h``.
-    """
-
-    __slots__ = ("spatial_sq", "temporal_sq", "coarsening_sq", "eta_h_sq",
-                 "eta_tau_sq", "eta_c_sq", "eta_combined", "tau", "h")
-
-    def __init__(self, spatial_sq, temporal_sq, coarsening_sq, tau, h):
-        self.spatial_sq = spatial_sq
-        self.temporal_sq = temporal_sq
-        self.coarsening_sq = coarsening_sq
-        self.eta_h_sq = float(spatial_sq.sum())
-        self.eta_tau_sq = float(temporal_sq.sum())
-        self.eta_c_sq = float(coarsening_sq.sum())
-        self.tau = float(tau)
-        self.h = float(h)
-        self.eta_combined = combined(np.sqrt(self.eta_h_sq),
-                                     np.sqrt(self.eta_tau_sq), tau, h)
+# Per-element squared indicators (``spatial_sq``, ``temporal_sq``,
+# ``coarsening_sq``; a jump is split half/half between its two elements), their
+# sums, and the scalar step indicator ``(1 + h^2) sqrt(tau (eta_h^2 +
+# eta_tau^2))`` with the mesh-wide ``h``.
+Indicators = namedtuple("Indicators", "spatial_sq temporal_sq coarsening_sq "
+                        "eta_h_sq eta_tau_sq eta_c_sq eta_combined")
 
 
 def _corner_l2_sq(area, v):
@@ -119,4 +103,9 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     edge_sq = jumps[mesh.tri_edges.T]
     spatial_sq = (met.h_T ** 2 * _corner_l2_sq(met.area, w)
                   + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
-    return Indicators(spatial_sq, temporal_sq, coarsening_sq, tau, met.h)
+    eta_h_sq = float(spatial_sq.sum())
+    eta_tau_sq = float(temporal_sq.sum())
+    return Indicators(spatial_sq, temporal_sq, coarsening_sq, eta_h_sq,
+                      eta_tau_sq, float(coarsening_sq.sum()),
+                      combined(np.sqrt(eta_h_sq), np.sqrt(eta_tau_sq), tau,
+                               met.h))

@@ -391,7 +391,7 @@ def validate_mesh(mesh, surface=None):
     """
     # NonManifold / InconsistentOrientation
     build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)
-    element_metrics(mesh)  # DegenerateTriangle
+    mesh.metrics  # DegenerateTriangle; cached for the first assembly
     used = np.zeros(mesh.n_nodes, dtype=bool)
     used[mesh.triangles.ravel()] = True
     if not used.all():
@@ -443,7 +443,13 @@ def read_off(path):
     if found < nv:
         raise ValueError(f"OFF header declares {nv} nodes, file holds "
                          f"coordinates for {found}")
-    nodes = np.array(tokens[pos:pos + 3 * nv], dtype=float).reshape(nv, 3)
+    nodes = np.empty((nv, 3))
+    for k, token in enumerate(tokens[pos:pos + 3 * nv]):
+        try:
+            nodes.flat[k] = float(token)
+        except ValueError:
+            raise ValueError(f"OFF node {k // 3} has a non-numeric "
+                             f"coordinate {token!r}") from None
     pos += 3 * nv
     triangles = np.empty((nf, 3), dtype=np.int64)
     for i in range(nf):
@@ -451,12 +457,17 @@ def read_off(path):
             raise ValueError(f"OFF header declares {nf} faces, file holds {i}")
         try:
             k = int(tokens[pos])
-            triangles[i] = [int(t) for t in tokens[pos + 1:pos + 4]]
+            face = [int(t) for t in tokens[pos + 1:pos + 4]]
         except ValueError:
             raise ValueError(f"OFF face {i} has a non-integer entry in "
                              f"{' '.join(tokens[pos:pos + 4])!r}") from None
         if k != 3:
             raise ValueError("only triangle faces are supported")
+        bad = [v for v in face if not 0 <= v < nv]
+        if bad:
+            raise ValueError(f"OFF face {i} refers to node {bad[0]}, but the "
+                             f"file declares {nv} nodes")
+        triangles[i] = face
         pos += 1 + k
     return SurfaceMesh(nodes, triangles)
 

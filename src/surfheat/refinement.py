@@ -24,7 +24,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import GenerationMismatch, MetadataMissing, StrategyMismatch
+from .errors import (GenerationMismatch, MetadataMissing, NonFiniteValue,
+                     StrategyMismatch)
 from .fem import FeFunction
 from .geometry import lift
 from .mesh import Genealogy, SurfaceMesh
@@ -52,6 +53,10 @@ def _check_indicators(indicators, theta):
     eta = np.asarray(indicators, dtype=float)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
+    finite = np.isfinite(eta)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteValue(f"indicator of element {k} is {eta[k]}")
     if np.any(eta < 0.0):
         raise ValueError("indicators must be nonnegative")
     return eta

@@ -9,9 +9,10 @@ import pytest
 
 from surfheat import adaptive, mesh as meshmod
 from surfheat.adaptive import AdaptiveConfig, RunLog, StepRecord, run
-from surfheat.errors import (DofCapExceeded, MetadataMissing,
-                             NonFiniteValue, NonManifold, SolverDivergence,
-                             SpatialStagnation, TauUnderflow)
+from surfheat.errors import (DofCapExceeded, GenerationMismatch,
+                             MetadataMissing, NonFiniteValue, NonManifold,
+                             OutsideTube, SolverDivergence, SpatialStagnation,
+                             StrategyMismatch, TauUnderflow)
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh
 from surfheat.problems import Problem, get_problem, icosphere
@@ -138,10 +139,10 @@ class TestGatesAndDeterminism:
 
 
 class TestGuards:
-    def test_tau_underflow(self):
+    def test_tau_underflow(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "TAU_MIN_FACTOR", 1e-4)
         problem = constant_source()
-        config = AdaptiveConfig(tol=1e-10, tau0=0.1, t_end=1.0,
-                                tau_min=1e-4)
+        config = AdaptiveConfig(tol=1e-10, tau0=0.1, t_end=1.0)
         with pytest.raises(TauUnderflow, match=r"\[step 1, t = 0, "
                            r"tau = 9\.76563e-05, dofs = 42\]"):
             run(problem, problem.surface, icosphere(1), config)
@@ -156,17 +157,18 @@ class TestGuards:
             return refine(mesh, *args, **kwargs)
 
         monkeypatch.setattr(adaptive, "refine", counted_refine)
+        monkeypatch.setattr(adaptive, "MAX_SPATIAL_ITERS", 1)
         problem = get_problem("sphere-decay")
-        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0,
-                                max_spatial_iters=1)
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
         with pytest.raises(SpatialStagnation, match=r"\[step 1, t = 0, "
                            r"tau = 0\.01, dofs = 162\]"):
             run(problem, problem.surface, icosphere(2), config)
         assert refines == []
 
-    def test_dof_cap(self):
+    def test_dof_cap(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "DOF_CAP", 200)
         problem = get_problem("sphere-decay")
-        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0, dof_cap=200)
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
         with pytest.raises(DofCapExceeded, match=r"\[step 1, t = 0, "
                            r"tau = 0\.01, dofs = 162\]"):
             run(problem, problem.surface, icosphere(2), config)
@@ -230,6 +232,78 @@ class TestGuards:
                            r"tau = 0\.5, dofs = 42\]$"):
             run(problem, problem.surface, icosphere(1), config)
 
+    @pytest.mark.parametrize("name, error", [
+        ("lift_new_nodes", OutsideTube("lifted point too far")),
+        ("refine", StrategyMismatch("mesh was refined by rgb")),
+    ])
+    def test_refinement_errors_name_step(self, monkeypatch, name, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(adaptive, name, failing)
+        problem = get_problem("sphere-decay")
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
+        with pytest.raises(type(error),
+                           match=f"^{error} \\[step 1, t = 0, "
+                                 r"tau = 0\.01, dofs = 162\]$") as info:
+            run(problem, problem.surface, icosphere(2), config)
+        assert info.value.__cause__ is error
+
+    def test_coarsening_error_names_its_own_step(self, monkeypatch):
+        # step 2 starts at t = 0.05 with tau = 0.1 on step 1's 954 nodes;
+        # t and tau advance only once its coarsening is through
+        accepted = []
+        error = GenerationMismatch("stale nodal vector")
+        coarsen = adaptive.coarsen
+
+        def failing_in_step_2(*args, **kwargs):
+            if accepted:
+                raise error
+            return coarsen(*args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "coarsen", failing_in_step_2)
+        problem = fast_decay()
+        config = AdaptiveConfig(tol=1.0, tau0=0.05, t_end=0.3)
+        with pytest.raises(GenerationMismatch,
+                           match=r"^stale nodal vector \[step 2, t = 0\.05, "
+                                 r"tau = 0\.1, dofs = 954\]$") as info:
+            run(problem, problem.surface, icosphere(2), config,
+                on_accept=lambda r, m, u: accepted.append(r))
+        assert info.value.__cause__ is error
+        assert [(r.t, r.tau, r.dofs) for r in accepted] == [(0.05, 0.05, 954)]
+
+    def test_callback_error_passes_through_unchanged(self):
+        error = SpatialStagnation("raised by the callback")
+
+        def on_accept(record, mesh, u):
+            raise error
+
+        problem = get_problem("zero")
+        config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
+        with pytest.raises(SpatialStagnation) as info:
+            run(problem, problem.surface, icosphere(1), config,
+                on_accept=on_accept)
+        assert info.value is error
+        assert str(error) == "raised by the callback"
+        assert error.__cause__ is None
+
+    def test_initial_mesh_metrics_built_once(self, monkeypatch):
+        # the closed-surface check caches them for the first assembly
+        initial = icosphere(2)
+        calls = []
+        element_metrics = meshmod.element_metrics
+
+        def counted(mesh):
+            if mesh is initial:
+                calls.append(1)
+            return element_metrics(mesh)
+
+        monkeypatch.setattr(meshmod, "element_metrics", counted)
+        problem = fast_decay()
+        config = AdaptiveConfig(tol=1.0, tau0=0.05, t_end=0.3)
+        run(problem, problem.surface, initial, config)
+        assert calls == [1]
+
     def test_closed_surface_checked_once_per_run(self, monkeypatch):
         # the benchmark's layer trace wraps this binding as mesh.adjacency
         calls = count_calls(monkeypatch, meshmod, "build_adjacency")
@@ -243,9 +317,12 @@ class TestGuards:
 class TestConfigValidation:
     def test_defaults(self):
         config = AdaptiveConfig(tol=0.1, tau0=0.01, t_end=2.0)
-        assert config.tau_min == pytest.approx(2e-8)
         assert config.coarsening == "matching"
-        assert config.dof_cap == 2_000_000
+        assert config.max_coarsen_iters == 10
+        assert len(dataclasses.fields(AdaptiveConfig)) == 9
+        assert adaptive.MAX_SPATIAL_ITERS == 30
+        assert adaptive.DOF_CAP == 2_000_000
+        assert adaptive.TAU_MIN_FACTOR == 1e-8
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0.0},
@@ -256,19 +333,23 @@ class TestConfigValidation:
         {"theta_star": 0.0},
         {"theta_star": 1.0},
         {"tau0": 3.0},          # above t_end
-        {"tau_min": 0.01},      # not below tau0
+        {"tau0": 1e-9},         # not above 1e-8 * t_end
         {"criterion": "random"},
         {"strategy": "octasection"},
         {"coarsening": "sometimes"},
-        {"max_spatial_iters": 0},
         {"max_coarsen_iters": -1},
-        {"dof_cap": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         base = dict(tol=0.1, tau0=0.01, t_end=1.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
             AdaptiveConfig(**base)
+
+    @pytest.mark.parametrize("tau0", [1e-9, 3.0])
+    def test_tau0_bounds_named(self, tau0):
+        with pytest.raises(ValueError,
+                           match=r"^need 1e-8 \* t_end < tau0 <= t_end$"):
+            AdaptiveConfig(tol=0.1, tau0=tau0, t_end=1.0)
 
     @pytest.mark.parametrize("name", ["tol", "t_end"])
     def test_infinite_value_named(self, name):

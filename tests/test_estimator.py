@@ -259,11 +259,13 @@ class TestBundle:
                             rtol=1e-12)
         npt.assert_allclose(ind.eta_c_sq, ind.coarsening_sq.sum(),
                             rtol=1e-12)
-        assert ind.tau == tau
-        assert ind.h == mesh.metrics.h
         expected = estimator.combined(np.sqrt(ind.eta_h_sq),
-                                      np.sqrt(ind.eta_tau_sq), tau, ind.h)
+                                      np.sqrt(ind.eta_tau_sq), tau,
+                                      mesh.metrics.h)
         npt.assert_allclose(ind.eta_combined, expected, rtol=1e-15)
+        assert ind._fields == ("spatial_sq", "temporal_sq", "coarsening_sq",
+                               "eta_h_sq", "eta_tau_sq", "eta_c_sq",
+                               "eta_combined")
 
     def test_matches_standalone_calls(self):
         mesh = icosphere(1)

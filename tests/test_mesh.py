@@ -420,6 +420,30 @@ class TestFileIO:
         with pytest.raises(ValueError, match="OFF face 1 .*'3 0 1 x'"):
             read_off(path)
 
+    def test_off_names_the_node_with_a_non_numeric_coordinate(self,
+                                                              tmp_path):
+        path = tmp_path / "node.off"
+        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(ValueError,
+                           match="^OFF node 1 has a non-numeric coordinate "
+                                 "'x'$"):
+            read_off(path)
+
+    @pytest.mark.parametrize("index", ["9", "-1"])
+    def test_off_names_the_face_with_a_missing_node(self, tmp_path,
+                                                     monkeypatch, index):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(meshmod, "SurfaceMesh", no_mesh)
+        path = tmp_path / "face.off"
+        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n"
+                        f"3 0 1 2\n3 0 {index} 2\n")
+        with pytest.raises(ValueError,
+                           match=f"^OFF face 1 refers to node {index}, but "
+                                 "the file declares 3 nodes$"):
+            read_off(path)
+
     def test_off_comments_ignored(self, tmp_path):
         m = tetrahedron()
         path = tmp_path / "mesh.off"

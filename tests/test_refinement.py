@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfheat.errors import (GenerationMismatch, MetadataMissing,
-                             StrategyMismatch)
+                             NonFiniteValue, StrategyMismatch)
 from surfheat.fem import FeFunction, interpolate
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import Genealogy, SurfaceMesh, validate_mesh
@@ -194,6 +194,15 @@ class TestMarking:
     def test_unknown_criterion(self):
         with pytest.raises(ValueError):
             mark_refine([1.0], 0.5, criterion="fancy")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("criterion", ["bulk", "doerfler"])
+    @pytest.mark.parametrize("mark", [mark_refine, mark_coarsen])
+    def test_non_finite_indicator_named(self, mark, criterion, bad):
+        # unchecked, these marked nothing, one element or all four
+        with pytest.raises(NonFiniteValue,
+                           match=f"^indicator of element 1 is {bad}$"):
+            mark([0.1, bad, 0.3, 0.2], 0.5, criterion)
 
     def test_markset_normalises_unsorted_input_with_duplicates(self):
         for raw in ([5, 1, 3, 1, 5], np.array([[4, 2], [2, 0]]), 7,
