@@ -137,21 +137,22 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     ``on_accept(record, mesh, u)``, when given, is called once per accepted
     step with the final (post-coarsening) mesh and solution of that step.
 
-    Before any solve, ``validate_mesh`` raises ``NonManifold`` or
-    ``InconsistentOrientation`` when the initial mesh is not a closed
-    oriented surface, ``DegenerateTriangle`` for a degenerate triangle and
-    ``ValueError`` for an unreferenced node; refinement and coarsening keep
-    these invariants, so they are checked only here.  Raises ``ValueError``
-    when the interpolated initial datum misses the tolerance.  A step's
-    ``SurfheatError`` (a guard's ``SpatialStagnation``, ``DofCapExceeded`` or
-    ``TauUnderflow``, a solve's ``NonFiniteValue`` or ``SolverDivergence``, a
-    lift, refinement or coarsening) is re-raised as its own type from the
-    original, with the step, its start t, tau and working dofs appended;
-    errors of ``on_accept`` pass through unchanged.
+    Before any solve, ``validate_mesh`` raises ``NonFiniteValue`` for a
+    non-finite node, ``NonManifold`` or ``InconsistentOrientation`` for an
+    open or misoriented initial mesh, ``DegenerateTriangle`` for a degenerate
+    triangle and ``ValueError`` for a node unreferenced or off ``surface``
+    (``geometry.ON_SURFACE_TOL``); refinement lifts the nodes it adds and
+    coarsening only drops nodes, so this is checked here.  Raises
+    ``ValueError`` when the interpolated initial datum misses the tolerance.
+    A step's ``SurfheatError`` (a guard's ``SpatialStagnation``,
+    ``DofCapExceeded`` or ``TauUnderflow``, a solve's ``NonFiniteValue`` or
+    ``SolverDivergence``, a lift, refinement or coarsening) is re-raised as
+    its own type from the original, with the step, its start t, tau and
+    working dofs appended; errors of ``on_accept`` pass through unchanged.
     """
     if not initial_mesh.refedge_ready:
         raise MetadataMissing("initial mesh carries no reference edges")
-    validate_mesh(initial_mesh)
+    validate_mesh(initial_mesh, surface)
     log = RunLog()
     eps = 1e-12 * max(1.0, config.t_end)
 

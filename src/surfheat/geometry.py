@@ -22,6 +22,11 @@ from .errors import NonConvergence, OutsideTube, SingularShapeOperator
 
 _EYE3 = np.eye(3)
 
+# |d| up to which a point is on the surface: mesh nodes and lifted points
+ON_SURFACE_TOL = 1e-10
+# (major, minor) radius of torus() and of its mesh, problems.torus_grid
+TORUS_RADII = (2.0, 0.5)
+
 
 class LevelSetSurface:
     """A closed surface described by a signed distance function.
@@ -78,13 +83,17 @@ def unit_sphere():
                            name="unit-sphere")
 
 
-def torus(major_radius=2.0, minor_radius=0.5):
-    """Torus around the z-axis with exact signed distance.
+def torus():
+    """Torus of radii ``TORUS_RADII`` around the z-axis, exact signed distance.
 
     The distance is ``hypot(hypot(x, y) - R0, z) - r0``, which is the true
-    signed distance away from the axis of symmetry.
+    signed distance away from the axis of symmetry.  With ``rho = hypot(x,
+    y)``, ``D = hypot(rho - R0, z)``, the gradient ``n`` and the unit
+    tangent ``e = (-y, x, 0) / rho`` of the circles around the axis, the
+    Hessian is ``(I - n n^T) / D - R0 / (rho D) e e^T``: the curvature is
+    ``1 / D`` across the tube and ``(rho - R0) / (rho D)`` along it.
     """
-    R0, r0 = float(major_radius), float(minor_radius)
+    R0, r0 = TORUS_RADII
 
     def distance(p):
         p = np.asarray(p, dtype=float)
@@ -107,25 +116,11 @@ def torus(major_radius=2.0, minor_radius=0.5):
         p = np.asarray(p, dtype=float)
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         rho = np.hypot(x, y)
-        q = rho - R0
-        D = np.hypot(q, z)
-        # distance = f(q(x, y), z) with f = hypot; chain rule in (q, z)
-        grho = np.zeros(p.shape)
-        grho[..., 0] = x / rho
-        grho[..., 1] = y / rho
-        e3 = np.zeros(p.shape)
-        e3[..., 2] = 1.0
-        outer_rho = grho[..., :, None] * grho[..., None, :]
-        P_xy = np.diag([1.0, 1.0, 0.0])
-        hess_rho = (P_xy - outer_rho) / rho[..., None, None]
-        f_q = (q / D)[..., None, None]
-        f_qq = (z ** 2 / D ** 3)[..., None, None]
-        f_zz = (q ** 2 / D ** 3)[..., None, None]
-        f_qz = (-q * z / D ** 3)[..., None, None]
-        cross = (grho[..., :, None] * e3[..., None, :]
-                 + e3[..., :, None] * grho[..., None, :])
-        return (f_q * hess_rho + f_qq * outer_rho + f_qz * cross
-                + f_zz * e3[..., :, None] * e3[..., None, :])
+        D = np.hypot(rho - R0, z)[..., None, None]
+        n = gradient(p)
+        e = np.stack([-y, x, np.zeros_like(x)], axis=-1) / rho[..., None]
+        along = (R0 / rho)[..., None, None] * e[..., :, None] * e[..., None, :]
+        return (_EYE3 - n[..., :, None] * n[..., None, :] - along) / D
 
     return LevelSetSurface(distance, gradient, hessian,
                            bounding_radius=R0 + r0,
@@ -144,9 +139,9 @@ def lift(surface, points):
     OutsideTube
         If ``|d(x)| >= bounding_radius / 4`` for any point.
     NonConvergence
-        If a lifted point is off the surface by more than 1e-10, that is,
-        the distance and gradient callbacks are not an exact signed distance
-        and its gradient.
+        If a lifted point is off the surface by more than ``ON_SURFACE_TOL``,
+        that is, the distance and gradient callbacks are not an exact signed
+        distance and its gradient.
     """
     x = np.asarray(points, dtype=float)
     d = surface.distance(x)
@@ -158,7 +153,7 @@ def lift(surface, points):
     g = surface.gradient(x)
     y = x - d[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
     residual = np.max(np.abs(surface.distance(y)), initial=0.0)
-    if residual > 1e-10:
+    if residual > ON_SURFACE_TOL:
         raise NonConvergence(
             f"lifted point off-surface by {residual:.3g}; distance callbacks inconsistent?")
     return y

@@ -19,8 +19,8 @@ mesh for its lifetime; nothing ever needs invalidating:
 
 A mesh that is only tested for coarsening builds neither of the last two.
 The closed-surface checks of :func:`build_adjacency` are not cached: refinement
-and coarsening keep a closed oriented mesh closed and oriented, so
-:func:`validate_mesh` runs them once, on the initial mesh of a run.
+(then lifting) and coarsening keep a mesh closed, oriented, finite and on its
+surface, so :func:`validate_mesh` checks it once, on the initial mesh of a run.
 
 Triangle storage convention
 ---------------------------
@@ -45,7 +45,9 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DegenerateTriangle, InconsistentOrientation, NonManifold
+from .errors import (DegenerateTriangle, InconsistentOrientation,
+                     NonFiniteValue, NonManifold)
+from .geometry import ON_SURFACE_TOL
 
 _generation_counter = itertools.count(1)
 
@@ -377,18 +379,19 @@ def conormal_flux_jumps(mesh, tri_grads):
             + np.einsum("ej,ej->e", g[et[:, 1]], geom.conormal[:, 1]))
 
 
-# |d| up to which validate_mesh counts a node as on the surface
-_ON_SURFACE_TOL = 1e-10
-
-
 def validate_mesh(mesh, surface=None):
     """Full structural audit; raises on the first violated invariant.
 
-    Checks: closed 2-manifold adjacency, consistent orientation,
-    non-degenerate elements, every node referenced, and (when ``surface`` is
-    given) that every node lies on the surface to within 1e-10.  The
+    Checks: finite node coordinates (``NonFiniteValue``), closed 2-manifold
+    adjacency, consistent orientation, non-degenerate elements, every node
+    referenced, and (when ``surface`` is given) that every node lies on the
+    surface to within ``geometry.ON_SURFACE_TOL`` (``ValueError``).  The
     half-edge sort it reads stays cached on the mesh.
     """
+    bad = np.flatnonzero(~np.isfinite(mesh.nodes).all(axis=1))
+    if bad.size:
+        raise NonFiniteValue(f"node {bad[0]} has a non-finite coordinate: "
+                             f"{mesh.nodes[bad[0]].tolist()}")
     # NonManifold / InconsistentOrientation
     build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)
     mesh.metrics  # DegenerateTriangle; cached for the first assembly
@@ -398,9 +401,9 @@ def validate_mesh(mesh, surface=None):
         raise ValueError(f"{int((~used).sum())} unreferenced nodes")
     if surface is not None:
         d = np.abs(surface.distance(mesh.nodes))
-        if d.max() > _ON_SURFACE_TOL:
+        if d.max() > ON_SURFACE_TOL:
             raise ValueError(f"node off the surface by {d.max():.3g} "
-                             f"(tol {_ON_SURFACE_TOL:.3g})")
+                             f"(tol {ON_SURFACE_TOL:.3g})")
     return True
 
 
@@ -462,7 +465,8 @@ def read_off(path):
             raise ValueError(f"OFF face {i} has a non-integer entry in "
                              f"{' '.join(tokens[pos:pos + 4])!r}") from None
         if k != 3:
-            raise ValueError("only triangle faces are supported")
+            raise ValueError(f"OFF face {i} has {k} vertices; only triangle "
+                             "faces are supported")
         bad = [v for v in face if not 0 <= v < nv]
         if bad:
             raise ValueError(f"OFF face {i} refers to node {bad[0]}, but the "
@@ -474,6 +478,10 @@ def read_off(path):
 
 def write_vtk(mesh, path, point_data=None, name="u"):
     """Write a legacy-VTK POLYDATA snapshot with an optional nodal scalar."""
+    if point_data is not None:
+        point_data = np.asarray(point_data, dtype=float)
+        if len(point_data) != mesh.n_nodes:
+            raise ValueError("point_data length does not match node count")
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write("surfheat snapshot\n")
@@ -486,11 +494,8 @@ def write_vtk(mesh, path, point_data=None, name="u"):
         for a, b, c in mesh.triangles.tolist():
             fh.write(f"3 {a} {b} {c}\n")
         if point_data is not None:
-            values = np.asarray(point_data, dtype=float)
-            if len(values) != mesh.n_nodes:
-                raise ValueError("point_data length does not match node count")
             fh.write(f"POINT_DATA {mesh.n_nodes}\n")
             fh.write(f"SCALARS {name} double 1\n")
             fh.write("LOOKUP_TABLE default\n")
-            for v in values.tolist():
+            for v in point_data.tolist():
                 fh.write(f"{v!r}\n")

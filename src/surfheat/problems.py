@@ -8,7 +8,7 @@ parametric grid for the torus).
 
 import numpy as np
 
-from .geometry import unit_sphere
+from .geometry import TORUS_RADII, unit_sphere
 from .mesh import HalfEdges, SurfaceMesh
 from .refinement import _RED_TABLE, init_reference_edges
 
@@ -200,12 +200,12 @@ def icosphere(level):
     return init_reference_edges(SurfaceMesh(nodes, tris))
 
 
-def torus_grid(n_minor, major_radius=2.0, minor_radius=0.5):
-    """Structured torus mesh from a periodic parameter grid.
+def torus_grid(n_minor):
+    """Structured mesh of ``geometry.torus()`` from a periodic parameter grid.
 
     ``n_minor`` nodes around the tube cross-section and ``4 * n_minor``
-    around the central axis (roughly uniform element size for the default
-    radii).  Nodes lie exactly on the torus; triangles are oriented outward.
+    around the central axis (roughly uniform elements for ``TORUS_RADII``).
+    Nodes lie exactly on the torus; triangles are oriented outward.
     """
     if n_minor < 3:
         raise ValueError("n_minor must be >= 3")
@@ -213,9 +213,10 @@ def torus_grid(n_minor, major_radius=2.0, minor_radius=0.5):
     theta = 2.0 * np.pi * np.arange(n_major) / n_major
     phi = 2.0 * np.pi * np.arange(n_minor) / n_minor
     th, ph = np.meshgrid(theta, phi, indexing="ij")
-    ring = major_radius + minor_radius * np.cos(ph)
+    major, minor = TORUS_RADII
+    ring = major + minor * np.cos(ph)
     nodes = np.stack([ring * np.cos(th), ring * np.sin(th),
-                      minor_radius * np.sin(ph)], axis=-1).reshape(-1, 3)
+                      minor * np.sin(ph)], axis=-1).reshape(-1, 3)
 
     i = np.arange(n_major)[:, None]
     j = np.arange(n_minor)[None, :]

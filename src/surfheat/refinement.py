@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (GenerationMismatch, MetadataMissing, NonFiniteValue,
                      StrategyMismatch)
 from .fem import FeFunction
-from .geometry import lift
+from .geometry import ON_SURFACE_TOL, lift
 from .mesh import Genealogy, SurfaceMesh
 
 
@@ -285,18 +285,15 @@ def refine(mesh, marks, strategy):
                                 refined.generation)
 
 
-# |d| up to which a node counts as on the surface and is not lifted
-_ON_SURFACE_TOL = 1e-12
-
-
 def lift_new_nodes(mesh, surface):
     """Project off-surface nodes onto the surface (connectivity unchanged).
 
-    Nodes already on the surface (|d| <= 1e-12) are left bitwise intact,
-    so repeated lifting is idempotent.
+    Nodes already on the surface (``|d| <= geometry.ON_SURFACE_TOL``, the
+    tolerance a run's initial mesh must meet) are left bitwise intact, so
+    repeated lifting is idempotent; lifted nodes land within it too.
     """
     d = surface.distance(mesh.nodes)
-    off = np.abs(d) > _ON_SURFACE_TOL
+    off = np.abs(d) > ON_SURFACE_TOL
     if not off.any():
         return mesh
     nodes = mesh.nodes.copy()

@@ -220,6 +220,31 @@ class TestGuards:
             run(problem, problem.surface, extra, config)
         assert solves == []
 
+    def test_off_surface_initial_mesh_fails_before_any_solve(self,
+                                                              monkeypatch):
+        solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
+        problem = get_problem("moving-peak-timing")
+        base = icosphere(3)
+        scaled = base.with_nodes(base.nodes * (1.0 + 1e-6))
+        config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.1)
+        with pytest.raises(ValueError,
+                           match=r"^node off the surface by 1e-06 "
+                                 r"\(tol 1e-10\)$"):
+            run(problem, problem.surface, scaled, config)
+        assert solves == []
+
+    def test_non_finite_initial_node_fails_before_any_solve(self,
+                                                            monkeypatch):
+        solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
+        problem = get_problem("zero")
+        base = icosphere(2)
+        nodes = base.nodes.copy()
+        nodes[5, 1] = np.nan
+        config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
+        with pytest.raises(NonFiniteValue, match=r"^node 5 has a non-finite"):
+            run(problem, problem.surface, base.with_nodes(nodes), config)
+        assert solves == []
+
     def test_solver_divergence_names_step(self, monkeypatch):
         def failing_step(*args, **kwargs):
             raise SolverDivergence("PCG stopped")

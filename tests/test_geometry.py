@@ -187,7 +187,7 @@ class TestSphereSpecifics:
 
 class TestTorusSpecifics:
     def test_known_values(self):
-        t = torus(2.0, 0.5)
+        t = torus()
         assert t.distance(np.array([2.5, 0.0, 0.0])) == pytest.approx(0.0)
         assert t.distance(np.array([2.0, 0.0, 0.5])) == pytest.approx(0.0)
         assert t.distance(np.array([3.0, 0.0, 0.0])) == pytest.approx(0.5)
@@ -195,7 +195,7 @@ class TestTorusSpecifics:
 
     def test_curvatures_outer_equator(self):
         # principal curvatures at the outer equator: 1/r0 and 1/(R0+r0)
-        t = torus(2.0, 0.5)
+        t = torus()
         p = np.array([2.5, 0.0, 0.0])
         w = np.sort(np.linalg.eigvalsh(t.hessian(p)))
         np.testing.assert_allclose(w, [0.0, 1.0 / 2.5, 2.0], atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from surfheat import fem, mesh as meshmod
 from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
-                             NonManifold)
+                             NonFiniteValue, NonManifold)
 from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
                            build_adjacency, conormal_flux_jumps,
                            element_metrics, read_off, validate_mesh, write_off,
@@ -339,6 +339,17 @@ class TestValidate:
         with pytest.raises(ValueError, match="off the surface"):
             validate_mesh(shifted, unit_sphere())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_node_named(self, value):
+        from surfheat.geometry import unit_sphere
+        m = icosphere(2)
+        nodes = m.nodes.copy()
+        nodes[5, 0] = value
+        with pytest.raises(NonFiniteValue,
+                           match=rf"^node 5 has a non-finite coordinate: "
+                                 rf"\[{value}, "):
+            validate_mesh(m.with_nodes(nodes), unit_sphere())
+
 
 class TestGenerations:
     def test_fresh_generation_per_mesh(self):
@@ -461,5 +472,16 @@ class TestFileIO:
         assert "DATASET POLYDATA" in text
         assert f"POINTS {m.n_nodes} double" in text
         assert "SCALARS u double 1" in text
-        with pytest.raises(ValueError):
+        # a length mismatch raises before the existing snapshot is touched
+        with pytest.raises(ValueError, match="point_data length"):
             write_vtk(m, path, point_data=np.zeros(3))
+        assert path.read_text() == text
+
+    def test_off_names_a_non_triangle_face(self, tmp_path):
+        path = tmp_path / "quad.off"
+        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
+                        "3 0 1 2\n4 0 1 3 2\n")
+        with pytest.raises(ValueError,
+                           match="^OFF face 1 has 4 vertices; only triangle "
+                                 "faces are supported$"):
+            read_off(path)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from surfheat import problems
-from surfheat.geometry import torus, unit_sphere
+from surfheat.geometry import TORUS_RADII, torus, unit_sphere
 from surfheat.mesh import validate_mesh
 from surfheat.problems import (REGISTRY, get_problem, icosahedron, icosphere,
                                moving_peak, red_subdivide, torus_grid,
@@ -207,10 +207,10 @@ class TestTorusGrid:
         validate_mesh(m, torus())
 
     def test_oriented_outward_from_tube(self):
-        m = torus_grid(8, major_radius=2.0, minor_radius=0.5)
+        m = torus_grid(8)
         centroids = m.nodes[m.triangles].mean(axis=1)
         theta = np.arctan2(centroids[:, 1], centroids[:, 0])
-        axis_point = 2.0 * np.stack(
+        axis_point = TORUS_RADII[0] * np.stack(
             [np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=1)
         outward = centroids - axis_point
         assert (np.einsum("ij,ij->i", m.metrics.normal, outward) > 0).all()

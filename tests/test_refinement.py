@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from surfheat.errors import (GenerationMismatch, MetadataMissing,
                              NonFiniteValue, StrategyMismatch)
 from surfheat.fem import FeFunction, interpolate
-from surfheat.geometry import unit_sphere
+from surfheat.geometry import ON_SURFACE_TOL, unit_sphere
 from surfheat.mesh import Genealogy, SurfaceMesh, validate_mesh
 from surfheat.problems import icosahedron, icosphere
 from surfheat.refinement import (MarkSet, _rotate_reference_first, coarsen,
@@ -418,6 +418,17 @@ class TestLiftNewNodes:
         new, _ = refine(m, all_marks(m), "nvb")
         once = lift_new_nodes(new, unit_sphere())
         assert lift_new_nodes(once, unit_sphere()) is once
+
+    def test_on_surface_tolerance_decides_what_moves(self):
+        m = icosphere(1)
+        nodes = m.nodes.copy()
+        nodes[0] *= 1.0 + 0.5 * ON_SURFACE_TOL
+        nodes[1] *= 1.0 + 2.0 * ON_SURFACE_TOL
+        lifted = lift_new_nodes(m.with_nodes(nodes), unit_sphere())
+        np.testing.assert_array_equal(lifted.nodes[0], nodes[0])
+        assert not np.array_equal(lifted.nodes[1], nodes[1])
+        assert abs(np.linalg.norm(lifted.nodes[1]) - 1.0) < 1e-15
+        np.testing.assert_array_equal(lifted.nodes[2:], m.nodes[2:])
 
     def test_generation_survives_lift(self):
         m = icosphere(1)
