@@ -12,8 +12,8 @@ Public layers
 ``mesh``        oriented triangulations, the lazily cached half-edge sort
                 and metrics (with squared edge lengths), closed-surface
                 validation, the genealogy arena of refinement, OFF/VTK I/O
-``refinement``  bisection/red-green-blue refinement, coarsening, marking,
-                nodal transfer
+``refinement``  marking (sorted element-id arrays), bisection/red-green-blue
+                refinement and coarsening of any such ids, nodal transfer
 ``fem``         the per-mesh P1 bundle of mass, stiffness and half-cotangent
                 weights, implicit Euler step, preconditioned CG, the degree-4
                 quadrature rule, lifted error norms (``ErrorEvaluator``
@@ -24,7 +24,7 @@ Public layers
                 (``compute_indicators``); ``coarsening_indicator`` for
                 coarsening trials
 ``adaptive``    the space-time adaptive driver
-``problems``    benchmark problems and structured mesh generators
+``problems``    benchmark problems (namedtuple ``Problem``), mesh generators
 ``cli``         experiment drivers (``surfheat`` console script)
 """
 
@@ -49,5 +49,5 @@ from .mesh import (  # noqa: F401
 from .problems import (  # noqa: F401
     Problem, get_problem, icosphere, torus_grid)
 from .refinement import (  # noqa: F401
-    MarkSet, coarsen, init_reference_edges, lift_new_nodes, mark_coarsen,
-    mark_refine, refine, transfer)
+    coarsen, init_reference_edges, lift_new_nodes, mark_coarsen, mark_refine,
+    refine, transfer)

@@ -39,7 +39,7 @@ _STRATEGIES = ("nvb", "rgb")
 _COARSENING_MODES = ("matching", "none", "reset")
 
 MAX_SPATIAL_ITERS = 30  # solves per temporal attempt
-DOF_CAP = 2_000_000  # nodes a refinement may reach
+DOF_CAP = 2_000_000  # nodes a mesh of the run may have, initial included
 TAU_MIN_FACTOR = 1e-8  # the smallest time step, relative to t_end
 
 
@@ -142,8 +142,9 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     open or misoriented initial mesh, ``DegenerateTriangle`` for a degenerate
     triangle and ``ValueError`` for a node unreferenced or off ``surface``
     (``geometry.ON_SURFACE_TOL``); refinement lifts the nodes it adds and
-    coarsening only drops nodes, so this is checked here.  Raises
-    ``ValueError`` when the interpolated initial datum misses the tolerance.
+    coarsening only drops nodes, so this is checked here.  An initial mesh
+    above ``DOF_CAP`` nodes raises ``DofCapExceeded``, and an interpolated
+    initial datum that misses the tolerance raises ``ValueError``.
     A step's ``SurfheatError`` (a guard's ``SpatialStagnation``,
     ``DofCapExceeded`` or ``TauUnderflow``, a solve's ``NonFiniteValue`` or
     ``SolverDivergence``, a lift, refinement or coarsening) is re-raised as
@@ -153,6 +154,9 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
     if not initial_mesh.refedge_ready:
         raise MetadataMissing("initial mesh carries no reference edges")
     validate_mesh(initial_mesh, surface)
+    if initial_mesh.n_nodes > DOF_CAP:
+        raise DofCapExceeded(f"initial mesh of {initial_mesh.n_nodes} nodes "
+                             f"exceeds the cap of {DOF_CAP}")
     log = RunLog()
     eps = 1e-12 * max(1.0, config.t_end)
 

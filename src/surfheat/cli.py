@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AdaptiveConfig, StepRecord, run
+from .adaptive import DOF_CAP, AdaptiveConfig, StepRecord, run
 from .errors import SurfheatError
 from .estimator import compute_indicators
 from .fem import (ErrorEvaluator, assemble, backward_euler_step,
@@ -85,11 +85,12 @@ def convergence_sweep(problem, levels, taus, t_end=None):
     Returns one row per (level, tau) pair in the CSV column order.  The
     matrices are assembled once per level and shared across time steps.
     Exact-solution callbacks run on one worker thread, overlapping the next
-    solve; the rows are bitwise those of a serial march.
+    solve; the rows are bitwise those of a serial march.  Raises
+    ``ValueError`` unless the problem gives both ``u`` and ``grad_u``.
     """
-    if not problem.has_exact:
-        raise ValueError(
-            f"problem {problem.name!r} has no exact solution to compare with")
+    if problem.u is None or problem.grad_u is None:
+        raise ValueError(f"problem {problem.name!r} has no exact solution "
+                         f"and gradient to compare with")
     t_end = problem.t_end if t_end is None else float(t_end)
     if not 0.0 < t_end < np.inf:
         raise ValueError("t-end must be positive and finite")
@@ -141,6 +142,10 @@ def cmd_convergence(args):
 
 
 def cmd_run(args):
+    n_nodes = 10 * 4 ** args.level + 2
+    if n_nodes > DOF_CAP:  # before the mesh is built
+        raise ValueError(f"--level {args.level} gives {n_nodes} nodes, "
+                         f"above the cap of {DOF_CAP}")
     problem = get_problem(args.problem)
     t_end = problem.t_end if args.t_end is None else args.t_end
     config = AdaptiveConfig(tol=args.tol, tau0=args.tau0, t_end=t_end,

@@ -6,6 +6,8 @@ known, and reproducible initial meshes (icosphere family for the sphere, a
 parametric grid for the torus).
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from .geometry import TORUS_RADII, unit_sphere
@@ -13,30 +15,13 @@ from .mesh import HalfEdges, SurfaceMesh
 from .refinement import _RED_TABLE, init_reference_edges
 
 
-class Problem:
-    """A heat-equation benchmark on a closed surface.
-
-    Fields ``u`` (exact solution) and ``grad_u`` (its tangential gradient)
-    are optional; when present they enable error measurement.  All fields are
-    vectorized over points: ``u(x, t)`` maps ``(..., 3)`` to ``(...,)`` for
-    scalar ``t``.
-    """
-
-    def __init__(self, name, surface, f, u0, t_end, u=None, grad_u=None):
-        self.name = name
-        self.surface = surface
-        self.f = f
-        self.u0 = u0
-        self.t_end = float(t_end)
-        self.u = u
-        self.grad_u = grad_u
-
-    @property
-    def has_exact(self):
-        return self.u is not None
-
-    def __repr__(self):
-        return f"Problem({self.name!r}, t_end={self.t_end})"
+# A heat-equation benchmark on a closed surface: data ``f(x, t)`` and
+# ``u0(x)`` on ``surface`` up to ``t_end``, and optionally the exact solution
+# ``u(x, t)`` and its tangential gradient ``grad_u(x, t)``; error measurement
+# needs both.  Every callable is vectorized over points: ``(..., 3)`` to
+# ``(...,)``, or to ``(..., 3)`` for ``grad_u``, at scalar ``t``.
+Problem = namedtuple("Problem", "name surface f u0 t_end u grad_u",
+                     defaults=(None, None))
 
 
 def sphere_decay():
@@ -65,18 +50,18 @@ def sphere_decay():
                    u0=lambda x: u(x, 0.0), t_end=1.0, u=u, grad_u=grad_u)
 
 
-def moving_peak(a=25.0, b=400.0, revolutions=2.0, t_peak=0.5, t_end=1.0,
-                name="moving-peak"):
+def moving_peak(a=25.0, b=400.0, revolutions=2.0, name="moving-peak"):
     """Gaussian bump travelling along the equator of the unit sphere.
 
-    ``u = A(t) exp(-a |x - c(t)|^2)`` with amplitude
-    ``A = 1 - exp(-b (t - t_peak)^2)`` vanishing at ``t_peak`` and center
+    ``u = A(t) exp(-a |x - c(t)|^2)`` up to t = 1, with amplitude
+    ``A = 1 - exp(-b (t - 1/2)^2)`` vanishing at t = 1/2 and center
     ``c(t) = (cos(t pi / revolutions), sin(t pi / revolutions), 0)``.  On the
     sphere the exponent collapses to ``2a (x . c - 1)``; the source ``f`` is
     the closed form of ``du/dt - Lap_surface(u)`` obtained from the ambient
     Laplacian minus its normal components (mean curvature 2).
     """
     omega = np.pi / revolutions
+    t_peak = 0.5
 
     def center(t):
         return np.array([np.cos(omega * t), np.sin(omega * t), 0.0])
@@ -104,10 +89,8 @@ def moving_peak(a=25.0, b=400.0, revolutions=2.0, t_peak=0.5, t_end=1.0,
         lap = 4.0 * a * a * (1.0 - s ** 2) - 4.0 * a * s
         return phi * (amp_dot + 2.0 * a * amp * (x @ c_dot) - amp * lap)
 
-    problem = Problem(name, unit_sphere(), f=f, u0=lambda x: u(x, 0.0),
-                      t_end=t_end, u=u, grad_u=grad_u)
-    problem.peak_center = center
-    return problem
+    return Problem(name, unit_sphere(), f=f, u0=lambda x: u(x, 0.0),
+                   t_end=1.0, u=u, grad_u=grad_u)
 
 
 def zero_problem():

@@ -31,24 +31,6 @@ from .geometry import ON_SURFACE_TOL, lift
 from .mesh import Genealogy, SurfaceMesh
 
 
-class MarkSet:
-    """Set of triangle ids selected by a marking criterion, kept sorted and
-    free of duplicates (a strictly increasing input is taken as it is)."""
-
-    __slots__ = ("marked",)
-
-    def __init__(self, marked):
-        m = np.array(marked, dtype=np.int64)
-        ordered = m.ndim == 1 and not (m[1:] <= m[:-1]).any()
-        self.marked = m if ordered else np.unique(m)
-
-    def __len__(self):
-        return len(self.marked)
-
-    def __repr__(self):
-        return f"MarkSet({len(self.marked)} elements)"
-
-
 def _check_indicators(indicators, theta):
     eta = np.asarray(indicators, dtype=float)
     if not 0.0 < theta < 1.0:
@@ -63,7 +45,7 @@ def _check_indicators(indicators, theta):
 
 
 def mark_refine(indicators, theta, criterion="bulk"):
-    """Elements selected for refinement.
+    """Ids of the elements selected for refinement, a sorted int64 array.
 
     bulk: all elements with ``eta >= theta * eta_max``.  doerfler: the
     smallest set of largest-indicator elements whose squared sum reaches
@@ -74,22 +56,23 @@ def mark_refine(indicators, theta, criterion="bulk"):
     if criterion == "bulk":
         eta_max = eta.max(initial=0.0)
         if eta_max == 0.0:
-            return MarkSet([])
-        return MarkSet(np.nonzero(eta >= theta * eta_max)[0])
+            return np.empty(0, np.int64)
+        return np.flatnonzero(eta >= theta * eta_max)
     if criterion == "doerfler":
         total = float(np.sum(eta ** 2))
         if total == 0.0:
-            return MarkSet([])
+            return np.empty(0, np.int64)
         order = np.lexsort((np.arange(len(eta)), -eta))
         csum = np.cumsum(eta[order] ** 2)
         target = (1.0 - theta) * total
         k = int(np.argmax(csum >= target - 1e-12 * total)) + 1
-        return MarkSet(order[:k])
+        return np.sort(order[:k])
     raise ValueError(f"unknown marking criterion {criterion!r}")
 
 
 def mark_coarsen(indicators, theta_star, criterion="bulk"):
-    """Elements selected for coarsening (mirror of ``mark_refine``).
+    """Ids of the elements selected for coarsening, a sorted int64 array
+    (mirror of ``mark_refine``).
 
     bulk: all elements with ``eta <= theta_star * eta_max``.  doerfler:
     accumulate smallest-indicator elements while the squared sum stays within
@@ -98,14 +81,14 @@ def mark_coarsen(indicators, theta_star, criterion="bulk"):
     eta = _check_indicators(indicators, theta_star)
     if criterion == "bulk":
         eta_max = eta.max(initial=0.0)
-        return MarkSet(np.nonzero(eta <= theta_star * eta_max)[0])
+        return np.flatnonzero(eta <= theta_star * eta_max)
     if criterion == "doerfler":
         total = float(np.sum(eta ** 2))
         budget = theta_star * total
         order = np.lexsort((np.arange(len(eta)), eta))
         csum = np.cumsum(eta[order] ** 2)
         k = int(np.searchsorted(csum, budget * (1.0 + 1e-12), side="right"))
-        return MarkSet(order[:k])
+        return np.sort(order[:k])
     raise ValueError(f"unknown marking criterion {criterion!r}")
 
 
@@ -185,6 +168,14 @@ _TABLES = {
 }
 
 
+def _element_ids(marks, n_triangles):
+    """Marked triangle ids as an int64 array, checked against the mesh."""
+    ids = np.asarray(marks, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n_triangles):
+        raise ValueError("mark refers to a nonexistent triangle")
+    return ids
+
+
 def refine(mesh, marks, strategy):
     """Subdivide the marked triangles, with conformity closure.
 
@@ -192,7 +183,8 @@ def refine(mesh, marks, strategy):
     ----------
     mesh : SurfaceMesh
         Conforming mesh with initialized reference edges.
-    marks : MarkSet
+    marks : array_like of int
+        Ids of the triangles to refine, in any order, repeats allowed.
     strategy : {"nvb", "rgb"}
         nvb bisects reference edges recursively; rgb subdivides marked
         triangles into four and closes with green/blue bisections.
@@ -220,20 +212,17 @@ def refine(mesh, marks, strategy):
         raise StrategyMismatch(
             f"mesh was refined with {mesh.strategy!r}, cannot refine with "
             f"{strategy!r}")
-    m_tris = mesh.n_triangles
-    if len(marks.marked) and (marks.marked[0] < 0
-                              or marks.marked[-1] >= m_tris):
-        raise ValueError("mark refers to a nonexistent triangle")
-    if len(marks.marked) == 0:
+    ids = _element_ids(marks, mesh.n_triangles)
+    if ids.size == 0:
         return mesh, TransferMap(np.empty((0, 2), dtype=np.int64),
                                  mesh.generation, mesh.generation)
 
     te = mesh.tri_edges
     edge_marked = np.zeros(mesh.n_edges, dtype=bool)
     if strategy == "nvb":
-        edge_marked[te[marks.marked, 0]] = True
+        edge_marked[te[ids, 0]] = True
     else:
-        edge_marked[te[marks.marked]] = True
+        edge_marked[te[ids]] = True
     # conformity closure: any marked edge forces the reference edge
     while True:
         need = edge_marked[te].any(axis=1) & ~edge_marked[te[:, 0]]
@@ -314,7 +303,9 @@ def coarsen(mesh, marks, functions, protect_from=None):
     Parameters
     ----------
     mesh : SurfaceMesh
-    marks : MarkSet
+    marks : array_like of int
+        Ids of the triangles marked for coarsening, in any order, repeats
+        allowed.
     functions : list of FeFunction
         Bound to this mesh; restricted nodally onto the coarser mesh.
     protect_from : int, optional
@@ -330,14 +321,12 @@ def coarsen(mesh, marks, functions, protect_from=None):
         u.check(mesh)
     gen = mesh.genealogy
     m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
-    if len(marks.marked) and (marks.marked[0] < 0
-                              or marks.marked[-1] >= m_tris):
-        raise ValueError("mark refers to a nonexistent triangle")
-    if len(gen) == 0 or len(marks.marked) == 0:
+    ids = _element_ids(marks, m_tris)
+    if len(gen) == 0 or ids.size == 0:
         return mesh, list(functions), 0
 
     marked = np.zeros(m_tris, dtype=bool)
-    marked[marks.marked] = True
+    marked[ids] = True
     tp = mesh.tri_parent
     has_parent = tp >= 0
     n_rows = len(gen)

@@ -21,8 +21,8 @@ from surfheat.fem import (FeFunction, assemble, interpolate,
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import validate_mesh
 from surfheat.problems import get_problem, icosphere
-from surfheat.refinement import (MarkSet, coarsen, lift_new_nodes,
-                                 mark_coarsen, mark_refine, refine, transfer)
+from surfheat.refinement import (coarsen, lift_new_nodes, mark_coarsen,
+                                 mark_refine, refine, transfer)
 
 SWEEP_LEVELS = (2, 3, 4, 5, 6)
 TAU_FINE = 0.01
@@ -233,13 +233,11 @@ def test_criterion_09_mesh_machinery(report):
     # refine-all -> coarsen-all recovers the parent node set
     for strategy in ("nvb", "rgb"):
         mesh = icosphere(2)
-        fine, _ = refine(mesh, MarkSet(np.arange(mesh.n_triangles)),
-                         strategy)
+        fine, _ = refine(mesh, np.arange(mesh.n_triangles), strategy)
         fine = lift_new_nodes(fine, surface)
         back = fine
         while True:
-            back, _, removed = coarsen(
-                back, MarkSet(np.arange(back.n_triangles)), [])
+            back, _, removed = coarsen(back, np.arange(back.n_triangles), [])
             if removed == 0:
                 break
         assert back.n_nodes == mesh.n_nodes

@@ -173,6 +173,17 @@ class TestGuards:
                            r"tau = 0\.01, dofs = 162\]"):
             run(problem, problem.surface, icosphere(2), config)
 
+    def test_dof_cap_bounds_the_initial_mesh_before_any_solve(self,
+                                                              monkeypatch):
+        solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
+        monkeypatch.setattr(adaptive, "DOF_CAP", 100)
+        problem = get_problem("sphere-decay")
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
+        with pytest.raises(DofCapExceeded, match=r"^initial mesh of 162 "
+                           r"nodes exceeds the cap of 100$"):
+            run(problem, problem.surface, icosphere(2), config)
+        assert solves == []
+
     def test_non_finite_source_names_step_and_keeps_iterations(self):
         problem = Problem(
             name="nan-source", surface=unit_sphere(),

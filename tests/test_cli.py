@@ -109,10 +109,12 @@ class TestConvergenceSweep:
         assert np.isfinite(rows[0][3:]).all()
 
     def test_requires_exact_solution(self):
-        problem = get_problem("sphere-decay")
-        problem.u = None
-        with pytest.raises(ValueError, match="exact"):
-            convergence_sweep(problem, [2], [0.1])
+        # with u but no grad_u, the worker thread would call None
+        for field in ("u", "grad_u"):
+            problem = get_problem("sphere-decay")._replace(**{field: None})
+            with pytest.raises(ValueError,
+                               match="'sphere-decay' has no exact"):
+                convergence_sweep(problem, [2], [0.1])
 
     def test_rejects_tau_beyond_t_end(self, monkeypatch):
         # every tau is checked before the first mesh is built or solved on
@@ -173,7 +175,7 @@ class TestConvergenceSweep:
                 release.set()
                 super().shutdown(wait=wait)
 
-        problem.u, problem.f = held, nan_from_step_3
+        problem = problem._replace(u=held, f=nan_from_step_3)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
         threads = threading.active_count()
         with pytest.raises(NonFiniteValue):
@@ -195,7 +197,7 @@ class TestConvergenceSweep:
                 raise ExactFailure(f"exact solution undefined at t={t:.2f}")
             return exact(x, t)
 
-        problem.u = failing
+        problem = problem._replace(u=failing)
         threads = threading.active_count()
         with pytest.raises(ExactFailure,
                            match=r"^exact solution undefined at t=0\.30$"):
@@ -291,6 +293,19 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "initial mesh too coarse" in err and err.count("\n") == 1
+
+    def test_level_above_dof_cap_exits_2_before_building(
+            self, tmp_path, capsys, monkeypatch):
+        def unbuildable(level):
+            raise AssertionError(f"icosphere({level}) was built")
+
+        monkeypatch.setattr(cli, "icosphere", unbuildable)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--level", "9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --level 9 gives 2621442 nodes, above the cap of "
+            "2000000\n")
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--theta", "1.5",

@@ -13,13 +13,13 @@ from surfheat.geometry import unit_sphere
 from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
                            build_adjacency, conormal_flux_jumps)
 from surfheat.problems import icosphere, torus_grid
-from surfheat.refinement import (MarkSet, coarsen, init_reference_edges,
+from surfheat.refinement import (coarsen, init_reference_edges,
                                  lift_new_nodes, mark_coarsen, refine,
                                  transfer)
 
 
 def all_marks(mesh):
-    return MarkSet(np.arange(mesh.n_triangles))
+    return np.arange(mesh.n_triangles)
 
 
 def pyramid():
@@ -335,7 +335,7 @@ def graded_sphere():
     for round_ in range(4):
         centroids = mesh.nodes[mesh.triangles].mean(axis=1)
         near = np.flatnonzero(centroids @ pole > 0.6 + 0.1 * round_)
-        refined, _ = refine(mesh, MarkSet(near), "nvb")
+        refined, _ = refine(mesh, near, "nvb")
         mesh = lift_new_nodes(refined, surface)
     return mesh
 

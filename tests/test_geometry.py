@@ -12,7 +12,7 @@ from surfheat.geometry import (
     unit_sphere,
 )
 from surfheat.problems import icosphere, torus_grid
-from surfheat.refinement import MarkSet, refine
+from surfheat.refinement import refine
 
 RNG = np.random.default_rng(20240811)
 
@@ -236,7 +236,7 @@ class TestLift:
         # the points the solver lifts: lifted-quadrature points and the
         # midpoints of a refinement
         mesh = mesh()
-        fine, _ = refine(mesh, MarkSet(np.arange(mesh.n_triangles)), "nvb")
+        fine, _ = refine(mesh, np.arange(mesh.n_triangles), "nvb")
         x = np.concatenate([
             quadrature_points(mesh).reshape(-1, 3),
             fine.nodes[mesh.n_nodes:]])

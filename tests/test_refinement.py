@@ -13,7 +13,7 @@ from surfheat.fem import FeFunction, interpolate
 from surfheat.geometry import ON_SURFACE_TOL, unit_sphere
 from surfheat.mesh import Genealogy, SurfaceMesh, validate_mesh
 from surfheat.problems import icosahedron, icosphere
-from surfheat.refinement import (MarkSet, _rotate_reference_first, coarsen,
+from surfheat.refinement import (_rotate_reference_first, coarsen,
                                  init_reference_edges, lift_new_nodes,
                                  mark_coarsen, mark_refine, refine, transfer)
 
@@ -29,7 +29,7 @@ def tetrahedron(stretch=(1.0, 1.0, 1.0)):
 
 
 def all_marks(mesh):
-    return MarkSet(np.arange(mesh.n_triangles))
+    return np.arange(mesh.n_triangles)
 
 
 # Reference: refinement with string-token child tables walked slot by slot
@@ -59,15 +59,16 @@ def reference_refine(mesh, marks, strategy):
     identity = SentinelMap(np.arange(mesh.n_nodes),
                            np.full(mesh.n_nodes, -1, dtype=np.int64),
                            mesh.generation, mesh.generation)
-    if len(marks.marked) == 0:
+    marks = np.asarray(marks, dtype=np.int64)
+    if len(marks) == 0:
         return mesh, identity
     m_tris = mesh.n_triangles
     te = mesh.tri_edges
     edge_marked = np.zeros(mesh.n_edges, dtype=bool)
     if strategy == "nvb":
-        edge_marked[te[marks.marked, 0]] = True
+        edge_marked[te[marks, 0]] = True
     else:
-        edge_marked[te[marks.marked]] = True
+        edge_marked[te[marks]] = True
     while True:
         need = edge_marked[te].any(axis=1) & ~edge_marked[te[:, 0]]
         if not need.any():
@@ -146,11 +147,11 @@ def reference_transfer(u_old, smap):
 
 class TestMarking:
     def test_bulk_refine(self):
-        assert list(mark_refine([4.0, 2.0, 1.0], 0.5).marked) == [0, 1]
+        assert list(mark_refine([4.0, 2.0, 1.0], 0.5)) == [0, 1]
 
     def test_doerfler_refine(self):
         ms = mark_refine([4.0, 2.0, 1.0], 0.5, criterion="doerfler")
-        assert list(ms.marked) == [0]
+        assert list(ms) == [0]
 
     def test_bulk_all_equal_marks_everything(self):
         assert len(mark_refine([3.0] * 7, 0.99)) == 7
@@ -161,18 +162,18 @@ class TestMarking:
 
     def test_doerfler_all_equal_takes_prefix(self):
         ms = mark_refine([2.0, 2.0, 2.0, 2.0], 0.5, criterion="doerfler")
-        assert list(ms.marked) == [0, 1]
+        assert list(ms) == [0, 1]
 
     def test_doerfler_tie_prefers_lower_id(self):
         ms = mark_refine([1.0, 5.0, 5.0, 1.0], 0.9, criterion="doerfler")
-        assert list(ms.marked) == [1]
+        assert list(ms) == [1]
 
     def test_bulk_coarsen(self):
-        assert list(mark_coarsen([4.0, 2.0, 1.0], 0.3).marked) == [2]
+        assert list(mark_coarsen([4.0, 2.0, 1.0], 0.3)) == [2]
 
     def test_doerfler_coarsen(self):
         ms = mark_coarsen([4.0, 2.0, 1.0], 0.2, criterion="doerfler")
-        assert list(ms.marked) == [2]
+        assert list(ms) == [2]
 
     def test_coarsen_all_zero_marks_everything(self):
         assert len(mark_coarsen(np.zeros(6), 0.2)) == 6
@@ -204,21 +205,6 @@ class TestMarking:
                            match=f"^indicator of element 1 is {bad}$"):
             mark([0.1, bad, 0.3, 0.2], 0.5, criterion)
 
-    def test_markset_normalises_unsorted_input_with_duplicates(self):
-        for raw in ([5, 1, 3, 1, 5], np.array([[4, 2], [2, 0]]), 7,
-                    np.array([2, 2])):
-            marked = MarkSet(raw).marked
-            expected = np.unique(np.asarray(raw, dtype=np.int64))
-            assert marked.dtype == np.int64
-            np.testing.assert_array_equal(marked, expected)
-
-    def test_markset_keeps_strictly_increasing_input(self):
-        raw = np.array([0, 3, 4, 9])
-        marked = MarkSet(raw).marked
-        np.testing.assert_array_equal(marked, raw)
-        raw[0] = 8  # a copy: the caller's array is not aliased
-        assert marked[0] == 0
-
     @pytest.mark.parametrize("criterion", ["bulk", "doerfler"])
     def test_marks_are_the_selected_ids_sorted(self, criterion):
         # ties included: every seventh indicator repeats one value
@@ -226,7 +212,7 @@ class TestMarking:
         eta[::7] = eta[3]
         ids = np.arange(len(eta))
         for mark, theta in ((mark_refine, 0.4), (mark_coarsen, 0.3)):
-            got = mark(eta, theta, criterion).marked
+            got = mark(eta, theta, criterion)
             sq = eta ** 2
             if criterion == "bulk":
                 keep = (eta >= theta * eta.max() if mark is mark_refine
@@ -282,7 +268,7 @@ class TestReferenceEdges:
 class TestRefine:
     def test_requires_reference_edges(self):
         with pytest.raises(MetadataMissing):
-            refine(icosahedron(), MarkSet([0]), "nvb")
+            refine(icosahedron(), [0], "nvb")
 
     def test_rgb_red_step_counts(self):
         m = init_reference_edges(icosahedron())
@@ -307,7 +293,7 @@ class TestRefine:
 
     def test_single_mark_closure_conformity(self):
         m = init_reference_edges(tetrahedron(stretch=(1.0, 1.1, 1.25)))
-        new, _ = refine(m, MarkSet([0]), "nvb")
+        new, _ = refine(m, [0], "nvb")
         validate_mesh(new)
         # the marked triangle is gone and at least its refedge neighbor split
         assert len(new.genealogy) >= 2
@@ -315,21 +301,22 @@ class TestRefine:
 
     def test_empty_marks_identity(self):
         m = init_reference_edges(icosahedron())
-        new, tmap = refine(m, MarkSet([]), "nvb")
+        new, tmap = refine(m, [], "nvb")
         assert new is m
         assert tmap.src_generation == tmap.dst_generation
         assert tmap.endpoints.shape == (0, 2)  # no new nodes
 
     def test_out_of_range_mark(self):
         m = init_reference_edges(icosahedron())
-        with pytest.raises(ValueError):
-            refine(m, MarkSet([25]), "nvb")
+        for marks in ([25], [3, -1]):
+            with pytest.raises(ValueError):
+                refine(m, marks, "nvb")
 
     def test_strategy_is_sticky(self):
         m = init_reference_edges(icosahedron())
         new, _ = refine(m, all_marks(m), "nvb")
         with pytest.raises(StrategyMismatch):
-            refine(new, MarkSet([0]), "rgb")
+            refine(new, [0], "rgb")
 
     def test_unknown_strategy(self):
         m = init_reference_edges(icosahedron())
@@ -338,7 +325,7 @@ class TestRefine:
 
     def test_rgb_children_longest_edge_first(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, MarkSet(range(7)), "rgb")
+        new, _ = refine(m, range(7), "rgb")
         child = new.tri_parent >= 0
         p = new.nodes[new.triangles[child]]
         lengths = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
@@ -360,7 +347,7 @@ class TestTransfer:
         m = icosphere(1)
         coeff = np.array([0.4, -1.1, 2.2])
         u = FeFunction.on_mesh(m, m.nodes @ coeff + 0.9)
-        new, tmap = refine(m, MarkSet(range(0, 80, 3)), "nvb")
+        new, tmap = refine(m, range(0, 80, 3), "nvb")
         v = transfer(u, tmap)
         np.testing.assert_allclose(v.coefficients, new.nodes @ coeff + 0.9,
                                    atol=1e-12)
@@ -377,7 +364,7 @@ class TestTransfer:
         # evaluate children against their recorded parents at random points
         m = icosphere(1)
         u = FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
-        new, tmap = refine(m, MarkSet(range(0, 80, 2)), "rgb")
+        new, tmap = refine(m, range(0, 80, 2), "rgb")
         v = transfer(u, tmap)
         g = new.genealogy
         children = np.nonzero(new.tri_parent >= 0)[0]
@@ -461,7 +448,7 @@ class TestCoarsen:
     @pytest.mark.parametrize("strategy", ["nvb", "rgb"])
     def test_partial_refine_full_undo(self, strategy):
         m = icosphere(1)
-        fine, _ = refine(m, MarkSet([3, 4, 19]), strategy)
+        fine, _ = refine(m, [3, 4, 19], strategy)
         back, _, removed = coarsen(fine, all_marks(fine), [])
         assert removed == fine.n_nodes - m.n_nodes
         np.testing.assert_array_equal(back.nodes, m.nodes)
@@ -474,8 +461,7 @@ class TestCoarsen:
     def test_two_rounds_need_two_passes(self):
         m = icosphere(1)
         r1, _ = refine(m, all_marks(m), "nvb")
-        r2, _ = refine(r1, MarkSet(range(0, r1.n_triangles, 4)),
-                       "nvb")
+        r2, _ = refine(r1, range(0, r1.n_triangles, 4), "nvb")
         mesh = r2
         passes = 0
         while True:
@@ -491,7 +477,7 @@ class TestCoarsen:
     def test_unmarked_sibling_pins_neighbors(self):
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "rgb")
-        marks = MarkSet(np.arange(1, fine.n_triangles))
+        marks = np.arange(1, fine.n_triangles)
         back, _, removed = coarsen(fine, marks, [])
         # a family may only collapse together with every family it shares a
         # midpoint with (else a hanging node appears); withholding a single
@@ -528,8 +514,43 @@ class TestCoarsen:
     def test_out_of_range_mark(self):
         m = icosphere(1)
         fine, _ = refine(m, all_marks(m), "nvb")
-        with pytest.raises(ValueError):
-            coarsen(fine, MarkSet([fine.n_triangles]), [])
+        for marks in ([fine.n_triangles], [3, -1]):
+            with pytest.raises(ValueError):
+                coarsen(fine, marks, [])
+
+
+def mesh_arrays(mesh):
+    """Every array of a mesh and its genealogy, as (dtype, shape, bytes)."""
+    gen = mesh.genealogy
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (mesh.nodes, mesh.triangles, mesh.tri_parent,
+                      gen.verts, gen.parent, gen.nchild)]
+
+
+@pytest.mark.parametrize("strategy", ["nvb", "rgb"])
+def test_mark_order_and_repeats_do_not_matter(strategy):
+    # shuffled ids with repeats, as a list or an int32 array, give bitwise
+    # the mesh, genealogy and functions of the same ids sorted and unique
+    rng = np.random.default_rng(15)
+    mesh = icosphere(1)
+    u = interpolate(mesh, lambda x: np.sin(2.0 * x[:, 0]) + x[:, 1] * x[:, 2])
+    ids = np.sort(rng.choice(mesh.n_triangles, 6, replace=False))
+    messy = list(rng.permutation(np.concatenate([ids, ids[::2]])))
+    fine, tmap = refine(mesh, ids, strategy)
+    fine_messy, tmap_messy = refine(mesh, messy, strategy)
+    assert mesh_arrays(fine_messy) == mesh_arrays(fine)
+    assert tmap_messy.endpoints.tobytes() == tmap.endpoints.tobytes()
+    v, v_messy = transfer(u, tmap), transfer(u, tmap_messy)
+    assert v_messy.coefficients.tobytes() == v.coefficients.tobytes()
+
+    ids = np.flatnonzero(fine.nodes[fine.triangles].mean(axis=1)[:, 0] > 0)
+    messy = rng.permutation(np.concatenate([ids, ids[::4]])).astype(np.int32)
+    coarse, (w,), removed = coarsen(fine, ids, [v])
+    coarse_messy, (w_messy,), removed_messy = coarsen(fine_messy, messy,
+                                                      [v_messy])
+    assert 0 < removed_messy == removed < fine.n_nodes - mesh.n_nodes
+    assert mesh_arrays(coarse_messy) == mesh_arrays(coarse)
+    assert w_messy.coefficients.tobytes() == w.coefficients.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -537,7 +558,7 @@ class TestCoarsen:
        strategy=st.sampled_from(["nvb", "rgb"]))
 def test_random_marks_keep_invariants(marked, strategy):
     base = init_reference_edges(icosahedron())
-    new, tmap = refine(base, MarkSet(marked), strategy)
+    new, tmap = refine(base, marked, strategy)
     validate_mesh(new)
     assert new.metrics.area.sum() == pytest.approx(
         base.metrics.area.sum(), rel=1e-12)
@@ -633,10 +654,11 @@ def reference_coarsen(mesh, marks, functions, protect_from=None):
     ``coarsen`` and the number of passes."""
     gen = mesh.genealogy
     m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
-    if len(gen) == 0 or len(marks.marked) == 0:
+    marks = np.asarray(marks, dtype=np.int64)
+    if len(gen) == 0 or len(marks) == 0:
         return (mesh, list(functions), 0), 0
     marked = np.zeros(m_tris, dtype=bool)
-    marked[marks.marked] = True
+    marked[marks] = True
     tp = mesh.tri_parent
     has_parent = tp >= 0
     n_rows = len(gen)
