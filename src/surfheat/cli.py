@@ -25,7 +25,7 @@ from .adaptive import DOF_CAP, AdaptiveConfig, StepRecord, run
 from .errors import SurfheatError
 from .estimator import compute_indicators
 from .fem import (ErrorEvaluator, assemble, backward_euler_step,
-                  interpolate, quadrature_points)
+                  interpolate, quadrature_blocks)
 from .geometry import geometric_operators, torus, unit_sphere
 from .mesh import write_vtk
 from .problems import get_problem, icosphere, torus_grid
@@ -36,9 +36,6 @@ GEOMETRY_FIELDS = ("level", "h", "max_abs_d", "max_abs_one_minus_mu",
                    "max_norm_P_minus_Atilde")
 TIMING_FIELDS = ("refinement", "coarsening", "wall_s", "cum_dof_steps",
                  "accepted_steps", "peak_dofs")
-
-_CHUNK = 200_000  # quadrature points per geometric-operator batch
-
 
 # ------------------------------------------------------------- convergence
 
@@ -102,9 +99,9 @@ def convergence_sweep(problem, levels, taus, t_end=None):
     try:
         for level in levels:
             mesh = icosphere(level)
-            # The evaluator's lifting has the sweep's largest temporaries:
-            # built before ``assemble`` fills the operator cache, it keeps the
-            # peak memory down, and the worker finds every mesh cache filled.
+            # Built on this thread, so the worker finds every mesh cache
+            # filled.  Its lifting runs in blocks of ``fem.BLOCK`` triangles,
+            # so its order against ``assemble`` does not set the peak memory.
             evaluator = ErrorEvaluator(mesh, problem.surface)
             mass, stiffness = assemble(mesh)
             for tau in taus:
@@ -183,9 +180,9 @@ def geometry_report(surface_name, levels):
 
     For each level the signed distance, the surface-measure ratio and the
     gap between the discrete projector and the transported one are sampled
-    at the flat quadrature points of every triangle (degree-4 rule); the
-    row records the worst point.  All three maxima shrink at second order
-    for a smooth closed surface.
+    at the flat quadrature points of every triangle (degree-4 rule), one
+    block of triangles at a time; the row records the worst point.  All
+    three maxima shrink at second order for a smooth closed surface.
     """
     if surface_name == "sphere":
         surface = unit_sphere()
@@ -198,19 +195,12 @@ def geometry_report(surface_name, levels):
     rows = []
     for level in levels:
         mesh = make(level)
-        points = quadrature_points(mesh)
-        normals = np.broadcast_to(mesh.metrics.normal[:, None, :],
-                                  points.shape)
-        points = points.reshape(-1, 3)
-        normals = np.ascontiguousarray(normals.reshape(-1, 3))
         max_d = max_mu = max_pa = 0.0
-        for start in range(0, len(points), _CHUNK):
-            block = slice(start, start + _CHUNK)
-            ops = geometric_operators(surface, points[block], normals[block])
+        for _, points, nu_h in quadrature_blocks(mesh):
+            ops = geometric_operators(surface, points, nu_h)
             max_d = max(max_d, float(np.abs(ops.distance).max()))
             max_mu = max(max_mu, float(np.abs(1.0 - ops.mu).max()))
             # A~ = mu P_h Q^T B^2 Q P_h = mu (B Q P_h)^T (B Q P_h), B symmetric
-            nu_h = normals[block]
             P_h = np.eye(3) - nu_h[:, :, None] * nu_h[:, None, :]
             bqp = ops.grad_transform @ P_h
             a_tilde = ops.mu[:, None, None] * (np.swapaxes(bqp, 1, 2) @ bqp)

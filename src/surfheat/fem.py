@@ -15,7 +15,8 @@ on it (meshes are immutable):
   needs a closed surface or basis gradients.  ``assemble`` is a lookup.
 - the lifted degree-4 quadrature on a surface is built on the first
   ``ErrorEvaluator`` or ``lifted_l2_distance`` of a mesh and shared by all
-  later ones.
+  later ones.  Built and evaluated in blocks of ``BLOCK`` triangles, its
+  temporaries are a block's; an ``ErrorEvaluator`` keeps its buffers.
 
 The time step solves ``(M + tau A) u = M (u_prev + tau f)``.  Mass and
 stiffness share one CSR pattern, so the system is one ``data`` vector on it.
@@ -91,10 +92,24 @@ QUAD_POINTS = np.array([np.roll((1.0 - 2.0 * a, a, a), k)
 QUAD_WEIGHTS = np.repeat([0.223381589678011, 0.109951743655322], 3)
 
 
-def quadrature_points(mesh):
-    """The rule's points on every triangle: (M, Q, 3) coordinates."""
-    corners = mesh.nodes[mesh.triangles]  # (M, 3, 3)
+# Triangles per lifted-quadrature block (module docstring): 1024 slowed the
+# convergence sweep; 6144-12288 raised its peak memory and gained nothing.
+BLOCK = 4096
+
+
+def quadrature_points(mesh, block=slice(None)):
+    """The rule's points on the triangles ``block``: (k, Q, 3) coordinates."""
+    corners = mesh.nodes[mesh.triangles[block]]  # (k, 3, 3)
     return np.einsum("qi,mij->mqj", QUAD_POINTS, corners)
+
+
+def quadrature_blocks(mesh):
+    """Yield ``(block, x, nu_h)`` for each slice of ``BLOCK`` triangles (the
+    last may be shorter): the (k Q, 3) points and their element normals."""
+    for start in range(0, mesh.n_triangles, BLOCK):
+        block = slice(start, start + BLOCK)
+        yield block, quadrature_points(mesh, block).reshape(-1, 3), np.repeat(
+            mesh.metrics.normal[block], len(QUAD_WEIGHTS), axis=0)
 
 
 def basis_gradients(mesh):
@@ -332,27 +347,37 @@ def _lifted_quadrature(mesh, surface):
     Returns per-(triangle, point): the lifted points ``y`` (M, Q, 3), the
     square roots of the weights ``w[m, q] = area_m * w_q * mu[m, q]``
     integrating over the exact surface (``mu`` the measure ratio), and the
-    lifted-gradient transforms (M, Q, 3, 3).  One entry per surface lives in the mesh's ``_lifted``
+    lifted-gradient transforms (M, Q, 3, 3), filled one block of ``BLOCK``
+    triangles at a time (:func:`quadrature_blocks`) so that the temporaries
+    are a block's.  One entry per surface lives in the mesh's ``_lifted``
     dictionary and dies with the mesh.
     """
     cached = mesh._lifted.get(surface)
     if cached is None:
-        x = quadrature_points(mesh)
-        m, q = x.shape[:2]
-        y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
-        nu_h = np.broadcast_to(mesh.metrics.normal[:, None, :], x.shape)
-        ops = geometric_operators(surface, x.reshape(-1, 3),
-                                  nu_h.reshape(-1, 3))
-        w = mesh.metrics.area[:, None] * QUAD_WEIGHTS[None, :] \
-            * ops.mu.reshape(m, q)
-        cached = (y, np.sqrt(w), ops.grad_transform.reshape(m, q, 3, 3))
-        mesh._lifted[surface] = cached
+        m, q = mesh.n_triangles, len(QUAD_WEIGHTS)
+        y, sqrt_w = np.empty((m, q, 3)), np.empty((m, q))
+        trans = np.empty((m, q, 3, 3))
+        for block, x, nu_h in quadrature_blocks(mesh):
+            y[block] = lift(surface, x).reshape(-1, q, 3)
+            ops = geometric_operators(surface, x, nu_h)
+            sqrt_w[block] = np.sqrt(mesh.metrics.area[block, None]
+                                    * QUAD_WEIGHTS * ops.mu.reshape(-1, q))
+            trans[block] = ops.grad_transform.reshape(-1, q, 3, 3)
+        cached = mesh._lifted[surface] = (y, sqrt_w, trans)
     return cached
 
 
-def _point_values(mesh, u):
+def _point_values(mesh, u, out=None):
     """Values of ``u`` at the rule's points of every triangle, (M, Q)."""
-    return u.coefficients[mesh.triangles] @ QUAD_POINTS.T
+    return np.matmul(u.coefficients[mesh.triangles], QUAD_POINTS.T, out=out)
+
+
+def _subtract(diff, field, y):
+    """``diff -= field(y)``, calling ``field`` on one block at a time."""
+    for start in range(0, len(diff), BLOCK):
+        block = slice(start, start + BLOCK)
+        diff[block] -= field(y[block])
+    return diff
 
 
 def _weighted_sum_sq(diff, sqrt_w):
@@ -369,13 +394,13 @@ class ErrorEvaluator:
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
     would repeat it identically every step.  The lifted quadrature comes
-    from the mesh's cache, and the evaluator builds its sparse gradient
-    operator once, so repeated evaluations pay only for the integrand
-    arithmetic.  Works on open triangle sets too: nothing here needs the
-    adjacency.
+    from the mesh's cache; the evaluator builds its sparse gradient and its
+    difference buffers once (so it serves one call at a time), and repeated
+    evaluations pay only for the integrand arithmetic.  Works on open
+    triangle sets too: nothing here needs the adjacency.
     """
 
-    __slots__ = ("mesh", "_y", "_sqrt_w", "_trans", "_grad")
+    __slots__ = ("mesh", "_y", "_sqrt_w", "_trans", "_grad", "_diff", "_gdiff")
 
     def __init__(self, mesh, surface):
         self.mesh = mesh
@@ -386,6 +411,8 @@ class ErrorEvaluator:
             (basis_gradients(mesh).transpose(2, 0, 1).ravel(),
              np.tile(mesh.triangles, (3, 1)).ravel(),
              np.arange(0, 9 * m + 1, 3)), shape=(3 * m, mesh.n_nodes))
+        self._diff, self._gdiff = np.empty(self._sqrt_w.shape), np.empty(
+            self._y.shape)
 
     def errors(self, u_h, exact_u, exact_grad, time):
         """L2 and H1-seminorm errors of the lifted discrete solution.
@@ -400,15 +427,16 @@ class ErrorEvaluator:
         (l2_error, h1_semi_error)
         """
         u_h.check(self.mesh)
-        diff = _point_values(self.mesh, u_h)
-        diff -= exact_u(self._y, time)
-        l2_sq = _weighted_sum_sq(diff, self._sqrt_w)
-        m, q = self._sqrt_w.shape
+        y, sqrt_w = self._y, self._sqrt_w
+        diff = _point_values(self.mesh, u_h, out=self._diff)
+        l2_sq = _weighted_sum_sq(
+            _subtract(diff, lambda p: exact_u(p, time), y), sqrt_w)
+        m, q = sqrt_w.shape
         grads = (self._grad @ u_h.coefficients).reshape(3, m)  # flat
-        gdiff = (self._trans.reshape(m, 3 * q, 3)
-                 @ grads.T[:, :, None]).reshape(m, q, 3)
-        gdiff -= exact_grad(self._y, time)
-        h1_sq = _weighted_sum_sq(gdiff, self._sqrt_w)
+        np.matmul(self._trans.reshape(m, 3 * q, 3), grads.T[:, :, None],
+                  out=self._gdiff.reshape(m, 3 * q, 1))
+        h1_sq = _weighted_sum_sq(
+            _subtract(self._gdiff, lambda p: exact_grad(p, time), y), sqrt_w)
         return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
@@ -420,6 +448,6 @@ def lifted_l2_distance(mesh, surface, u_h, field, time=None):
     """
     u_h.check(mesh)
     y, sqrt_w, _ = _lifted_quadrature(mesh, surface)
-    diff = _point_values(mesh, u_h)
-    diff -= field(y) if time is None else field(y, time)
+    at = field if time is None else lambda p: field(p, time)
+    diff = _subtract(_point_values(mesh, u_h), at, y)
     return math.sqrt(_weighted_sum_sq(diff, sqrt_w))

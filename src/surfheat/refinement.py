@@ -170,10 +170,12 @@ _TABLES = {
 
 def _element_ids(marks, n_triangles):
     """Marked triangle ids as an int64 array, checked against the mesh."""
-    ids = np.asarray(marks, dtype=np.int64)
+    ids = np.asarray(marks)
+    if ids.dtype == bool or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"marks must be triangle ids, got dtype {ids.dtype}")
     if ids.size and (ids.min() < 0 or ids.max() >= n_triangles):
         raise ValueError("mark refers to a nonexistent triangle")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def refine(mesh, marks, strategy):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from surfheat import cli
+from surfheat import cli, fem
 from surfheat.cli import (CONVERGENCE_FIELDS, GEOMETRY_FIELDS, TIMING_FIELDS,
                           _parse_taus, convergence_sweep, fitted_orders,
                           geometry_report, main, timing_table)
@@ -341,6 +341,14 @@ class TestVerifyGeometryCommand:
         main(["verify-geometry", "--levels", "2", "--out", str(out)])
         _, csv_rows = read_csv(out)
         assert_allclose([float(v) for v in csv_rows[0]], rows[0], rtol=1e-15)
+
+    @pytest.mark.parametrize("surface_name", ["sphere", "torus"])
+    def test_rows_do_not_depend_on_the_block(self, monkeypatch,
+                                             surface_name):
+        # levels 2-3: 320 and 1,280 sphere triangles, 1,152 and 4,608 torus
+        default = geometry_report(surface_name, [2, 3])
+        monkeypatch.setattr(fem, "BLOCK", 100)
+        assert geometry_report(surface_name, [2, 3]) == default
 
     @pytest.mark.parametrize("surface_name", ["sphere", "torus"])
     def test_projector_gap_matches_reference(self, surface_name):

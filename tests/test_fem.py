@@ -1,6 +1,7 @@
 """P1 assembly, the preconditioned CG solver, time stepping, lifted norms."""
 
 import math
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -15,7 +16,7 @@ from surfheat.fem import (QUAD_POINTS, QUAD_WEIGHTS, ErrorEvaluator,
                           FeFunction, assemble, backward_euler_step,
                           basis_gradients, interpolate, jacobi_cg,
                           lifted_l2_distance, quadrature_points)
-from surfheat.geometry import unit_sphere
+from surfheat.geometry import geometric_operators, lift, torus, unit_sphere
 from surfheat.mesh import SurfaceMesh, element_metrics
 from surfheat.problems import icosphere, sphere_decay, torus_grid
 from test_estimator import element_gradients, graded_sphere
@@ -660,3 +661,98 @@ class TestLiftedNorms:
         assert np.sqrt(sum(l2_parts)) == pytest.approx(l2, rel=1e-12)
         assert np.sqrt(sum(h1_parts)) == pytest.approx(h1, rel=1e-12)
         assert np.sqrt(sum(dist_parts)) == pytest.approx(l2, rel=1e-12)
+
+
+# ------------------------------------------ single-batch lifted references
+
+def whole_mesh_quadrature(mesh, surface):
+    """Reference: the lifted rule of the whole mesh in one batch."""
+    x = quadrature_points(mesh)
+    m, q = x.shape[:2]
+    y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
+    nu_h = np.broadcast_to(mesh.metrics.normal[:, None, :], x.shape)
+    ops = geometric_operators(surface, x.reshape(-1, 3), nu_h.reshape(-1, 3))
+    w = mesh.metrics.area[:, None] * QUAD_WEIGHTS[None, :] \
+        * ops.mu.reshape(m, q)
+    return y, np.sqrt(w), ops.grad_transform.reshape(m, q, 3, 3)
+
+
+def whole_mesh_sum_sq(diff, sqrt_w):
+    diff *= sqrt_w.reshape(sqrt_w.shape + (1,) * (diff.ndim - 2))
+    flat = diff.ravel()
+    return float(flat @ flat)
+
+
+def whole_mesh_errors(mesh, surface, u_h, exact_u, exact_grad, time):
+    """Reference: ``ErrorEvaluator.errors`` on whole-mesh arrays."""
+    y, sqrt_w, trans = whole_mesh_quadrature(mesh, surface)
+    diff = u_h.coefficients[mesh.triangles] @ QUAD_POINTS.T
+    diff -= exact_u(y, time)
+    l2_sq = whole_mesh_sum_sq(diff, sqrt_w)
+    m, q = sqrt_w.shape
+    grad = ErrorEvaluator(mesh, surface)._grad
+    grads = (grad @ u_h.coefficients).reshape(3, m)
+    gdiff = (trans.reshape(m, 3 * q, 3) @ grads.T[:, :, None]).reshape(m, q, 3)
+    gdiff -= exact_grad(y, time)
+    h1_sq = whole_mesh_sum_sq(gdiff, sqrt_w)
+    return np.sqrt(l2_sq), np.sqrt(h1_sq)
+
+
+def whole_mesh_distance(mesh, surface, u_h, field):
+    """Reference: ``lifted_l2_distance`` on whole-mesh arrays."""
+    y, sqrt_w, _ = whole_mesh_quadrature(mesh, surface)
+    diff = u_h.coefficients[mesh.triangles] @ QUAD_POINTS.T
+    diff -= field(y)
+    return math.sqrt(whole_mesh_sum_sq(diff, sqrt_w))
+
+
+def wavy(y, t):
+    return np.sin(3.0 * y[..., 0]) * np.cos(y[..., 1] + t) + y[..., 2]
+
+
+def wavy_grad(y, t):
+    g = np.zeros_like(y)
+    g[..., 0] = 3.0 * np.cos(3.0 * y[..., 0]) * np.cos(y[..., 1] + t)
+    g[..., 1] = -np.sin(3.0 * y[..., 0]) * np.sin(y[..., 1] + t)
+    g[..., 2] = 1.0
+    return g
+
+
+class TestBlockedLiftedQuadrature:
+    @pytest.mark.parametrize("make, surface", [
+        (lambda: icosphere(4), unit_sphere()),
+        (lambda: torus_grid(24), torus())], ids=["sphere", "torus"])
+    def test_blocks_equal_one_batch(self, monkeypatch, make, surface):
+        # 1000-triangle blocks leave a ragged last block on both meshes
+        monkeypatch.setattr(fem, "BLOCK", 1000)
+        mesh = make()
+        assert mesh.n_triangles % 1000 != 0
+        evaluator = ErrorEvaluator(mesh, surface)
+        for got, expected in zip(fem._lifted_quadrature(mesh, surface),
+                                 whole_mesh_quadrature(mesh, surface)):
+            assert got.tobytes() == expected.tobytes()
+        u_h = interpolate(mesh, lambda x: np.cos(2.0 * x[:, 0]) + x[:, 1])
+        for t in (0.0, 0.7):
+            assert evaluator.errors(u_h, wavy, wavy_grad, t) == \
+                whole_mesh_errors(mesh, surface, u_h, wavy, wavy_grad, t)
+        field = lambda y: wavy(y, 0.3)  # noqa: E731
+        assert lifted_l2_distance(mesh, surface, u_h, field) == \
+            whole_mesh_distance(mesh, surface, u_h, field)
+
+    def test_build_memory_is_bounded_by_the_block(self):
+        # the build keeps the lifted arrays, the gradient operator and the
+        # difference buffers; what it frees again is a block's, not the
+        # whole mesh's (about 40 MB here with one whole-mesh batch)
+        mesh = icosphere(5)
+        mesh.metrics  # cached before the measurement
+        surface = unit_sphere()
+        tracemalloc.start()
+        try:
+            evaluator = ErrorEvaluator(mesh, surface)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # eight (3, 3) float arrays on the points of one block
+        block_arrays = 8 * fem.BLOCK * len(QUAD_WEIGHTS) * 9 * 8
+        assert evaluator.mesh is mesh
+        assert peak - kept < block_arrays

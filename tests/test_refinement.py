@@ -312,6 +312,20 @@ class TestRefine:
             with pytest.raises(ValueError):
                 refine(m, marks, "nvb")
 
+    def test_mask_and_float_marks_rejected(self):
+        # a mask would read as the ids 0 and 1, a float id would truncate
+        m = init_reference_edges(icosphere(1))
+        fine, _ = refine(m, all_marks(m), "nvb")
+        mask = np.zeros(m.n_triangles, dtype=bool)
+        mask[40] = True
+        for marks in (mask, [40.7], np.array([40.0])):
+            with pytest.raises(ValueError, match="marks must be triangle ids"):
+                refine(m, marks, "nvb")
+            with pytest.raises(ValueError, match="marks must be triangle ids"):
+                coarsen(fine, marks, [])
+        assert refine(m, np.array([], dtype=np.uint8), "nvb")[0] is m
+        assert coarsen(fine, [], [])[0] is fine
+
     def test_strategy_is_sticky(self):
         m = init_reference_edges(icosahedron())
         new, _ = refine(m, all_marks(m), "nvb")
