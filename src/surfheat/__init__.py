@@ -14,11 +14,11 @@ Public layers
                 validation, the genealogy arena of refinement, OFF/VTK I/O
 ``refinement``  marking (sorted element-id arrays), bisection/red-green-blue
                 refinement and coarsening of any such ids, nodal transfer
-``fem``         the per-mesh P1 bundle of mass, stiffness and half-cotangent
-                weights, implicit Euler step, preconditioned CG, the degree-4
-                quadrature rule, lifted error norms (``ErrorEvaluator``
-                against an exact solution, ``lifted_l2_distance`` against a
-                field)
+``fem``         the per-mesh P1 bundle (``Csr`` mass and stiffness on scipy's
+                compiled CSR product, half-cotangent weights), implicit Euler
+                step, preconditioned CG, the degree-4 quadrature rule, lifted
+                error norms (``ErrorEvaluator`` against an exact solution,
+                ``lifted_l2_distance`` against a field)
 ``estimator``   per-element spatial/temporal/coarsening indicators in one
                 element-local pass on the half-cotangent weights
                 (``compute_indicators``); ``coarsening_indicator`` for

@@ -18,28 +18,63 @@ on it (meshes are immutable):
   later ones.  Built and evaluated in blocks of ``BLOCK`` triangles, its
   temporaries are a block's; an ``ErrorEvaluator`` keeps its buffers.
 
-The time step solves ``(M + tau A) u = M (u_prev + tau f)``.  Mass and
-stiffness share one CSR pattern, so the system is one ``data`` vector on it.
-``jacobi_cg`` takes the CSR arrays once and makes one raw ``csr_matvec`` per
-iteration into a preallocated vector: scipy's per-call dispatch of
-``matrix @ p`` costs about as much as the product on the small systems of an
-adaptive run.  Its vector updates are in place and in the order of the
-textbook loop, so iterates and iteration counts are those of ``matrix @ p``
-with fresh vectors, bit for bit.
+Matrices are :class:`Csr` records: ``data``, int64 ``indices`` and
+``indptr``, ``shape`` and the positions ``diag`` of the diagonal in ``data``
+(None if rectangular).  Their one kernel, scipy's compiled ``csr_matvec``,
+is loaded from its extension file alone: importing ``scipy.sparse`` would
+cost each process 0.2 s and 13-20 MB.  Each product checks the vector's
+length, as the kernel has no bounds check.  A time step solves
+``(M + tau A) u = M (u_prev + tau f)``, one ``data`` vector on the pattern
+``assemble``'s two matrices share.  ``jacobi_cg`` makes one raw
+``csr_matvec`` per iteration into a preallocated vector and updates in
+place in textbook order: bitwise ``csr_array @ p`` with fresh vectors.
 """
 
 import math
+import os
 from collections import namedtuple
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-import scipy.sparse as sp
-# Private: the routine ``csr_array @ vector`` ends in, called without the
-# dispatch (module docstring); tests/test_fem.py checks it against ``@``.
-from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import GenerationMismatch, NonFiniteValue, SolverDivergence
 from .geometry import geometric_operators, lift
 from .mesh import cross_rows, edge_rows
+
+
+def _load_csr_matvec():
+    """scipy's compiled CSR product, loaded from its extension file alone
+    under its scipy name, so that a later ``scipy.sparse`` shares it."""
+    root = find_spec("scipy").submodule_search_locations[0]
+    stem = os.path.join(root, "sparse", "_sparsetools")
+    for path in (stem + suffix for suffix in EXTENSION_SUFFIXES):
+        if os.path.exists(path):
+            spec = spec_from_file_location("scipy.sparse._sparsetools", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.csr_matvec
+    raise ImportError(f"scipy's CSR kernel {stem}.* is missing")
+
+
+csr_matvec = _load_csr_matvec()
+
+
+class Csr(namedtuple("Csr", "data indices indptr shape diag")):
+    """An immutable CSR matrix (module docstring)."""
+
+    __slots__ = ()
+
+    def diagonal(self):
+        return self.data[self.diag]
+
+    def __matmul__(self, vector):
+        x, (m, n) = np.asarray(vector, dtype=float), self.shape
+        if x.shape != (n,):
+            raise ValueError(f"{m} x {n} matrix times vector {x.shape}")
+        y = np.zeros(m)
+        csr_matvec(m, n, self.indptr, self.indices, self.data, x, y)
+        return y
 
 
 class FeFunction:
@@ -129,8 +164,7 @@ def basis_gradients(mesh):
 
 
 # The P1 operators of one mesh, built by :func:`p1_operators`:
-#   mass, stiffness : (N, N) csr_array
-#       the assembled matrices; they share one ``indptr`` and ``indices``;
+#   mass, stiffness : the (N, N) Csr matrices, on one pattern;
 #   cot : (3, M) array
 #       the half-cotangent weights: ``cot[j, t]`` is half the cotangent of
 #       the angle of triangle t opposite its local edge j (vertex j to
@@ -174,10 +208,11 @@ def p1_operators(mesh):
     corners, half = mesh.triangles.ravel(), mesh.tri_edges.ravel()
     n_edges = mesh.n_edges
     indptr, indices, source = _p1_pattern(mesh.edges, n)
+    diag = np.flatnonzero(source < n)
 
-    def on_pattern(diag, off):
-        data = np.concatenate((diag, off, off))[source]
-        return sp.csr_array((data, indices, indptr), shape=(n, n))
+    def on_pattern(on_diag, off):
+        data = np.concatenate((on_diag, off, off))[source]
+        return Csr(data, indices, indptr, (n, n), diag)
 
     weights = np.repeat(met.area, 3)
     mass = on_pattern(
@@ -186,9 +221,6 @@ def p1_operators(mesh):
     stiffness = on_pattern(
         np.bincount(corners, (cot + cot[[2, 0, 1]]).T.ravel(), minlength=n),
         -np.bincount(half, cot.T.ravel(), minlength=n_edges))
-    # csr_array keeps its own view of ``indices``; one object for both lets
-    # backward_euler_step see the shared pattern without comparing
-    stiffness.indices = mass.indices
     mesh._operators = P1Operators(mass, stiffness, cot)
     return mesh._operators
 
@@ -201,7 +233,7 @@ def assemble(mesh):
 
     Returns
     -------
-    (mass, stiffness) : scipy.sparse.csr_array
+    (mass, stiffness) : Csr
         ``mass[i, j] = integral(phi_i phi_j)``,
         ``stiffness[i, j] = integral(grad phi_i . grad phi_j)``;
         both symmetric, mass positive definite, stiffness with constants in
@@ -229,14 +261,16 @@ def interpolate(mesh, field, time=None):
 def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
     """Conjugate gradients with diagonal preconditioning.
 
-    Solves ``matrix @ x = b`` for a symmetric positive definite matrix,
-    given as a CSR array or as anything ``scipy.sparse.csr_array`` accepts
-    (converted once).  Returns ``(x, iterations)``; iteration 0 means the
-    start vector already satisfied the residual test (in particular
+    Solves ``matrix @ x = b`` for a symmetric positive definite CSR matrix:
+    a :class:`Csr` or anything with its arrays, ``shape`` and ``diagonal()``
+    (a scipy ``csr_array``).  Returns ``(x, iterations)``; iteration 0 means
+    the start vector already satisfied the residual test (in particular
     ``b = 0``).  The loop is dispatch-free and in place (module docstring).
 
     Raises
     ------
+    ValueError
+        Unless the matrix is n x n and the start vector of length n.
     NonFiniteValue
         As soon as the right-hand side, the diagonal or the residual holds
         a NaN or an infinity, before any further iteration is spent.
@@ -256,12 +290,10 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
                              "(0 iterations spent)")
     if b_norm == 0.0:
         return np.zeros(n), 0
-    if not (isinstance(matrix, (sp.csr_array, sp.csr_matrix))
-            and matrix.dtype == np.float64):
-        matrix = sp.csr_array(matrix, dtype=float)
-    if matrix.shape != (n, n):
-        raise ValueError(f"PCG matrix of shape {matrix.shape} for a "
-                         f"right-hand side of length {n}")
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if matrix.shape != (n, n) or x.shape != (n,):
+        raise ValueError(f"PCG shapes: matrix {matrix.shape}, start vector "
+                         f"{x.shape}, right-hand side ({n},)")
     diag = matrix.diagonal()
     if not np.isfinite(diag).all():
         raise NonFiniteValue("PCG matrix diagonal is not finite "
@@ -272,7 +304,6 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
             f"PCG matrix is not positive definite: diagonal entry {i} is "
             f"{diag[i]:.3g} (0 iterations spent)")
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     q = np.zeros(n)
     csr_matvec(n, n, indptr, indices, data, x, q)
     r = b - q
@@ -315,9 +346,9 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
     """One implicit Euler step of the discrete heat equation.
 
     Solves ``(mass + tau * stiffness) u = mass (u_prev + tau * f_n)`` with
-    diagonally preconditioned CG started from ``u_prev``.  The two CSR
-    matrices must share one pattern, as those of :func:`assemble` do; the
-    system is then one ``data`` vector on that pattern.
+    diagonally preconditioned CG started from ``u_prev``.  The two
+    :class:`Csr` matrices must share one pattern, as those of
+    :func:`assemble` do; the system is then one ``data`` vector on it.
 
     Returns
     -------
@@ -332,8 +363,7 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
     if not all(a is b or np.array_equal(a, b) for a, b in (
             (mass.indptr, stiffness.indptr), (mass.indices, stiffness.indices))):
         raise ValueError("mass and stiffness do not share one CSR pattern")
-    system = sp.csr_array((mass.data + tau * stiffness.data, mass.indices,
-                           mass.indptr), shape=mass.shape)
+    system = mass._replace(data=mass.data + tau * stiffness.data)
     rhs = mass @ (u_prev.coefficients + tau * f_n.coefficients)
     x, iters = jacobi_cg(system, rhs, x0=u_prev.coefficients)
     return FeFunction(u_prev.generation, x), iters
@@ -394,7 +424,7 @@ class ErrorEvaluator:
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
     would repeat it identically every step.  The lifted quadrature comes
-    from the mesh's cache; the evaluator builds its sparse gradient and its
+    from the mesh's cache; the evaluator builds its CSR gradient and its
     difference buffers once (so it serves one call at a time), and repeated
     evaluations pay only for the integrand arithmetic.  Works on open
     triangle sets too: nothing here needs the adjacency.
@@ -407,10 +437,10 @@ class ErrorEvaluator:
         self._y, self._sqrt_w, self._trans = _lifted_quadrature(mesh, surface)
         # row k M + t holds G[t, i, k] at column tri[t, i]
         m = mesh.n_triangles
-        self._grad = sp.csr_array(
-            (basis_gradients(mesh).transpose(2, 0, 1).ravel(),
-             np.tile(mesh.triangles, (3, 1)).ravel(),
-             np.arange(0, 9 * m + 1, 3)), shape=(3 * m, mesh.n_nodes))
+        self._grad = Csr(basis_gradients(mesh).transpose(2, 0, 1).ravel(),
+                         np.tile(mesh.triangles, (3, 1)).ravel(),
+                         np.arange(0, 9 * m + 1, 3), (3 * m, mesh.n_nodes),
+                         None)
         self._diff, self._gdiff = np.empty(self._sqrt_w.shape), np.empty(
             self._y.shape)
 

@@ -1,6 +1,10 @@
 """P1 assembly, the preconditioned CG solver, time stepping, lifted norms."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from math import factorial
 
@@ -22,6 +26,17 @@ from surfheat.problems import icosphere, sphere_decay, torus_grid
 from test_estimator import element_gradients, graded_sphere
 
 RNG = np.random.default_rng(7151)
+
+
+def as_scipy(matrix):
+    """A scipy ``csr_array`` of a ``fem.Csr`` record, or of anything
+    ``csr_array`` accepts (a dense array, for instance): the scipy matrix
+    features (``toarray``, ``+``, ``tocsc``, ``eigsh``, ``spsolve``) are the
+    oracles of these tests."""
+    if isinstance(matrix, fem.Csr):
+        return sp.csr_array((matrix.data, matrix.indices, matrix.indptr),
+                            shape=matrix.shape)
+    return sp.csr_array(matrix, dtype=float)
 
 
 def single_triangle(corners):
@@ -189,7 +204,8 @@ class TestDirectCsrAssembly:
     @ORACLE_MESHES
     def test_matches_coo_reference(self, make):
         m = make()
-        for got, expected in zip(assemble(m), coo_assembly(m)):
+        for got, expected in zip(map(as_scipy, assemble(m)),
+                                 coo_assembly(m)):
             assert got.has_sorted_indices
             scale = abs(expected).max()
             assert abs(got - expected).max() <= 1e-14 * scale
@@ -199,6 +215,7 @@ class TestDirectCsrAssembly:
         mass, stiffness = assemble(make())
         assert mass.indptr is stiffness.indptr
         assert mass.indices is stiffness.indices
+        assert mass.diag is stiffness.diag
 
     @ORACLE_MESHES
     def test_pattern_does_not_depend_on_edge_order(self, make):
@@ -230,7 +247,7 @@ class TestDirectCsrAssembly:
 
 class TestAssembly:
     def test_equilateral_closed_forms(self):
-        mass, stiffness = assemble(equilateral())
+        mass, stiffness = map(as_scipy, assemble(equilateral()))
         area = np.sqrt(3.0) / 4.0
         np.testing.assert_allclose(
             mass.toarray(), area / 12.0 * (np.ones((3, 3)) + np.eye(3)),
@@ -243,7 +260,7 @@ class TestAssembly:
 
     def test_symmetry_and_kernel(self):
         m = icosphere(1)
-        mass, stiffness = assemble(m)
+        mass, stiffness = map(as_scipy, assemble(m))
         assert abs(mass - mass.T).max() < 1e-15
         assert abs(stiffness - stiffness.T).max() < 1e-14
         ones = np.ones(m.n_nodes)
@@ -269,7 +286,7 @@ class TestAssembly:
         # Laplace-Beltrami spectrum of the unit sphere: 0, then 2 with
         # multiplicity 3; generalized eigensolve as independent oracle
         m = icosphere(4)
-        mass, stiffness = assemble(m)
+        mass, stiffness = map(as_scipy, assemble(m))
         vals = scipy.sparse.linalg.eigsh(
             stiffness.tocsc(), k=5, M=mass.tocsc(), sigma=-0.1,
             which="LM", return_eigenvectors=False)
@@ -320,26 +337,27 @@ class TestSolver:
     def test_against_dense_solve(self):
         a = self.spd(40)
         rhs = RNG.standard_normal(40)
-        x, iters = jacobi_cg(a, rhs, rtol=1e-12)
+        x, iters = jacobi_cg(as_scipy(a), rhs, rtol=1e-12)
         assert iters > 0
         np.testing.assert_allclose(x, np.linalg.solve(a, rhs), atol=1e-8)
 
     def test_zero_rhs_short_circuits(self):
-        x, iters = jacobi_cg(self.spd(5), np.zeros(5))
+        x, iters = jacobi_cg(as_scipy(self.spd(5)), np.zeros(5))
         assert iters == 0
         np.testing.assert_array_equal(x, 0.0)
 
     def test_exact_warm_start(self):
         a = self.spd(8)
         x_exact = RNG.standard_normal(8)
-        x, iters = jacobi_cg(a, a @ x_exact, x0=x_exact)
+        x, iters = jacobi_cg(as_scipy(a), a @ x_exact, x0=x_exact)
         assert iters == 0
         np.testing.assert_array_equal(x, x_exact)
 
     def test_iteration_cap_raises(self):
         a = self.spd(40)
         with pytest.raises(SolverDivergence):
-            jacobi_cg(a, RNG.standard_normal(40), rtol=1e-14, max_iter=2)
+            jacobi_cg(as_scipy(a), RNG.standard_normal(40), rtol=1e-14,
+                      max_iter=2)
 
     def test_nonfinite_rhs_fails_before_any_product(self):
         class Counting:
@@ -365,21 +383,21 @@ class TestSolver:
         x0 = np.zeros(10)
         x0[0] = np.nan
         with pytest.raises(NonFiniteValue, match="after 0 iterations"):
-            jacobi_cg(self.spd(10), RNG.standard_normal(10), x0=x0)
+            jacobi_cg(as_scipy(self.spd(10)), RNG.standard_normal(10), x0=x0)
 
     @pytest.mark.parametrize("diagonal", [np.nan, np.inf])
     def test_nonfinite_diagonal_fails_before_any_product(self, diagonal):
         a = self.spd(6)
         a[2, 2] = diagonal
         with pytest.raises(NonFiniteValue, match="diagonal.*0 iterations"):
-            jacobi_cg(a, RNG.standard_normal(6))
+            jacobi_cg(as_scipy(a), RNG.standard_normal(6))
 
     @pytest.mark.parametrize("diagonal", [0.0, -1.0])
     def test_nonpositive_diagonal_is_not_positive_definite(self, diagonal):
         a = np.diag([1.0, diagonal, 2.0])
         with pytest.raises(SolverDivergence,
                            match="not positive definite: diagonal entry 1"):
-            jacobi_cg(a, np.ones(3))
+            jacobi_cg(as_scipy(a), np.ones(3))
 
     def test_indefinite_matrix_names_the_iteration(self):
         # positive diagonal, eigenvalues 3 and -1; b is the -1 eigenvector
@@ -387,15 +405,23 @@ class TestSolver:
         with pytest.raises(SolverDivergence,
                            match=r"not positive definite: p\.Ap = .* "
                                  "at iteration 0"):
-            jacobi_cg(a, np.array([1.0, -1.0]))
+            jacobi_cg(as_scipy(a), np.array([1.0, -1.0]))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
-            jacobi_cg(self.spd(4), np.ones(5))
+            jacobi_cg(as_scipy(self.spd(4)), np.ones(5))
+
+    @pytest.mark.parametrize("length", [5, 15])
+    def test_start_vector_of_the_wrong_length_raises(self, length):
+        # the raw kernel reads len(b) entries of x0 with no bounds check
+        a = as_scipy(np.diag(np.arange(1.0, 11.0)))
+        with pytest.raises(ValueError, match=rf"start vector \({length},\), "
+                                             r"right-hand side \(10,\)"):
+            jacobi_cg(a, np.ones(10), x0=np.zeros(length))
 
     def test_sparse_system(self):
         m = icosphere(2)
-        mass, stiffness = assemble(m)
+        mass, stiffness = map(as_scipy, assemble(m))
         system = (mass + 0.1 * stiffness).tocsr()
         rhs = RNG.standard_normal(m.n_nodes)
         x, _ = jacobi_cg(system, rhs, rtol=1e-12)
@@ -455,16 +481,16 @@ class TestInPlaceKernel:
                 mass, stiffness, FeFunction.on_mesh(m, u0),
                 FeFunction.on_mesh(m, f), tau)
             x, ref_iters = reference_jacobi_cg(
-                (mass + tau * stiffness).tocsr(), mass @ (u0 + tau * f),
-                x0=u0)
+                (as_scipy(mass) + tau * as_scipy(stiffness)).tocsr(),
+                as_scipy(mass) @ (u0 + tau * f), x0=u0)
             assert iters == ref_iters > 0
             np.testing.assert_array_equal(u1.coefficients, x)
 
     def test_dense_spd_matches_reference_bitwise(self):
         a = dense_spd(60)
         rhs = RNG.standard_normal(60)
-        x, iters = jacobi_cg(a, rhs, rtol=1e-12)
-        ref, ref_iters = reference_jacobi_cg(sp.csr_array(a), rhs, rtol=1e-12)
+        x, iters = jacobi_cg(as_scipy(a), rhs, rtol=1e-12)
+        ref, ref_iters = reference_jacobi_cg(as_scipy(a), rhs, rtol=1e-12)
         assert iters == ref_iters > 0
         np.testing.assert_array_equal(x, ref)
 
@@ -480,10 +506,11 @@ class TestInPlaceKernel:
         monkeypatch.setattr(fem, "jacobi_cg", spy)
         u = FeFunction(0, RNG.standard_normal(mass.shape[0]))
         backward_euler_step(mass, stiffness, u, u, tau=0.037)
-        expected = (mass + 0.037 * stiffness).tocsr()
+        expected = (as_scipy(mass) + 0.037 * as_scipy(stiffness)).tocsr()
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(seen[0], name),
                                           getattr(expected, name))
+        np.testing.assert_array_equal(seen[0].diagonal(), expected.diagonal())
 
     def test_mismatched_patterns_raise(self):
         m = icosphere(1)
@@ -494,18 +521,49 @@ class TestInPlaceKernel:
             with pytest.raises(ValueError, match="share one CSR pattern"):
                 backward_euler_step(a, b, u, u, tau=0.1)
         # an equal pattern in separate arrays is still the shared pattern
-        u1, _ = backward_euler_step(mass.copy(), stiffness, u, u, tau=0.1)
+        copy = mass._replace(indptr=mass.indptr.copy(),
+                             indices=mass.indices.copy())
+        u1, _ = backward_euler_step(copy, stiffness, u, u, tau=0.1)
         np.testing.assert_allclose(u1.coefficients, 1.1, rtol=1e-9)
 
-    @KERNEL_MESHES
-    def test_raw_product_equals_scipy_product(self, make):
-        mass, stiffness = assemble(make())
-        system = (mass + 0.01 * stiffness).tocsr()
-        n = system.shape[0]
-        p = RNG.standard_normal(n)
-        q = np.zeros(n)
-        fem.csr_matvec(n, n, system.indptr, system.indices, system.data, p, q)
-        np.testing.assert_array_equal(q, system @ p)
+    @pytest.mark.parametrize("make, surface", [
+        (graded_sphere, unit_sphere()), (lambda: torus_grid(12), torus())],
+        ids=["graded-sphere", "torus"])
+    def test_raw_product_equals_scipy_product(self, make, surface):
+        # the kernel loaded from scipy's extension file, raw and through the
+        # record's ``@``, on a P1 system and on the rectangular gradient
+        m = make()
+        mass, stiffness = assemble(m)
+        system = mass._replace(data=mass.data + 0.01 * stiffness.data)
+        grad = ErrorEvaluator(m, surface)._grad
+        assert grad.shape == (3 * m.n_triangles, m.n_nodes)
+        for matrix in (system, grad):
+            rows, cols = matrix.shape
+            p = RNG.standard_normal(cols)
+            q = np.zeros(rows)
+            fem.csr_matvec(rows, cols, matrix.indptr, matrix.indices,
+                           matrix.data, p, q)
+            expected = (as_scipy(matrix) @ p).tobytes()
+            assert q.tobytes() == expected
+            assert (matrix @ p).tobytes() == expected
+
+    def test_missing_kernel_file_raises_naming_the_path(self, monkeypatch):
+        monkeypatch.setattr(fem, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError,
+                           match=r"sparse._sparsetools\.\* is missing"):
+            fem._load_csr_matvec()
+
+    def test_products_check_the_vector_length(self):
+        m = icosphere(1)
+        mass, _ = assemble(m)
+        grad = ErrorEvaluator(m, unit_sphere())._grad
+        n = m.n_nodes
+        for matrix in (mass, grad):
+            rows = matrix.shape[0]
+            for length in (n - 1, n + 1):
+                expected = rf"{rows} x {n} matrix times vector \({length},\)"
+                with pytest.raises(ValueError, match=expected):
+                    matrix @ np.ones(length)
 
 
 class TestTimeStepping:
@@ -534,7 +592,7 @@ class TestTimeStepping:
         f = FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
         tau = 0.05
         u1, _ = backward_euler_step(mass, stiffness, u0, f, tau)
-        system = (mass + tau * stiffness).tocsc()
+        system = (as_scipy(mass) + tau * as_scipy(stiffness)).tocsc()
         rhs = mass @ (u0.coefficients + tau * f.coefficients)
         np.testing.assert_allclose(
             u1.coefficients, scipy.sparse.linalg.spsolve(system, rhs),
@@ -756,3 +814,33 @@ class TestBlockedLiftedQuadrature:
         block_arrays = 8 * fem.BLOCK * len(QUAD_WEIGHTS) * 9 * 8
         assert evaluator.mesh is mesh
         assert peak - kept < block_arrays
+
+
+def test_fresh_interpreter_runs_without_scipy_sparse():
+    # fem loads scipy's compiled CSR product from its extension file, so a
+    # step, the error norms and an adaptive run import no scipy.sparse
+    script = textwrap.dedent("""
+        import sys
+        import surfheat, surfheat.cli
+        from surfheat import adaptive, fem, problems
+        mesh = problems.icosphere(2)
+        mass, stiffness = fem.assemble(mesh)
+        decay = problems.get_problem("sphere-decay")
+        u = fem.interpolate(mesh, decay.u0)
+        u1, _ = fem.backward_euler_step(mass, stiffness, u, u, 0.01)
+        fem.ErrorEvaluator(mesh, decay.surface).errors(
+            u1, decay.u, decay.grad_u, 0.01)
+        peak = problems.get_problem("moving-peak-timing")
+        config = adaptive.AdaptiveConfig(tol=0.4, tau0=0.01, t_end=0.01,
+                                         theta=0.8, theta_star=0.2)
+        log = adaptive.run(peak, peak.surface, mesh, config)
+        assert log.accepted_steps >= 1
+        print(sorted(name for name in sys.modules if "sparse" in name))
+        sys.exit("scipy.sparse" in sys.modules)
+        """)
+    src = os.path.dirname(os.path.dirname(fem.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
