@@ -1,14 +1,15 @@
 """Space-time adaptive driver for the implicit surface heat solver.
 
-One accepted step runs three phases.  A spatial loop solves on the current
-mesh, evaluates the indicators at the target time and refines (marking by
-the square roots of the per-element spatial values) until the squared
-spatial indicator drops below the tolerance.  A temporal gate then either
-accepts the step or halves the time step and repeats the spatial loop on
-the already-refined mesh -- rejection never un-refines.  Acceptance doubles
-the time step for the next attempt and enters a coarsening loop that keeps
-removing nodes while the squared coarsening indicator stays within the
-tolerance, rolling back the iteration that overshoots.
+One accepted step runs three phases on one working-state record, ``_Work``.
+``_resolve`` makes one temporal attempt: it solves on the working mesh,
+evaluates the indicators at the target time, marks (by the square roots of
+the per-element spatial values), refines and lifts until the squared spatial
+indicator drops below the tolerance.  The temporal gate in ``run`` then
+accepts the step or halves the time step and calls ``_resolve`` again on the
+already-refined mesh -- rejection never un-refines.  Acceptance doubles the
+time step for the next step, and ``_coarsen`` runs the post-accept phase:
+``matching`` keeps removing nodes while the squared coarsening indicator
+stays within the tolerance, rolling back the pass that overshoots.
 
 A step's coarsening never removes a node created while resolving that step.
 Refinement appends nodes and coarsening keeps the survivors in order, so those
@@ -34,9 +35,9 @@ from .mesh import validate_mesh
 from .refinement import (coarsen, lift_new_nodes, mark_coarsen, mark_refine,
                          refine, transfer)
 
-_CRITERIA = ("bulk", "doerfler")
-_STRATEGIES = ("nvb", "rgb")
-_COARSENING_MODES = ("matching", "none", "reset")
+CRITERIA = ("bulk", "doerfler")
+STRATEGIES = ("nvb", "rgb")
+COARSENING_MODES = ("matching", "none", "reset")
 
 MAX_SPATIAL_ITERS = 30  # solves per temporal attempt
 DOF_CAP = 2_000_000  # nodes a mesh of the run may have, initial included
@@ -74,11 +75,11 @@ class AdaptiveConfig:
             raise ValueError("theta_star must lie in (0, 1)")
         if not TAU_MIN_FACTOR * self.t_end < self.tau0 <= self.t_end:
             raise ValueError("need 1e-8 * t_end < tau0 <= t_end")
-        if self.criterion not in _CRITERIA:
+        if self.criterion not in CRITERIA:
             raise ValueError(f"unknown marking criterion {self.criterion!r}")
-        if self.strategy not in _STRATEGIES:
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown refinement strategy {self.strategy!r}")
-        if self.coarsening not in _COARSENING_MODES:
+        if self.coarsening not in COARSENING_MODES:
             raise ValueError(f"unknown coarsening mode {self.coarsening!r}")
         if self.max_coarsen_iters < 0:
             raise ValueError("max_coarsen_iters must be nonnegative")
@@ -131,6 +132,79 @@ class RunLog:
         return self.records[-1].dofs - self.records[-1].nodes_removed
 
 
+@dataclass
+class _Work:
+    """A step's working state: the mesh the next solve runs on, ``u_prev``
+    on that mesh, and the step's solves and CG iterations so far."""
+
+    mesh: object
+    u_prev: object
+    solves: int = 0
+    cg_iters: int = 0
+
+
+def _resolve(problem, surface, config, work, log, target, tau):
+    """One temporal attempt to ``target`` that advances ``work``; returns
+    ``(u_new, indicators)`` on ``work.mesh``.  ``SpatialStagnation`` and
+    ``DofCapExceeded`` are raised before ``work`` takes a refinement."""
+    for spatial_iter in range(1, MAX_SPATIAL_ITERS + 1):
+        mass, stiffness = assemble(work.mesh)  # cached per mesh
+        f_h = interpolate(work.mesh, problem.f, time=target)
+        u_new, iters = backward_euler_step(mass, stiffness, work.u_prev,
+                                           f_h, tau)
+        work.solves += 1
+        work.cg_iters += iters
+        log.cum_dof_steps += work.mesh.n_nodes
+        ind = compute_indicators(work.mesh, u_new, work.u_prev, f_h, tau)
+        if ind.eta_h_sq < config.tol:
+            return u_new, ind
+        if spatial_iter == MAX_SPATIAL_ITERS:
+            raise SpatialStagnation(
+                f"spatial indicator still at {ind.eta_h_sq:.3e} after "
+                f"{MAX_SPATIAL_ITERS} solves (tol {config.tol:.3e})")
+        marks = mark_refine(np.sqrt(ind.spatial_sq), config.theta,
+                            config.criterion)
+        refined, tmap = refine(work.mesh, marks, config.strategy)
+        if refined is work.mesh:
+            raise SpatialStagnation("marking selected no element while the "
+                                    "spatial indicator is above tolerance")
+        if refined.n_nodes > DOF_CAP:
+            raise DofCapExceeded(f"refinement to {refined.n_nodes} nodes "
+                                 f"exceeds the cap of {DOF_CAP}")
+        work.u_prev = transfer(work.u_prev, tmap)
+        work.mesh = lift_new_nodes(refined, surface)
+        log.peak_dofs = max(log.peak_dofs, work.mesh.n_nodes)
+
+
+def _coarsen(config, mesh, u, u_prev, ind, initial_mesh, protect_from):
+    """The post-accept phase of ``mesh`` and ``u`` by ``config.coarsening``,
+    removing no node from ``protect_from`` on.  Returns ``(mesh, u,
+    eta_c_sq, coarsen_iters, nodes_removed)``."""
+    coarsening_sq, eta_c_sq = ind.coarsening_sq, ind.eta_c_sq
+    iters = nodes_removed = 0
+    if config.coarsening == "reset" and mesh is not initial_mesh:
+        nodes_removed = mesh.n_nodes - initial_mesh.n_nodes
+        u = FeFunction.on_mesh(
+            initial_mesh, u.coefficients[:initial_mesh.n_nodes].copy())
+        mesh = initial_mesh
+    while (config.coarsening == "matching" and eta_c_sq <= config.tol
+           and iters < config.max_coarsen_iters):
+        marks = mark_coarsen(np.sqrt(coarsening_sq), config.theta_star,
+                             config.criterion)
+        new_mesh, (new_u, new_uprev), removed = coarsen(
+            mesh, marks, [u, u_prev], protect_from=protect_from - nodes_removed)
+        iters += 1
+        if removed == 0:
+            break
+        new_sq, new_total = coarsening_indicator(new_mesh, new_u, new_uprev)
+        if new_total > config.tol:
+            break  # roll back to the previous grid
+        mesh, u, u_prev = new_mesh, new_u, new_uprev
+        nodes_removed += removed
+        coarsening_sq, eta_c_sq = new_sq, new_total
+    return mesh, u, eta_c_sq, iters, nodes_removed
+
+
 def run(problem, surface, initial_mesh, config, on_accept=None):
     """Advance ``problem`` from 0 to ``config.t_end`` adaptively.
 
@@ -168,110 +242,42 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
             f" exceeds tol {config.tol:.3e}")
 
     mesh = initial_mesh
-    n_initial = initial_mesh.n_nodes
     log.peak_dofs = mesh.n_nodes
     tau_floor = TAU_MIN_FACTOR * config.t_end
-    t = 0.0
-    tau = config.tau0
-    step = 0
-
+    t, tau, step = 0.0, config.tau0, 0
     while config.t_end - t > eps:
         step += 1
         started = time.perf_counter()
-        step_spatial_iters = 0
-        step_cg_iters = 0
-        n_start = mesh.n_nodes
-        work_mesh = mesh
-        work_uprev = u
+        if t + tau >= config.t_end - eps:
+            tau = config.t_end - t
+        work = _Work(mesh, u)
         try:
-            while True:  # one temporal attempt per pass
-                if t + tau >= config.t_end - eps:
-                    tau = config.t_end - t
-                target = t + tau
-
-                for spatial_iter in range(1, MAX_SPATIAL_ITERS + 1):
-                    mass, stiffness = assemble(work_mesh)  # cached per mesh
-                    f_h = interpolate(work_mesh, problem.f, time=target)
-                    u_new, iters = backward_euler_step(
-                        mass, stiffness, work_uprev, f_h, tau)
-                    step_spatial_iters += 1
-                    step_cg_iters += iters
-                    log.cum_dof_steps += work_mesh.n_nodes
-                    ind = compute_indicators(work_mesh, u_new, work_uprev,
-                                             f_h, tau)
-                    if ind.eta_h_sq < config.tol:
-                        break
-                    if spatial_iter == MAX_SPATIAL_ITERS:
-                        raise SpatialStagnation(
-                            f"spatial indicator still at {ind.eta_h_sq:.3e} "
-                            f"after {MAX_SPATIAL_ITERS} solves "
-                            f"(tol {config.tol:.3e})")
-                    marks = mark_refine(np.sqrt(ind.spatial_sq),
-                                        config.theta, config.criterion)
-                    refined, tmap = refine(work_mesh, marks, config.strategy)
-                    if refined is work_mesh:
-                        raise SpatialStagnation(
-                            "marking selected no element while the spatial "
-                            "indicator is above tolerance")
-                    if refined.n_nodes > DOF_CAP:
-                        raise DofCapExceeded(
-                            f"refinement to {refined.n_nodes} nodes exceeds "
-                            f"the cap of {DOF_CAP}")
-                    work_uprev = transfer(work_uprev, tmap)
-                    work_mesh = lift_new_nodes(refined, surface)
-                    log.peak_dofs = max(log.peak_dofs, work_mesh.n_nodes)
-
-                if ind.eta_tau_sq >= config.tol:
-                    tau = 0.5 * tau
-                    if tau < tau_floor:
-                        raise TauUnderflow(
-                            f"time step {tau:.3e} fell below "
-                            f"{tau_floor:.3e}; tolerance unreachable in time")
-                    continue  # retry on the refined mesh, fresh spatial loop
-                break
-
-            # Accept, then coarsen the accepted state.
-            mesh, u = work_mesh, u_new
-            coarsening_sq, eta_c_sq = ind.coarsening_sq, ind.eta_c_sq
-            coarsen_iters = 0
-            nodes_removed = 0
-            if config.coarsening == "matching":
-                u_prev_acc = work_uprev
-                while (eta_c_sq <= config.tol
-                       and coarsen_iters < config.max_coarsen_iters):
-                    marks = mark_coarsen(np.sqrt(coarsening_sq),
-                                         config.theta_star, config.criterion)
-                    new_mesh, (new_u, new_uprev), removed = coarsen(
-                        mesh, marks, [u, u_prev_acc],
-                        protect_from=n_start - nodes_removed)
-                    coarsen_iters += 1
-                    if removed == 0:
-                        break
-                    new_sq, new_total = coarsening_indicator(
-                        new_mesh, new_u, new_uprev)
-                    if new_total > config.tol:
-                        break  # roll back to the previous grid
-                    mesh, u, u_prev_acc = new_mesh, new_u, new_uprev
-                    nodes_removed += removed
-                    coarsening_sq, eta_c_sq = new_sq, new_total
-            elif config.coarsening == "reset" and mesh is not initial_mesh:
-                nodes_removed = mesh.n_nodes - n_initial
-                u = FeFunction.on_mesh(initial_mesh,
-                                       u.coefficients[:n_initial].copy())
-                mesh = initial_mesh
+            u_new, ind = _resolve(problem, surface, config, work, log,
+                                  t + tau, tau)
+            while ind.eta_tau_sq >= config.tol:  # reject; keep the refinement
+                tau = 0.5 * tau
+                if tau < tau_floor:
+                    raise TauUnderflow(
+                        f"time step {tau:.3e} fell below {tau_floor:.3e}; "
+                        f"tolerance unreachable in time")
+                u_new, ind = _resolve(problem, surface, config, work, log,
+                                      t + tau, tau)
+            mesh, u, eta_c_sq, coarsen_iters, nodes_removed = _coarsen(
+                config, work.mesh, u_new, work.u_prev, ind, initial_mesh,
+                protect_from=mesh.n_nodes)
         except SurfheatError as exc:  # the one place an abort names its step
             raise type(exc)(
                 f"{exc} [step {step}, t = {t:.6g}, tau = {tau:.6g}, "
-                f"dofs = {work_mesh.n_nodes}]") from exc
+                f"dofs = {work.mesh.n_nodes}]") from exc
 
         record = StepRecord(
-            step=step, t=target, tau=tau, dofs=work_mesh.n_nodes,
+            step=step, t=t + tau, tau=tau, dofs=work.mesh.n_nodes,
             eta_h_sq=ind.eta_h_sq, eta_tau_sq=ind.eta_tau_sq,
             eta_c_sq=eta_c_sq, eta_combined=ind.eta_combined,
-            spatial_iters=step_spatial_iters, coarsen_iters=coarsen_iters,
-            nodes_removed=nodes_removed, cg_iters=step_cg_iters,
+            spatial_iters=work.solves, coarsen_iters=coarsen_iters,
+            nodes_removed=nodes_removed, cg_iters=work.cg_iters,
             wall_ms=(time.perf_counter() - started) * 1e3)
-        t, tau = target, 2.0 * tau  # double the step for the next one
+        t, tau = record.t, 2.0 * tau  # double the step for the next one
         log.records.append(record)
         if on_accept is not None:
             on_accept(record, mesh, u)

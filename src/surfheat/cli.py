@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import DOF_CAP, AdaptiveConfig, StepRecord, run
+from .adaptive import (COARSENING_MODES, CRITERIA, DOF_CAP, STRATEGIES,
+                       AdaptiveConfig, StepRecord, run)
 from .errors import SurfheatError
 from .estimator import compute_indicators
 from .fem import (ErrorEvaluator, assemble, backward_euler_step,
@@ -122,10 +123,22 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _levels(finest):
-    """Levels 2..``finest`` of a ``--levels`` option; at least one."""
+def _within_cap(option, level, surface="sphere"):
+    """Refuse a ``level`` above ``DOF_CAP`` nodes before its mesh is built:
+    ``icosphere(level)`` has 10 * 4**level + 2 nodes and the torus mesh of
+    ``geometry_report``, ``torus_grid(3 * 2**level)``, 36 * 4**level."""
+    n_nodes = 10 * 4 ** level + 2 if surface == "sphere" else 36 * 4 ** level
+    if n_nodes > DOF_CAP:
+        raise ValueError(f"{option} {level} gives {n_nodes} nodes, "
+                         f"above the cap of {DOF_CAP}")
+
+
+def _levels(finest, surface="sphere"):
+    """Levels 2..``finest`` of a ``--levels`` option; at least one, and the
+    finest within ``DOF_CAP`` nodes."""
     if finest < 2:
         raise ValueError(f"--levels must be at least 2, got {finest}")
+    _within_cap("--levels", finest, surface)
     return range(2, finest + 1)
 
 
@@ -139,10 +152,7 @@ def cmd_convergence(args):
 
 
 def cmd_run(args):
-    n_nodes = 10 * 4 ** args.level + 2
-    if n_nodes > DOF_CAP:  # before the mesh is built
-        raise ValueError(f"--level {args.level} gives {n_nodes} nodes, "
-                         f"above the cap of {DOF_CAP}")
+    _within_cap("--level", args.level)
     problem = get_problem(args.problem)
     t_end = problem.t_end if args.t_end is None else args.t_end
     config = AdaptiveConfig(tol=args.tol, tau0=args.tau0, t_end=t_end,
@@ -225,7 +235,7 @@ def fitted_orders(rows):
 
 
 def cmd_verify_geometry(args):
-    levels = _levels(args.levels)
+    levels = _levels(args.levels, args.surface)
     rows = geometry_report(args.surface, levels)
     _write_csv(args.out, GEOMETRY_FIELDS, rows)
     if len(rows) >= 2:
@@ -307,10 +317,9 @@ def build_parser():
     p.add_argument("--tau0", type=float, default=0.02)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--theta-star", type=float, default=0.2)
-    p.add_argument("--criterion", choices=("bulk", "doerfler"),
-                   default="bulk")
-    p.add_argument("--strategy", choices=("nvb", "rgb"), default="nvb")
-    p.add_argument("--coarsening", choices=("matching", "none", "reset"),
+    p.add_argument("--criterion", choices=CRITERIA, default="bulk")
+    p.add_argument("--strategy", choices=STRATEGIES, default="nvb")
+    p.add_argument("--coarsening", choices=COARSENING_MODES,
                    default="matching")
     p.add_argument("--level", type=int, default=3,
                    help="subdivision level of the initial mesh")

@@ -57,17 +57,19 @@ class SolverDivergence(SurfheatError):
 
 
 class NonFiniteValue(SurfheatError):
-    """A NaN or an infinity reached the solver, the marking or a mesh node."""
+    """A NaN or an infinity reached the solver, the marking, a mesh node or
+    a point of the lift or the geometric operators."""
 
 
 # --- adaptive ---------------------------------------------------------------
 
 class TauUnderflow(SurfheatError):
-    """Time step was halved below the configured minimum."""
+    """Time step was halved below ``adaptive.TAU_MIN_FACTOR * t_end``."""
 
 
 class DofCapExceeded(SurfheatError):
-    """Refinement pushed the number of unknowns above the configured cap."""
+    """A mesh of the run, initial or refined, has more nodes than
+    ``adaptive.DOF_CAP``."""
 
 
 class SpatialStagnation(SurfheatError):

@@ -18,7 +18,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import NonConvergence, OutsideTube, SingularShapeOperator
+from .errors import (NonConvergence, NonFiniteValue, OutsideTube,
+                     SingularShapeOperator)
 
 _EYE3 = np.eye(3)
 
@@ -127,6 +128,16 @@ def torus():
                            name=f"torus-{R0}-{r0}")
 
 
+def check_finite(points, what="point"):
+    """Raise ``NonFiniteValue`` naming the first of the ``(..., 3)`` points,
+    in flat order, with a NaN or an infinity among its coordinates."""
+    flat = points.reshape(-1, 3)
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=1))
+    if bad.size:
+        raise NonFiniteValue(f"{what} {bad[0]} has a non-finite coordinate: "
+                             f"{flat[bad[0]].tolist()}")
+
+
 def lift(surface, points):
     """Closest-point lift onto the surface: ``x - d(x) grad d / |grad d|``.
 
@@ -136,6 +147,8 @@ def lift(surface, points):
 
     Raises
     ------
+    NonFiniteValue
+        If a point has a non-finite coordinate (``check_finite``).
     OutsideTube
         If ``|d(x)| >= bounding_radius / 4`` for any point.
     NonConvergence
@@ -144,16 +157,17 @@ def lift(surface, points):
         distance and its gradient.
     """
     x = np.asarray(points, dtype=float)
+    check_finite(x)
     d = surface.distance(x)
     guard = surface.bounding_radius / 4.0
-    if np.any(np.abs(d) >= guard):
+    if not np.all(np.abs(d) < guard):  # a NaN distance fails it too
         worst = float(np.max(np.abs(d)))
         raise OutsideTube(
             f"point with |d| = {worst:.3g} outside lift tube (limit {guard:.3g})")
     g = surface.gradient(x)
     y = x - d[..., None] * (g / np.linalg.norm(g, axis=-1, keepdims=True))
     residual = np.max(np.abs(surface.distance(y)), initial=0.0)
-    if residual > ON_SURFACE_TOL:
+    if not residual <= ON_SURFACE_TOL:
         raise NonConvergence(
             f"lifted point off-surface by {residual:.3g}; distance callbacks inconsistent?")
     return y
@@ -190,12 +204,15 @@ def geometric_operators(surface, points, nu_h):
 
     Raises
     ------
+    NonFiniteValue
+        If a point has a non-finite coordinate (``check_finite``).
     SingularShapeOperator
         If ``I - d*Weingarten`` is singular at some point.
     ValueError
         If ``nu_h . nu <= 0`` somewhere (inadmissible element).
     """
     p = np.asarray(points, dtype=float)
+    check_finite(p)
     nu_h = np.broadcast_to(np.asarray(nu_h, dtype=float), p.shape)
     d = surface.distance(p)
     nu = surface.gradient(p)

@@ -45,9 +45,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (DegenerateTriangle, InconsistentOrientation,
-                     NonFiniteValue, NonManifold)
-from .geometry import ON_SURFACE_TOL
+from .errors import DegenerateTriangle, InconsistentOrientation, NonManifold
+from .geometry import ON_SURFACE_TOL, check_finite
 
 _generation_counter = itertools.count(1)
 
@@ -388,10 +387,7 @@ def validate_mesh(mesh, surface=None):
     surface to within ``geometry.ON_SURFACE_TOL`` (``ValueError``).  The
     half-edge sort it reads stays cached on the mesh.
     """
-    bad = np.flatnonzero(~np.isfinite(mesh.nodes).all(axis=1))
-    if bad.size:
-        raise NonFiniteValue(f"node {bad[0]} has a non-finite coordinate: "
-                             f"{mesh.nodes[bad[0]].tolist()}")
+    check_finite(mesh.nodes, "node")
     # NonManifold / InconsistentOrientation
     build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)
     mesh.metrics  # DegenerateTriangle; cached for the first assembly

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (GenerationMismatch, MetadataMissing, NonFiniteValue,
                      StrategyMismatch)
 from .fem import FeFunction
-from .geometry import ON_SURFACE_TOL, lift
+from .geometry import ON_SURFACE_TOL, check_finite, lift
 from .mesh import Genealogy, SurfaceMesh
 
 
@@ -283,8 +283,9 @@ def lift_new_nodes(mesh, surface):
     tolerance a run's initial mesh must meet) are left bitwise intact, so
     repeated lifting is idempotent; lifted nodes land within it too.
     """
+    check_finite(mesh.nodes, "node")
     d = surface.distance(mesh.nodes)
-    off = np.abs(d) > ON_SURFACE_TOL
+    off = ~(np.abs(d) <= ON_SURFACE_TOL)  # a NaN distance goes to the lift
     if not off.any():
         return mesh
     nodes = mesh.nodes.copy()

@@ -138,6 +138,46 @@ class TestGatesAndDeterminism:
         assert seen == [r.step for r in log.records]
 
 
+class TestRejectedAttempts:
+    def test_step_counters_include_rejected_attempts(self, monkeypatch):
+        # moving-peak-timing halves tau in most steps up to t = 0.05; a
+        # record counts every solve of its step, and a retry starts on the
+        # mesh the rejected attempt refined to
+        solves = []
+        steps = []
+        solve = adaptive.backward_euler_step
+
+        def recorded(mass, stiffness, u_prev, f_h, tau):
+            u_new, iters = solve(mass, stiffness, u_prev, f_h, tau)
+            solves.append((u_prev.generation, len(u_prev), tau, iters))
+            return u_new, iters
+
+        def on_accept(record, mesh, u):
+            steps.append((record, list(solves)))
+            solves.clear()
+
+        monkeypatch.setattr(adaptive, "backward_euler_step", recorded)
+        problem = get_problem("moving-peak-timing")
+        config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.05, theta=0.8,
+                                theta_star=0.2)
+        log = run(problem, problem.surface, icosphere(3), config,
+                  on_accept=on_accept)
+        refined_rejects = 0
+        for record, step_solves in steps:
+            generations, dofs, taus, iters = zip(*step_solves)
+            assert record.spatial_iters == len(step_solves)
+            assert record.cg_iters == sum(iters)
+            assert (record.tau, record.dofs) == (taus[-1], dofs[-1])
+            for k in range(1, len(taus)):
+                if taus[k] != taus[k - 1]:  # attempt k - 1 was rejected
+                    assert taus[k] == 0.5 * taus[k - 1]
+                    assert generations[k] == generations[k - 1]
+                    refined_rejects += dofs[k - 1] > dofs[0]
+        assert log.cum_dof_steps == sum(n for _, step_solves in steps
+                                        for _, n, _, _ in step_solves)
+        assert refined_rejects > 0
+
+
 class TestGuards:
     def test_tau_underflow(self, monkeypatch):
         monkeypatch.setattr(adaptive, "TAU_MIN_FACTOR", 1e-4)
@@ -171,6 +211,26 @@ class TestGuards:
         config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
         with pytest.raises(DofCapExceeded, match=r"\[step 1, t = 0, "
                            r"tau = 0\.01, dofs = 162\]"):
+            run(problem, problem.surface, icosphere(2), config)
+
+    def test_spatial_stagnation_names_the_refined_mesh(self, monkeypatch):
+        # two refinements took the 162 nodes to 522 before the third solve
+        monkeypatch.setattr(adaptive, "MAX_SPATIAL_ITERS", 3)
+        problem = get_problem("sphere-decay")
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
+        with pytest.raises(SpatialStagnation, match=r" after 3 solves "
+                           r"\(tol 5\.000e-02\) \[step 1, t = 0, "
+                           r"tau = 0\.01, dofs = 522\]$"):
+            run(problem, problem.surface, icosphere(2), config)
+
+    def test_dof_cap_names_the_last_mesh_taken(self, monkeypatch):
+        # 162 -> 282 nodes is taken; the next refinement, to 522, is not
+        monkeypatch.setattr(adaptive, "DOF_CAP", 400)
+        problem = get_problem("sphere-decay")
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
+        with pytest.raises(DofCapExceeded, match=r"^refinement to 522 nodes "
+                           r"exceeds the cap of 400 \[step 1, t = 0, "
+                           r"tau = 0\.01, dofs = 282\]$"):
             run(problem, problem.surface, icosphere(2), config)
 
     def test_dof_cap_bounds_the_initial_mesh_before_any_solve(self,

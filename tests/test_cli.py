@@ -47,6 +47,16 @@ def reference_march_uniform(problem, mesh, mass, stiffness, evaluator, tau,
     return err_linf_l2, np.sqrt(err_l2_h1_sq), estimator
 
 
+@pytest.fixture
+def no_mesh_built(monkeypatch):
+    """Make building either mesh family fail the test."""
+    def unbuildable(level):
+        raise AssertionError(f"a mesh of argument {level} was built")
+
+    monkeypatch.setattr(cli, "icosphere", unbuildable)
+    monkeypatch.setattr(cli, "torus_grid", unbuildable)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -245,6 +255,15 @@ class TestConvergenceCommand:
         assert "--levels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_levels_above_dof_cap_exit_2_before_building(
+            self, tmp_path, capsys, no_mesh_built):
+        out = tmp_path / "x.csv"
+        assert main(["convergence", "--levels", "9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --levels 9 gives 2621442 nodes, above the cap of "
+            "2000000\n")
+        assert not out.exists()
+
     def test_infinite_t_end_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["convergence", "--problem", "zero", "--levels", "2",
@@ -295,11 +314,7 @@ class TestRunCommand:
         assert "initial mesh too coarse" in err and err.count("\n") == 1
 
     def test_level_above_dof_cap_exits_2_before_building(
-            self, tmp_path, capsys, monkeypatch):
-        def unbuildable(level):
-            raise AssertionError(f"icosphere({level}) was built")
-
-        monkeypatch.setattr(cli, "icosphere", unbuildable)
+            self, tmp_path, capsys, no_mesh_built):
         out = tmp_path / "x.csv"
         assert main(["run", "--level", "9", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
@@ -374,6 +389,31 @@ class TestVerifyGeometryCommand:
         captured = capsys.readouterr()
         assert "--levels" in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("surface, levels, nodes", [
+        ("sphere", 9, 2621442), ("torus", 8, 2359296)])
+    def test_levels_above_dof_cap_exit_2_before_building(
+            self, tmp_path, capsys, no_mesh_built, surface, levels, nodes):
+        out = tmp_path / "geo.csv"
+        assert main(["verify-geometry", "--surface", surface,
+                     "--levels", str(levels), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --levels {levels} gives {nodes} "
+                                f"nodes, above the cap of 2000000\n")
+        assert captured.out == "" and not out.exists()
+
+
+    @pytest.mark.parametrize("surface, build", [
+        ("sphere", icosphere), ("torus", lambda lv: torus_grid(3 * 2 ** lv))])
+    def test_cap_counts_the_nodes_of_each_family(self, monkeypatch, surface,
+                                                 build):
+        for level in (2, 3):
+            n_nodes = build(level).n_nodes
+            monkeypatch.setattr(cli, "DOF_CAP", n_nodes)
+            cli._within_cap("--levels", level, surface)
+            monkeypatch.setattr(cli, "DOF_CAP", n_nodes - 1)
+            with pytest.raises(ValueError, match=f" gives {n_nodes} nodes, "):
+                cli._within_cap("--levels", level, surface)
 
 
 class TestTimingTable:

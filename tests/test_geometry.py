@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from surfheat.errors import NonConvergence, OutsideTube, SingularShapeOperator
+from surfheat.errors import (NonConvergence, NonFiniteValue, OutsideTube,
+                             SingularShapeOperator)
 from surfheat.fem import quadrature_points
 from surfheat.geometry import (
     GeometricOperators,
@@ -252,6 +253,24 @@ class TestLift:
         with pytest.raises(OutsideTube):
             lift(s, np.array([[2.0, 0.0, 0.0]]))
 
+    def test_non_finite_point_named(self):
+        # NaN fails both the tube test and the residual test as comparisons
+        points = np.array([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]])
+        with pytest.raises(NonFiniteValue, match=r"^point 1 has a non-finite "
+                           r"coordinate: \[nan, 0\.0, 0\.0\]$"):
+            lift(unit_sphere(), points)
+
+    def test_non_finite_distance_outside_tube(self):
+        # a finite point whose distance callback gives NaN is not lifted
+        sphere = unit_sphere()
+        nan_at_pole = LevelSetSurface(
+            distance=lambda p: np.where(p[..., 2] == 1.0, np.nan,
+                                        sphere.distance(p)),
+            gradient=sphere.gradient, hessian=sphere.hessian,
+            bounding_radius=1.0)
+        with pytest.raises(OutsideTube, match=r"\|d\| = nan"):
+            lift(nan_at_pole, np.array([[0.0, 0.0, 1.0]]))
+
     def test_non_convergence(self):
         # a "surface" whose gradient callback is inconsistent with the
         # distance: the projection lands off the surface
@@ -455,6 +474,15 @@ class TestGeometricOperators:
             bounding_radius=100.0)
         with pytest.raises(SingularShapeOperator):
             geometric_operators(surf, np.zeros((1, 3)), np.array([0.0, 0.0, 1.0]))
+
+    def test_non_finite_point_named(self):
+        # before the determinant, which would warn and return NaN
+        points = np.array([[[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                           [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]])
+        with pytest.raises(NonFiniteValue, match=r"^point 3 has a non-finite "
+                           r"coordinate: \[0\.0, inf, 0\.0\]$"):
+            geometric_operators(unit_sphere(), points,
+                                np.array([0.0, 0.0, 1.0]))
 
     def test_inadmissible_normal(self):
         s = unit_sphere()

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfheat.errors import (GenerationMismatch, MetadataMissing,
-                             NonFiniteValue, StrategyMismatch)
+                             NonFiniteValue, OutsideTube, StrategyMismatch)
 from surfheat.fem import FeFunction, interpolate
-from surfheat.geometry import ON_SURFACE_TOL, unit_sphere
+from surfheat.geometry import ON_SURFACE_TOL, LevelSetSurface, unit_sphere
 from surfheat.mesh import Genealogy, SurfaceMesh, validate_mesh
 from surfheat.problems import icosahedron, icosphere
 from surfheat.refinement import (_rotate_reference_first, coarsen,
@@ -430,6 +430,26 @@ class TestLiftNewNodes:
         assert not np.array_equal(lifted.nodes[1], nodes[1])
         assert abs(np.linalg.norm(lifted.nodes[1]) - 1.0) < 1e-15
         np.testing.assert_array_equal(lifted.nodes[2:], m.nodes[2:])
+
+    def test_non_finite_node_named(self):
+        m = icosphere(1)
+        nodes = m.nodes.copy()
+        nodes[7, 1] = np.nan
+        with pytest.raises(NonFiniteValue, match=r"^node 7 has a non-finite "
+                           r"coordinate: \[\S+, nan, \S+\]$"):
+            lift_new_nodes(m.with_nodes(nodes), unit_sphere())
+
+    def test_non_finite_distance_goes_to_the_lift(self):
+        # a NaN distance is not "on the surface": the lift refuses it
+        m = icosphere(1)
+        sphere = unit_sphere()
+        nan_at_node_7 = LevelSetSurface(
+            distance=lambda p: np.where((p == m.nodes[7]).all(axis=-1),
+                                        np.nan, sphere.distance(p)),
+            gradient=sphere.gradient, hessian=sphere.hessian,
+            bounding_radius=1.0)
+        with pytest.raises(OutsideTube, match=r"\|d\| = nan"):
+            lift_new_nodes(m, nan_at_node_7)
 
     def test_generation_survives_lift(self):
         m = icosphere(1)
