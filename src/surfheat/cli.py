@@ -109,6 +109,7 @@ def convergence_sweep(problem, levels, taus, t_end=None):
                 errors = _march_uniform(problem, mesh, mass, stiffness,
                                         evaluator, tau, t_end, pool)
                 rows.append((mesh.metrics.h, tau, mesh.n_nodes, *errors))
+            del evaluator  # freed before the next level's is built
     finally:
         pool.shutdown(cancel_futures=True)
     return rows

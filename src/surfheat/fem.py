@@ -5,25 +5,23 @@ flat triangles); quadrature enters only for error norms against an exact
 solution, where integrands live on the curved surface via the closest-point
 lift.
 
-Everything that depends on the mesh alone is built once per mesh and cached
-on it (meshes are immutable):
+The P1 bundle depends on the mesh alone, so ``p1_operators`` builds it once
+per mesh from the half-edge sort and squared edge lengths and caches it on
+the mesh (meshes are immutable): the (3, M) half-cotangent weights the
+indicators run on, and mass and stiffness written straight into CSR on the
+sort's pattern, with no basis gradients.  ``assemble`` is a lookup.
 
-- ``p1_operators`` builds the P1 bundle on the first assembly or indicator
-  pass of a mesh from its half-edge sort and squared edge lengths: the
-  (3, M) half-cotangent weights the indicators run on, and mass and
-  stiffness written straight into CSR on the sort's pattern.  Nothing in it
-  needs a closed surface or basis gradients.  ``assemble`` is a lookup.
-- the lifted degree-4 quadrature on a surface is built on the first
-  ``ErrorEvaluator`` or ``lifted_l2_distance`` of a mesh and shared by all
-  later ones.  Built and evaluated in blocks of ``BLOCK`` triangles, its
-  temporaries are a block's; an ``ErrorEvaluator`` keeps its buffers.
+The lifted rule of the error norms is not cached on the mesh: an
+``ErrorEvaluator`` owns its own, and ``lifted_l2_distance`` keeps only its
+differences and weights.  Both lift it in blocks of ``BLOCK`` triangles, so
+the temporaries are a block's.
 
 Matrices are :class:`Csr` records: ``data``, int64 ``indices`` and
-``indptr``, ``shape`` and the positions ``diag`` of the diagonal in ``data``
-(None if rectangular).  Their one kernel, scipy's compiled ``csr_matvec``,
-is loaded from its extension file alone: importing ``scipy.sparse`` would
-cost each process 0.2 s and 13-20 MB.  Each product checks the vector's
-length, as the kernel has no bounds check.  A time step solves
+``indptr``, ``shape`` and the positions ``diag`` of the diagonal in
+``data``.  Their one kernel, scipy's compiled ``csr_matvec``, is loaded
+from its extension file alone: importing ``scipy.sparse`` would cost each
+process 0.2 s and 13-20 MB.  Each product checks the vector's length, as
+the kernel has no bounds check.  A time step solves
 ``(M + tau A) u = M (u_prev + tau f)``, one ``data`` vector on the pattern
 ``assemble``'s two matrices share.  ``jacobi_cg`` makes one raw
 ``csr_matvec`` per iteration into a preallocated vector and updates in
@@ -371,35 +369,18 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
 
 # ------------------------------------------------------------- lifted norms
 
-def _lifted_quadrature(mesh, surface):
-    """The degree-4 rule lifted to the exact surface, cached on the mesh.
-
-    Returns per-(triangle, point): the lifted points ``y`` (M, Q, 3), the
-    square roots of the weights ``w[m, q] = area_m * w_q * mu[m, q]``
-    integrating over the exact surface (``mu`` the measure ratio), and the
-    lifted-gradient transforms (M, Q, 3, 3), filled one block of ``BLOCK``
-    triangles at a time (:func:`quadrature_blocks`) so that the temporaries
-    are a block's.  One entry per surface lives in the mesh's ``_lifted``
-    dictionary and dies with the mesh.
-    """
-    cached = mesh._lifted.get(surface)
-    if cached is None:
-        m, q = mesh.n_triangles, len(QUAD_WEIGHTS)
-        y, sqrt_w = np.empty((m, q, 3)), np.empty((m, q))
-        trans = np.empty((m, q, 3, 3))
-        for block, x, nu_h in quadrature_blocks(mesh):
-            y[block] = lift(surface, x).reshape(-1, q, 3)
-            ops = geometric_operators(surface, x, nu_h)
-            sqrt_w[block] = np.sqrt(mesh.metrics.area[block, None]
-                                    * QUAD_WEIGHTS * ops.mu.reshape(-1, q))
-            trans[block] = ops.grad_transform.reshape(-1, q, 3, 3)
-        cached = mesh._lifted[surface] = (y, sqrt_w, trans)
-    return cached
-
-
-def _point_values(mesh, u, out=None):
-    """Values of ``u`` at the rule's points of every triangle, (M, Q)."""
-    return np.matmul(u.coefficients[mesh.triangles], QUAD_POINTS.T, out=out)
+def _lifted_blocks(mesh, surface):
+    """Yield the degree-4 rule lifted to the exact surface for each block of
+    :func:`quadrature_blocks`: ``(block, y, sqrt_w, ops)``, the lifted
+    points (k, Q, 3), the square roots of the weights ``area_m * w_q *
+    mu[m, q]`` on the exact surface (``mu`` the measure ratio) and the
+    block's :class:`~surfheat.geometry.GeometricOperators`."""
+    q = len(QUAD_WEIGHTS)
+    for block, x, nu_h in quadrature_blocks(mesh):
+        y = lift(surface, x).reshape(-1, q, 3)
+        ops = geometric_operators(surface, x, nu_h)
+        yield block, y, np.sqrt(mesh.metrics.area[block, None] * QUAD_WEIGHTS
+                                * ops.mu.reshape(-1, q)), ops
 
 
 def _subtract(diff, field, y):
@@ -423,34 +404,39 @@ class ErrorEvaluator:
 
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
-    would repeat it identically every step.  The lifted quadrature comes
-    from the mesh's cache; the evaluator builds its CSR gradient and its
-    difference buffers once (so it serves one call at a time), and repeated
+    would repeat it identically every step.  The evaluator keeps, per
+    (triangle, point), the lifted point, the square root of the weight and
+    the lifted gradients ``L_k = B Q grad(phi_k)`` of basis functions 1 and
+    2, and two difference buffers (so it serves one call at a time); the
+    gradients of a P1 function sum to zero over a flat element, so its
+    lifted gradient is ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``.  Repeated
     evaluations pay only for the integrand arithmetic.  Works on open
     triangle sets too: nothing here needs the adjacency.
     """
 
-    __slots__ = ("mesh", "_y", "_sqrt_w", "_trans", "_grad", "_diff", "_gdiff")
+    __slots__ = ("mesh", "_y", "_sqrt_w", "_lifted_grads", "_diff", "_gdiff")
 
     def __init__(self, mesh, surface):
         self.mesh = mesh
-        self._y, self._sqrt_w, self._trans = _lifted_quadrature(mesh, surface)
-        # row k M + t holds G[t, i, k] at column tri[t, i]
-        m = mesh.n_triangles
-        self._grad = Csr(basis_gradients(mesh).transpose(2, 0, 1).ravel(),
-                         np.tile(mesh.triangles, (3, 1)).ravel(),
-                         np.arange(0, 9 * m + 1, 3), (3 * m, mesh.n_nodes),
-                         None)
-        self._diff, self._gdiff = np.empty(self._sqrt_w.shape), np.empty(
-            self._y.shape)
+        m, q = mesh.n_triangles, len(QUAD_WEIGHTS)
+        self._y, self._sqrt_w = np.empty((m, q, 3)), np.empty((m, q))
+        lifted = np.empty((m, q, 3, 2))
+        # (M, 1, 3, 2): the columns grad(phi_1) and grad(phi_2)
+        grads = basis_gradients(mesh)[:, None, 1:].swapaxes(2, 3)
+        for block, y, sqrt_w, ops in _lifted_blocks(mesh, surface):
+            self._y[block], self._sqrt_w[block] = y, sqrt_w
+            np.matmul(ops.grad_transform.reshape(-1, q, 3, 3), grads[block],
+                      out=lifted[block])
+        self._lifted_grads = lifted.reshape(m, 3 * q, 2)
+        self._diff, self._gdiff = np.empty((m, q)), np.empty((m, q, 3))
 
     def errors(self, u_h, exact_u, exact_grad, time):
         """L2 and H1-seminorm errors of the lifted discrete solution.
 
         The exact solution and its tangential gradient are evaluated at
-        lifted quadrature points; the discrete tangential gradient is mapped
-        to the exact surface with the lifted-gradient transform, and all
-        integrals are weighted with the surface-measure ratio.
+        lifted quadrature points; the discrete tangential gradient is the
+        lifted one (class docstring), and all integrals are weighted with
+        the surface-measure ratio.
 
         Returns
         -------
@@ -458,12 +444,13 @@ class ErrorEvaluator:
         """
         u_h.check(self.mesh)
         y, sqrt_w = self._y, self._sqrt_w
-        diff = _point_values(self.mesh, u_h, out=self._diff)
+        corners = u_h.coefficients[self.mesh.triangles]
+        diff = np.matmul(corners, QUAD_POINTS.T, out=self._diff)
         l2_sq = _weighted_sum_sq(
             _subtract(diff, lambda p: exact_u(p, time), y), sqrt_w)
         m, q = sqrt_w.shape
-        grads = (self._grad @ u_h.coefficients).reshape(3, m)  # flat
-        np.matmul(self._trans.reshape(m, 3 * q, 3), grads.T[:, :, None],
+        steps = corners[:, 1:, None] - corners[:, :1, None]  # (M, 2, 1)
+        np.matmul(self._lifted_grads, steps,
                   out=self._gdiff.reshape(m, 3 * q, 1))
         h1_sq = _weighted_sum_sq(
             _subtract(self._gdiff, lambda p: exact_grad(p, time), y), sqrt_w)
@@ -474,10 +461,14 @@ def lifted_l2_distance(mesh, surface, u_h, field, time=None):
     """L2(Gamma) distance between the lifted discrete function and a field.
 
     ``field`` takes ``(points)`` when ``time`` is None, else ``(points, t)``.
-    Works on open triangle sets: nothing here needs the adjacency.
+    Only the differences and weights are kept; the lifted points are a
+    block's.  Works on open triangle sets: nothing here needs the adjacency.
     """
     u_h.check(mesh)
-    y, sqrt_w, _ = _lifted_quadrature(mesh, surface)
     at = field if time is None else lambda p: field(p, time)
-    diff = _subtract(_point_values(mesh, u_h), at, y)
+    diff = u_h.coefficients[mesh.triangles] @ QUAD_POINTS.T
+    sqrt_w = np.empty(diff.shape)
+    for block, y, w, _ in _lifted_blocks(mesh, surface):
+        diff[block] -= at(y)
+        sqrt_w[block] = w
     return math.sqrt(_weighted_sum_sq(diff, sqrt_w))

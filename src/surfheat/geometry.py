@@ -77,8 +77,10 @@ def unit_sphere():
         p = np.asarray(p, dtype=float)
         r = np.linalg.norm(p, axis=-1, keepdims=True)
         n = p / r
-        outer = n[..., :, None] * n[..., None, :]
-        return (_EYE3 - outer) / r[..., None]
+        hess = n[..., :, None] * n[..., None, :]
+        np.subtract(_EYE3, hess, out=hess)
+        hess /= r[..., None]
+        return hess
 
     return LevelSetSurface(distance, gradient, hessian, bounding_radius=1.0,
                            name="unit-sphere")
@@ -220,16 +222,20 @@ def geometric_operators(surface, points, nu_h):
     dot = np.sum(nu_h * nu, axis=-1)
     if np.any(dot <= 0.0):
         raise ValueError("element normal points away from the surface normal")
-    A = surface.hessian(p)
-    IdA = _EYE3 - d[..., None, None] * A
+    # each (..., 3, 3) array is formed in place: fewer block temporaries
+    IdA = d[..., None, None] * surface.hessian(p)
+    np.subtract(_EYE3, IdA, out=IdA)
     det = np.linalg.det(IdA)
     if np.any(np.abs(det) < 1e-12):
         raise SingularShapeOperator("I - d*Weingarten is singular")
-    # B = adj / det: the columns of the adjugate of a matrix with rows
-    # a, b, c are b x c, c x a and a x b.  B Q = B - (B nu_h) nu^T / dot.
-    a, b, c = np.moveaxis(IdA, -2, 0)
-    adj = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=-1)
+    # B = adj / det: column k of the adjugate is the cross product of rows
+    # k + 1 and k + 2 (mod 3).  B Q = B - (B nu_h) nu^T / dot.
+    adj = np.empty_like(IdA)
+    for k in range(3):
+        adj[..., k] = np.cross(IdA[..., k - 2, :], IdA[..., k - 1, :])
     adj_nu_h = np.einsum("...kj,...j->...k", adj, nu_h)
-    adj -= adj_nu_h[..., :, None] * (nu / dot[..., None])[..., None, :]
+    nu /= dot[..., None]
+    for j in range(3):
+        adj[..., j] -= adj_nu_h * nu[..., j, None]
     adj /= det[..., None, None]
     return GeometricOperators(distance=d, mu=dot * det, grad_transform=adj)

@@ -13,11 +13,9 @@ mesh for its lifetime; nothing ever needs invalidating:
 - the element metrics and squared edge lengths, on contiguous coordinate rows;
 - the P1 operator bundle (mass, stiffness and half-cotangent weights), built
   from the half-edge sort and the metrics by ``fem.p1_operators`` when a
-  mesh is first assembled or estimated;
-- the lifted quadrature per surface, built by ``fem`` on the first lifted
-  error norm.
+  mesh is first assembled or estimated.
 
-A mesh that is only tested for coarsening builds neither of the last two.
+A mesh that is only tested for coarsening builds no P1 bundle.
 The closed-surface checks of :func:`build_adjacency` are not cached: refinement
 (then lifting) and coarsening keep a mesh closed, oriented, finite and on its
 surface, so :func:`validate_mesh` checks it once, on the initial mesh of a run.
@@ -216,7 +214,6 @@ class SurfaceMesh:
         self._half_edges = None
         self._metrics = None
         self._operators = None  # fem.P1Operators, filled by fem.p1_operators
-        self._lifted = {}  # lifted quadratures, filled by fem
 
     # ------------------------------------------------------------------ basic
 

@@ -2,6 +2,7 @@
 
 import csv
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -213,6 +214,22 @@ class TestConvergenceSweep:
                            match=r"^exact solution undefined at t=0\.30$"):
             convergence_sweep(problem, [2], [0.1], t_end=1.0)
         assert threading.active_count() == threads
+
+    def test_one_evaluator_at_a_time(self, monkeypatch):
+        # level L - 1's evaluator is freed before level L's is built
+        built, alive = [], []
+
+        class Watched(ErrorEvaluator):  # no __slots__: weakly referable
+            def __init__(self, mesh, surface):
+                alive.append([ref() is not None for ref in built])
+                super().__init__(mesh, surface)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(cli, "ErrorEvaluator", Watched)
+        rows = convergence_sweep(get_problem("sphere-decay"), [2, 3, 4],
+                                 [0.5, 0.25], t_end=0.5)
+        assert len(rows) == 6
+        assert alive == [[], [False], [False, False]]
 
 
 class TestConvergenceCommand:

@@ -402,7 +402,6 @@ class TestOnePass:
         estimator.coarsening_indicator(coarse, c_n, c_prev)
         assert fine._operators is None
         assert coarse._operators is None
-        assert coarse._lifted == {}
 
     def test_lifted_mesh_has_its_own_gradients(self):
         mesh = init_reference_edges(icosphere(1))

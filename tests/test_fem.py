@@ -39,6 +39,16 @@ def as_scipy(matrix):
     return sp.csr_array(matrix, dtype=float)
 
 
+def gradient_csr(mesh):
+    """Reference: the flat tangential gradient of the P1 space as a
+    rectangular (3M x N) ``fem.Csr`` with no diagonal: row k M + t holds
+    ``G[t, i, k]`` at column ``tri[t, i]``."""
+    m = mesh.n_triangles
+    return fem.Csr(basis_gradients(mesh).transpose(2, 0, 1).ravel(),
+                   np.tile(mesh.triangles, (3, 1)).ravel(),
+                   np.arange(0, 9 * m + 1, 3), (3 * m, mesh.n_nodes), None)
+
+
 def single_triangle(corners):
     return SurfaceMesh(np.asarray(corners, dtype=float), [[0, 1, 2]])
 
@@ -526,16 +536,15 @@ class TestInPlaceKernel:
         u1, _ = backward_euler_step(copy, stiffness, u, u, tau=0.1)
         np.testing.assert_allclose(u1.coefficients, 1.1, rtol=1e-9)
 
-    @pytest.mark.parametrize("make, surface", [
-        (graded_sphere, unit_sphere()), (lambda: torus_grid(12), torus())],
-        ids=["graded-sphere", "torus"])
-    def test_raw_product_equals_scipy_product(self, make, surface):
+    @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
+                             ids=["graded-sphere", "torus"])
+    def test_raw_product_equals_scipy_product(self, make):
         # the kernel loaded from scipy's extension file, raw and through the
-        # record's ``@``, on a P1 system and on the rectangular gradient
+        # record's ``@``, on a P1 system and on a rectangular gradient
         m = make()
         mass, stiffness = assemble(m)
         system = mass._replace(data=mass.data + 0.01 * stiffness.data)
-        grad = ErrorEvaluator(m, surface)._grad
+        grad = gradient_csr(m)
         assert grad.shape == (3 * m.n_triangles, m.n_nodes)
         for matrix in (system, grad):
             rows, cols = matrix.shape
@@ -556,7 +565,7 @@ class TestInPlaceKernel:
     def test_products_check_the_vector_length(self):
         m = icosphere(1)
         mass, _ = assemble(m)
-        grad = ErrorEvaluator(m, unit_sphere())._grad
+        grad = gradient_csr(m)
         n = m.n_nodes
         for matrix in (mass, grad):
             rows = matrix.shape[0]
@@ -685,17 +694,17 @@ class TestLiftedNorms:
         c = np.full(m.n_nodes, 4.0)
         assert np.sqrt(max(c @ (stiffness @ c), 0.0)) < 1e-6
 
-    def test_lifted_quadrature_is_cached_per_surface(self):
+    def test_lifted_distance_repeats_and_leaves_nothing_on_the_mesh(self):
         m = icosphere(2)
         surface = unit_sphere()
         u = interpolate(m, lambda x: x[:, 0])
+        m.metrics  # the one mesh cache the lifted rule reads
+        before = {name: id(value) for name, value in vars(m).items()}
         first = lifted_l2_distance(m, surface, u, zero)
-        evaluator = ErrorEvaluator(m, surface)
-        assert len(m._lifted) == 1
+        ErrorEvaluator(m, surface)
         assert lifted_l2_distance(m, surface, u, zero) == first
-        assert ErrorEvaluator(m, surface)._sqrt_w is evaluator._sqrt_w
-        lifted_l2_distance(m, unit_sphere(), u, zero)  # a second surface object
-        assert len(m._lifted) == 2
+        assert lifted_l2_distance(m, unit_sphere(), u, zero) == first
+        assert {name: id(value) for name, value in vars(m).items()} == before
 
     def test_error_evaluator_on_open_triangle_subsets(self):
         m = icosphere(2)
@@ -724,7 +733,8 @@ class TestLiftedNorms:
 # ------------------------------------------ single-batch lifted references
 
 def whole_mesh_quadrature(mesh, surface):
-    """Reference: the lifted rule of the whole mesh in one batch."""
+    """Reference: the lifted rule of the whole mesh in one batch: points,
+    square roots of the weights and lifted-gradient transforms B Q."""
     x = quadrature_points(mesh)
     m, q = x.shape[:2]
     y = lift(surface, x.reshape(-1, 3)).reshape(m, q, 3)
@@ -735,6 +745,14 @@ def whole_mesh_quadrature(mesh, surface):
     return y, np.sqrt(w), ops.grad_transform.reshape(m, q, 3, 3)
 
 
+def whole_mesh_lifted_gradients(mesh, trans):
+    """Reference: ``L_k = B Q grad(phi_k)`` of basis functions 1 and 2 on
+    the whole mesh in one batch, (M, 3 Q, 2)."""
+    grads = basis_gradients(mesh)[:, None, 1:].swapaxes(2, 3)
+    m, q = trans.shape[:2]
+    return (trans @ grads).reshape(m, 3 * q, 2)
+
+
 def whole_mesh_sum_sq(diff, sqrt_w):
     diff *= sqrt_w.reshape(sqrt_w.shape + (1,) * (diff.ndim - 2))
     flat = diff.ravel()
@@ -742,14 +760,31 @@ def whole_mesh_sum_sq(diff, sqrt_w):
 
 
 def whole_mesh_errors(mesh, surface, u_h, exact_u, exact_grad, time):
-    """Reference: ``ErrorEvaluator.errors`` on whole-mesh arrays."""
+    """Reference: ``ErrorEvaluator.errors`` on whole-mesh arrays, the lifted
+    gradient ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``."""
+    y, sqrt_w, trans = whole_mesh_quadrature(mesh, surface)
+    corners = u_h.coefficients[mesh.triangles]
+    diff = corners @ QUAD_POINTS.T
+    diff -= exact_u(y, time)
+    l2_sq = whole_mesh_sum_sq(diff, sqrt_w)
+    lifted = whole_mesh_lifted_gradients(mesh, trans)
+    steps = corners[:, 1:, None] - corners[:, :1, None]
+    gdiff = (lifted @ steps).reshape(y.shape)
+    gdiff -= exact_grad(y, time)
+    h1_sq = whole_mesh_sum_sq(gdiff, sqrt_w)
+    return np.sqrt(l2_sq), np.sqrt(h1_sq)
+
+
+def full_transform_errors(mesh, surface, u_h, exact_u, exact_grad, time):
+    """Reference: the error norms with the lifted gradient ``B Q sum_i u_i
+    grad(phi_i)``, the full transform applied to the flat gradient of the
+    rectangular gradient matrix."""
     y, sqrt_w, trans = whole_mesh_quadrature(mesh, surface)
     diff = u_h.coefficients[mesh.triangles] @ QUAD_POINTS.T
     diff -= exact_u(y, time)
     l2_sq = whole_mesh_sum_sq(diff, sqrt_w)
     m, q = sqrt_w.shape
-    grad = ErrorEvaluator(mesh, surface)._grad
-    grads = (grad @ u_h.coefficients).reshape(3, m)
+    grads = (gradient_csr(mesh) @ u_h.coefficients).reshape(3, m)
     gdiff = (trans.reshape(m, 3 * q, 3) @ grads.T[:, :, None]).reshape(m, q, 3)
     gdiff -= exact_grad(y, time)
     h1_sq = whole_mesh_sum_sq(gdiff, sqrt_w)
@@ -786,8 +821,10 @@ class TestBlockedLiftedQuadrature:
         mesh = make()
         assert mesh.n_triangles % 1000 != 0
         evaluator = ErrorEvaluator(mesh, surface)
-        for got, expected in zip(fem._lifted_quadrature(mesh, surface),
-                                 whole_mesh_quadrature(mesh, surface)):
+        y, sqrt_w, trans = whole_mesh_quadrature(mesh, surface)
+        lifted = whole_mesh_lifted_gradients(mesh, trans)
+        for got, expected in ((evaluator._y, y), (evaluator._sqrt_w, sqrt_w),
+                              (evaluator._lifted_grads, lifted)):
             assert got.tobytes() == expected.tobytes()
         u_h = interpolate(mesh, lambda x: np.cos(2.0 * x[:, 0]) + x[:, 1])
         for t in (0.0, 0.7):
@@ -797,10 +834,30 @@ class TestBlockedLiftedQuadrature:
         assert lifted_l2_distance(mesh, surface, u_h, field) == \
             whole_mesh_distance(mesh, surface, u_h, field)
 
+    @pytest.mark.parametrize("make, surface", [
+        (graded_sphere, unit_sphere()), (lambda: torus_grid(24), torus())],
+        ids=["graded-sphere", "torus"])
+    def test_norms_equal_the_full_transform_formula(self, make, surface):
+        # the lifted gradient from two lifted basis gradients per point is
+        # B Q sum_i u_i grad(phi_i) up to rounding; the L2 part is unchanged
+        mesh = make()
+        evaluator = ErrorEvaluator(mesh, surface)
+        u_h = interpolate(mesh, lambda x: wavy(x, 0.7))
+        no_grad = lambda y, t: np.zeros_like(y)  # noqa: E731
+        for exact_grad in (wavy_grad, no_grad):
+            for t in (0.0, 0.7):
+                l2, h1 = evaluator.errors(u_h, wavy, exact_grad, t)
+                ref_l2, ref_h1 = full_transform_errors(
+                    mesh, surface, u_h, wavy, exact_grad, t)
+                assert l2 == ref_l2
+                assert h1 == pytest.approx(ref_h1, rel=1e-13, abs=0.0)
+
     def test_build_memory_is_bounded_by_the_block(self):
-        # the build keeps the lifted arrays, the gradient operator and the
-        # difference buffers; what it frees again is a block's, not the
-        # whole mesh's (about 40 MB here with one whole-mesh batch)
+        # the build keeps 14 floats per point: the lifted point (3), the
+        # root weight (1), two lifted basis gradients (6) and the difference
+        # buffers (1 + 3), no 3 x 3 transform and no gradient matrix; what
+        # it frees again is a block's, not the whole mesh's (about 40 MB
+        # here with one whole-mesh batch)
         mesh = icosphere(5)
         mesh.metrics  # cached before the measurement
         surface = unit_sphere()
@@ -810,9 +867,11 @@ class TestBlockedLiftedQuadrature:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        points = mesh.n_triangles * len(QUAD_WEIGHTS)
         # eight (3, 3) float arrays on the points of one block
         block_arrays = 8 * fem.BLOCK * len(QUAD_WEIGHTS) * 9 * 8
         assert evaluator.mesh is mesh
+        assert kept < 14 * 8 * points + 65536  # 64 KB for the objects
         assert peak - kept < block_arrays
 
 

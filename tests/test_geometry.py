@@ -93,6 +93,31 @@ def report_operators(surface, points, nu_h):
     return P, P_h, r_tilde, r_tilde @ P_h
 
 
+def out_of_place_operators(surface, points, nu_h, hessian):
+    """Reference: ``geometric_operators`` with each (..., 3, 3) array a new
+    one, the Hessian from ``hessian``: ``(distance, mu, B Q)``."""
+    p = np.asarray(points, dtype=float)
+    nu_h = np.broadcast_to(np.asarray(nu_h, dtype=float), p.shape)
+    d = surface.distance(p)
+    nu = surface.gradient(p)
+    nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+    dot = np.sum(nu_h * nu, axis=-1)
+    IdA = np.eye(3) - d[..., None, None] * hessian(p)
+    det = np.linalg.det(IdA)
+    a, b, c = np.moveaxis(IdA, -2, 0)
+    adj = np.stack([np.cross(b, c), np.cross(c, a), np.cross(a, b)], axis=-1)
+    adj_nu_h = np.einsum("...kj,...j->...k", adj, nu_h)
+    adj = adj - adj_nu_h[..., :, None] * (nu / dot[..., None])[..., None, :]
+    return d, dot * det, adj / det[..., None, None]
+
+
+def out_of_place_sphere_hessian(p):
+    """Reference: the unit sphere's ``(I - n n^T) / r``, out of place."""
+    r = np.linalg.norm(p, axis=-1, keepdims=True)
+    n = p / r
+    return (np.eye(3) - n[..., :, None] * n[..., None, :]) / r[..., None]
+
+
 def lift_jacobian(surface, points):
     """Reference: Jacobian of the closest-point map,
     ``I - grad d grad d^T - d Hess d``."""
@@ -511,6 +536,30 @@ class TestGeometricOperators:
         np.testing.assert_allclose(
             ops.grad_transform, lifted_gradient_transform(surface, pts, nu_h),
             rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("surface, make, hessian", [
+        (unit_sphere(), lambda: icosphere(3), out_of_place_sphere_hessian),
+        (torus(), lambda: torus_grid(12), None)], ids=["sphere", "torus"])
+    def test_equal_the_out_of_place_formula(self, surface, make, hessian):
+        # bitwise, at the rule's points of a mesh and at tilted elements
+        # off the surface; on the sphere the Hessian is checked too
+        mesh = make()
+        q = quadrature_points(mesh).shape[1]
+        flat = (quadrature_points(mesh).reshape(-1, 3),
+                np.repeat(mesh.metrics.normal, q, axis=0))
+        rng = np.random.default_rng(11)
+        pts = random_near_surface(surface, 50, scale=0.1)
+        nu_h = surface.gradient(pts) + 0.3 * rng.uniform(-1, 1, pts.shape)
+        nu_h /= np.linalg.norm(nu_h, axis=1, keepdims=True)
+        for points, normals in (flat, (pts, nu_h)):
+            ops = geometric_operators(surface, points, normals)
+            expected = out_of_place_operators(surface, points, normals,
+                                              hessian or surface.hessian)
+            for got, want in zip(ops, expected):
+                assert got.tobytes() == want.tobytes()
+            if hessian is not None:
+                assert surface.hessian(points).tobytes() == \
+                    hessian(points).tobytes()
 
     def test_returns_bundle(self):
         s = unit_sphere()
