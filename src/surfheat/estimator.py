@@ -51,11 +51,15 @@ def edge_jumps(mesh, values):
     """Length-weighted co-normal flux jumps ``|e| [d_n u]`` of every edge (on a
     boundary edge of an open set, its one side's flux).  With corner values
     ``u`` and ``c[k] = cot[k] (u[k + 1] - u[k])``, the flux out of a triangle
-    across its local edge j is ``2 (c[j + 2] - c[j + 1])``."""
+    across its local edge j is ``2 (c[j + 2] - c[j + 1])``.  An edge sums at
+    most two fluxes, so the order of the half-edges does not change it."""
     u = values[mesh.triangles.T]
     c = p1_operators(mesh).cot * (u[[1, 2, 0]] - u)
-    flux = 2.0 * (c[[2, 0, 1]] - c[[1, 2, 0]])
-    return np.bincount(mesh.tri_edges.T.ravel(), flux.ravel(),
+    flux = u.reshape(-1, 3)  # into u's memory, in the order of tri_edges
+    for j in range(3):
+        np.subtract(c[j - 1], c[j - 2], out=flux[:, j])
+    flux *= 2.0
+    return np.bincount(mesh.tri_edges.ravel(), flux.ravel(),
                        minlength=mesh.n_edges)
 
 
@@ -98,10 +102,12 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     temporal_sq = coarsening_sq + (d[0] + d[1] + d[2])
     w /= tau
     w -= f_h.coefficients[mesh.triangles.T]
+    residual_sq = _corner_l2_sq(met.area, w)
+    del w, d  # at most three (3, M) arrays at a time, as in edge_jumps
     jumps = edge_jumps(mesh, u_n.coefficients)
     jumps *= jumps
     edge_sq = jumps[mesh.tri_edges.T]
-    spatial_sq = (met.h_T ** 2 * _corner_l2_sq(met.area, w)
+    spatial_sq = (met.h_T ** 2 * residual_sq
                   + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
     eta_h_sq = float(spatial_sq.sum())
     eta_tau_sq = float(temporal_sq.sum())

@@ -11,10 +11,10 @@ the mesh (meshes are immutable): the (3, M) half-cotangent weights the
 indicators run on, and mass and stiffness written straight into CSR on the
 sort's pattern, with no basis gradients.  ``assemble`` is a lookup.
 
-The lifted rule of the error norms is not cached on the mesh: an
-``ErrorEvaluator`` owns its own, and ``lifted_l2_distance`` keeps only its
-differences and weights.  Both lift it in blocks of ``BLOCK`` triangles, so
-the temporaries are a block's.
+The lifted rule of the error norms is not cached on the mesh; its users
+lift it in blocks of ``BLOCK`` triangles.  An ``ErrorEvaluator`` keeps 11
+floats per point and streams the H1 seminorm block by block (class
+docstring); ``lifted_l2_distance`` keeps only its differences and weights.
 
 Matrices are :class:`Csr` records: ``data``, int64 ``indices`` and
 ``indptr``, ``shape`` and the positions ``diag`` of the diagonal in
@@ -145,19 +145,20 @@ def quadrature_blocks(mesh):
             mesh.metrics.normal[block], len(QUAD_WEIGHTS), axis=0)
 
 
-def basis_gradients(mesh):
+def basis_gradients(mesh, block=slice(None)):
     """Tangential gradients of the three nodal basis functions per triangle.
 
     Returns
     -------
-    (M, 3, 3) array ``G`` with ``G[t, i]`` the (constant) surface gradient of
-    the barycentric basis function of local vertex i on triangle t, a view
-    of the contiguous rows ``G.transpose(2, 1, 0)[k, i]``.
+    (k, 3, 3) array ``G`` on the k triangles ``block``: ``G[t, i]`` is the
+    (constant) surface gradient of the basis function of local vertex i on
+    triangle t, a view of the contiguous rows ``G.transpose(2, 1, 0)[c, i]``.
     """
     met = mesh.metrics
     # grad(phi_i) = n x (edge opposite vertex i) / (2 |T|)
-    opposite = np.roll(edge_rows(mesh), -1, axis=1)
-    G = cross_rows(met.normal.T[:, None], opposite) / (2.0 * met.area)
+    opposite = np.roll(edge_rows(mesh, block), -1, axis=1)
+    G = cross_rows(met.normal.T[:, None, block], opposite) / (
+        2.0 * met.area[block])
     return G.transpose(2, 1, 0)
 
 
@@ -369,31 +370,21 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
 
 # ------------------------------------------------------------- lifted norms
 
-def _lifted_blocks(mesh, surface):
-    """Yield the degree-4 rule lifted to the exact surface for each block of
-    :func:`quadrature_blocks`: ``(block, y, sqrt_w, ops)``, the lifted
-    points (k, Q, 3), the square roots of the weights ``area_m * w_q *
-    mu[m, q]`` on the exact surface (``mu`` the measure ratio) and the
+def _lifted_block(mesh, surface, block, x, nu_h):
+    """The degree-4 rule lifted to the exact surface on one block of
+    :func:`quadrature_blocks`: the lifted points (k, Q, 3), the roots of the
+    weights ``area_m * w_q * mu[m, q]`` (``mu`` the measure ratio) and the
     block's :class:`~surfheat.geometry.GeometricOperators`."""
     q = len(QUAD_WEIGHTS)
-    for block, x, nu_h in quadrature_blocks(mesh):
-        y = lift(surface, x).reshape(-1, q, 3)
-        ops = geometric_operators(surface, x, nu_h)
-        yield block, y, np.sqrt(mesh.metrics.area[block, None] * QUAD_WEIGHTS
-                                * ops.mu.reshape(-1, q)), ops
-
-
-def _subtract(diff, field, y):
-    """``diff -= field(y)``, calling ``field`` on one block at a time."""
-    for start in range(0, len(diff), BLOCK):
-        block = slice(start, start + BLOCK)
-        diff[block] -= field(y[block])
-    return diff
+    y = lift(surface, x).reshape(-1, q, 3)
+    ops = geometric_operators(surface, x, nu_h)
+    return y, np.sqrt(mesh.metrics.area[block, None] * QUAD_WEIGHTS
+                      * ops.mu.reshape(-1, q)), ops
 
 
 def _weighted_sum_sq(diff, sqrt_w):
     """``sum w |diff|^2`` over the quadrature points as one BLAS dot;
-    ``diff`` (M, Q) or (M, Q, 3) is overwritten with ``sqrt(w) diff``."""
+    ``diff`` (m, Q) or (m, Q, 3) is overwritten with ``sqrt(w) diff``."""
     diff *= sqrt_w.reshape(sqrt_w.shape + (1,) * (diff.ndim - 2))
     flat = diff.ravel()
     return float(flat @ flat)
@@ -404,57 +395,63 @@ class ErrorEvaluator:
 
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
-    would repeat it identically every step.  The evaluator keeps, per
-    (triangle, point), the lifted point, the square root of the weight and
-    the lifted gradients ``L_k = B Q grad(phi_k)`` of basis functions 1 and
-    2, and two difference buffers (so it serves one call at a time); the
-    gradients of a P1 function sum to zero over a flat element, so its
-    lifted gradient is ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``.  Repeated
-    evaluations pay only for the integrand arithmetic.  Works on open
-    triangle sets too: nothing here needs the adjacency.
+    would repeat it identically every step.  The evaluator keeps 11 floats
+    per (triangle, point): the lifted point, the root of the weight, the
+    lifted gradients ``L_k = B Q grad(phi_k)`` of basis functions 1 and 2
+    as one (2, M, Q, 3) array and the L2 difference buffer (so it serves one
+    call at a time).  The gradients of a P1 function sum to zero over a flat
+    element, so its lifted gradient is ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``.
+    The L2 norm is one dot over the buffer; the H1 integrand is formed and
+    summed per block of ``BLOCK`` triangles.  Works on open triangle sets.
     """
 
-    __slots__ = ("mesh", "_y", "_sqrt_w", "_lifted_grads", "_diff", "_gdiff")
+    __slots__ = ("mesh", "_y", "_sqrt_w", "_lifted_grads", "_diff")
 
     def __init__(self, mesh, surface):
         self.mesh = mesh
         m, q = mesh.n_triangles, len(QUAD_WEIGHTS)
         self._y, self._sqrt_w = np.empty((m, q, 3)), np.empty((m, q))
-        lifted = np.empty((m, q, 3, 2))
-        # (M, 1, 3, 2): the columns grad(phi_1) and grad(phi_2)
-        grads = basis_gradients(mesh)[:, None, 1:].swapaxes(2, 3)
-        for block, y, sqrt_w, ops in _lifted_blocks(mesh, surface):
-            self._y[block], self._sqrt_w[block] = y, sqrt_w
-            np.matmul(ops.grad_transform.reshape(-1, q, 3, 3), grads[block],
-                      out=lifted[block])
-        self._lifted_grads = lifted.reshape(m, 3 * q, 2)
-        self._diff, self._gdiff = np.empty((m, q)), np.empty((m, q, 3))
+        self._lifted_grads = np.empty((2, m, q, 3))
+        for block, x, nu_h in quadrature_blocks(mesh):
+            self._build(surface, block, x, nu_h)
+        self._diff = np.empty((m, q))
+
+    def _build(self, surface, block, x, nu_h):
+        """Fill one block; its temporaries die with this call."""
+        self._y[block], self._sqrt_w[block], ops = _lifted_block(
+            self.mesh, surface, block, x, nu_h)
+        trans = ops.grad_transform.reshape(-1, len(QUAD_WEIGHTS), 3, 3)
+        # (k, 1, 3, 2): the columns grad(phi_1) and grad(phi_2)
+        grads = basis_gradients(self.mesh, block)[:, None, 1:].swapaxes(2, 3)
+        np.matmul(trans, grads,
+                  out=np.moveaxis(self._lifted_grads[:, block], 0, -1))
 
     def errors(self, u_h, exact_u, exact_grad, time):
         """L2 and H1-seminorm errors of the lifted discrete solution.
 
         The exact solution and its tangential gradient are evaluated at
-        lifted quadrature points; the discrete tangential gradient is the
-        lifted one (class docstring), and all integrals are weighted with
-        the surface-measure ratio.
+        lifted quadrature points, once per block each; the discrete
+        tangential gradient is the lifted one (class docstring), and all
+        integrals are weighted with the surface-measure ratio.
 
         Returns
         -------
         (l2_error, h1_semi_error)
         """
         u_h.check(self.mesh)
-        y, sqrt_w = self._y, self._sqrt_w
-        corners = u_h.coefficients[self.mesh.triangles]
-        diff = np.matmul(corners, QUAD_POINTS.T, out=self._diff)
-        l2_sq = _weighted_sum_sq(
-            _subtract(diff, lambda p: exact_u(p, time), y), sqrt_w)
-        m, q = sqrt_w.shape
-        steps = corners[:, 1:, None] - corners[:, :1, None]  # (M, 2, 1)
-        np.matmul(self._lifted_grads, steps,
-                  out=self._gdiff.reshape(m, 3 * q, 1))
-        h1_sq = _weighted_sum_sq(
-            _subtract(self._gdiff, lambda p: exact_grad(p, time), y), sqrt_w)
-        return np.sqrt(l2_sq), np.sqrt(h1_sq)
+        y, sqrt_w, lifted = self._y, self._sqrt_w, self._lifted_grads
+        u, tri = u_h.coefficients, self.mesh.triangles
+        diff = np.matmul(u[tri], QUAD_POINTS.T, out=self._diff)
+        du = u[tri[:, 1:].T] - u[tri[:, 0]]  # (2, M): u_k - u_0
+        h1_sq = 0.0
+        for start in range(0, len(diff), BLOCK):
+            block = slice(start, start + BLOCK)
+            diff[block] -= exact_u(y[block], time)
+            # (u_1 - u_0) L_1 + (u_2 - u_0) L_2 (class docstring)
+            gdiff = np.einsum("kmqc,km->mqc", lifted[:, block], du[:, block])
+            gdiff -= exact_grad(y[block], time)
+            h1_sq += _weighted_sum_sq(gdiff, sqrt_w[block])
+        return np.sqrt(_weighted_sum_sq(diff, sqrt_w)), np.sqrt(h1_sq)
 
 
 def lifted_l2_distance(mesh, surface, u_h, field, time=None):
@@ -468,7 +465,7 @@ def lifted_l2_distance(mesh, surface, u_h, field, time=None):
     at = field if time is None else lambda p: field(p, time)
     diff = u_h.coefficients[mesh.triangles] @ QUAD_POINTS.T
     sqrt_w = np.empty(diff.shape)
-    for block, y, w, _ in _lifted_blocks(mesh, surface):
+    for block, x, nu_h in quadrature_blocks(mesh):
+        y, sqrt_w[block], _ = _lifted_block(mesh, surface, block, x, nu_h)
         diff[block] -= at(y)
-        sqrt_w[block] = w
     return math.sqrt(_weighted_sum_sq(diff, sqrt_w))

@@ -119,11 +119,15 @@ def torus():
         p = np.asarray(p, dtype=float)
         x, y, z = p[..., 0], p[..., 1], p[..., 2]
         rho = np.hypot(x, y)
-        D = np.hypot(rho - R0, z)[..., None, None]
         n = gradient(p)
+        hess = n[..., :, None] * n[..., None, :]  # formed in place
+        np.subtract(_EYE3, hess, out=hess)
         e = np.stack([-y, x, np.zeros_like(x)], axis=-1) / rho[..., None]
-        along = (R0 / rho)[..., None, None] * e[..., :, None] * e[..., None, :]
-        return (_EYE3 - n[..., :, None] * n[..., None, :] - along) / D
+        along = (R0 / rho)[..., None] * e
+        for i in range(3):  # minus (R0 / rho) e e^T, row by row
+            hess[..., i, :] -= along[..., i, None] * e
+        hess /= np.hypot(rho - R0, z)[..., None, None]
+        return hess
 
     return LevelSetSurface(distance, gradient, hessian,
                            bounding_radius=R0 + r0,

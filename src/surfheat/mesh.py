@@ -278,14 +278,14 @@ class SurfaceMesh:
         return self._metrics
 
 
-def edge_rows(mesh):
-    """Edge vectors of every triangle as contiguous coordinate rows.
+def edge_rows(mesh, block=slice(None)):
+    """Edge vectors of the triangles ``block`` as contiguous coordinate rows.
 
-    Returns a (3, 3, M) array ``e`` with ``e[k, j]`` the k-th coordinate of
-    local edge j, ``p[(j + 1) % 3] - p[j]``, on every triangle.
+    Returns a (3, 3, k) array ``e`` with ``e[c, j]`` the c-th coordinate of
+    local edge j, ``p[(j + 1) % 3] - p[j]``, on every triangle of the block.
     """
     # (coordinate, corner, triangle)
-    p = np.take(np.ascontiguousarray(mesh.nodes.T), mesh.triangles.T, axis=1)
+    p = np.take(np.ascontiguousarray(mesh.nodes.T), mesh.triangles[block].T, 1)
     return np.roll(p, -1, axis=1) - p
 
 

@@ -1,6 +1,8 @@
 """Indicator oracles: brute-force edge/element sums, matrix identities,
 exact scaling laws, and transfer invariance of the temporal term."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -306,6 +308,31 @@ def reference_indicators(mesh, u_n, u_prev, f_h, tau):
     return spatial, temporal, l2_sq(w)
 
 
+def out_of_place_indicators(mesh, u_n, u_prev, f_h, tau):
+    """Reference: ``compute_indicators`` with each (3, M) intermediate a new
+    array, ``(spatial_sq, temporal_sq, coarsening_sq)``."""
+    cot = p1_operators(mesh).cot
+    w = (u_n - u_prev)[mesh.triangles.T]
+    coarsening = estimator._corner_l2_sq(mesh.metrics.area, w.copy())
+    d = w[[1, 2, 0]] - w
+    d *= d
+    d *= cot
+    temporal = coarsening + (d[0] + d[1] + d[2])
+    w /= tau
+    w -= f_h[mesh.triangles.T]
+    u = u_n[mesh.triangles.T]
+    c = cot * (u[[1, 2, 0]] - u)
+    flux = 2.0 * (c[[2, 0, 1]] - c[[1, 2, 0]])
+    jumps = np.bincount(mesh.tri_edges.T.ravel(), flux.ravel(),
+                        minlength=mesh.n_edges)
+    jumps *= jumps
+    edge_sq = jumps[mesh.tri_edges.T]
+    met = mesh.metrics
+    spatial = (met.h_T ** 2 * estimator._corner_l2_sq(met.area, w)
+               + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
+    return spatial, temporal, coarsening
+
+
 def reference_jump(mesh):
     """Reference edge operators ``(jump, half_incidence)`` built from the
     closed-surface adjacency: every edge row holds the block rows of the
@@ -357,6 +384,40 @@ class TestOnePass:
         npt.assert_allclose(ind.temporal_sq, temporal, rtol=1e-12)
         npt.assert_allclose(ind.coarsening_sq, coarsening, rtol=1e-12)
         npt.assert_allclose(ind.eta_h_sq, spatial.sum(), rtol=1e-12)
+
+    @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
+                             ids=["graded-sphere", "torus"])
+    def test_in_place_pass_equals_the_out_of_place_expressions(self, make):
+        mesh = make()
+        rng = np.random.default_rng(23)
+        u_n, u_prev, f_h = rng.standard_normal((3, mesh.n_nodes))
+        for tau in (0.03, 1.0):
+            ind = estimator.compute_indicators(mesh, fe(mesh, u_n),
+                                               fe(mesh, u_prev),
+                                               fe(mesh, f_h), tau)
+            expected = out_of_place_indicators(mesh, u_n, u_prev, f_h, tau)
+            for got, want in zip(ind, expected):
+                assert got.tobytes() == want.tobytes()
+            assert ind.eta_h_sq == float(expected[0].sum())
+            assert ind.eta_tau_sq == float(expected[1].sum())
+
+    def test_pass_keeps_at_most_three_corner_row_arrays(self):
+        # three (3, M) arrays at a time plus per-element and per-edge
+        # vectors stay below four (3, M) arrays beyond the returned
+        # indicators
+        mesh = icosphere(5)
+        p1_operators(mesh), mesh.metrics, mesh.tri_edges  # cached first
+        rng = np.random.default_rng(29)
+        u_n, u_prev, f_h = (fe(mesh, v) for v in
+                            rng.standard_normal((3, mesh.n_nodes)))
+        tracemalloc.start()
+        try:
+            estimator.compute_indicators(mesh, u_n, u_prev, f_h, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = mesh.n_triangles
+        assert peak - 3 * 8 * m < 4 * 3 * 8 * m  # outputs, then 1.97 MB
 
     @pytest.mark.parametrize("make", [graded_sphere, lambda: torus_grid(12)],
                              ids=["graded-sphere", "torus"])

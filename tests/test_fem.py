@@ -747,10 +747,9 @@ def whole_mesh_quadrature(mesh, surface):
 
 def whole_mesh_lifted_gradients(mesh, trans):
     """Reference: ``L_k = B Q grad(phi_k)`` of basis functions 1 and 2 on
-    the whole mesh in one batch, (M, 3 Q, 2)."""
+    the whole mesh in one batch, (2, M, Q, 3)."""
     grads = basis_gradients(mesh)[:, None, 1:].swapaxes(2, 3)
-    m, q = trans.shape[:2]
-    return (trans @ grads).reshape(m, 3 * q, 2)
+    return np.moveaxis(trans @ grads, -1, 0)
 
 
 def whole_mesh_sum_sq(diff, sqrt_w):
@@ -768,8 +767,8 @@ def whole_mesh_errors(mesh, surface, u_h, exact_u, exact_grad, time):
     diff -= exact_u(y, time)
     l2_sq = whole_mesh_sum_sq(diff, sqrt_w)
     lifted = whole_mesh_lifted_gradients(mesh, trans)
-    steps = corners[:, 1:, None] - corners[:, :1, None]
-    gdiff = (lifted @ steps).reshape(y.shape)
+    steps = (corners[:, 1:] - corners[:, :1]).T[:, :, None, None]
+    gdiff = lifted[0] * steps[0] + lifted[1] * steps[1]
     gdiff -= exact_grad(y, time)
     h1_sq = whole_mesh_sum_sq(gdiff, sqrt_w)
     return np.sqrt(l2_sq), np.sqrt(h1_sq)
@@ -828,8 +827,12 @@ class TestBlockedLiftedQuadrature:
             assert got.tobytes() == expected.tobytes()
         u_h = interpolate(mesh, lambda x: np.cos(2.0 * x[:, 0]) + x[:, 1])
         for t in (0.0, 0.7):
-            assert evaluator.errors(u_h, wavy, wavy_grad, t) == \
-                whole_mesh_errors(mesh, surface, u_h, wavy, wavy_grad, t)
+            l2, h1 = evaluator.errors(u_h, wavy, wavy_grad, t)
+            ref_l2, ref_h1 = whole_mesh_errors(mesh, surface, u_h, wavy,
+                                               wavy_grad, t)
+            # L2 is one dot over the whole buffer; H1 sums per block
+            assert l2 == ref_l2
+            assert h1 == pytest.approx(ref_h1, rel=1e-13, abs=0.0)
         field = lambda y: wavy(y, 0.3)  # noqa: E731
         assert lifted_l2_distance(mesh, surface, u_h, field) == \
             whole_mesh_distance(mesh, surface, u_h, field)
@@ -852,12 +855,23 @@ class TestBlockedLiftedQuadrature:
                 assert l2 == ref_l2
                 assert h1 == pytest.approx(ref_h1, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: icosphere(4), graded_sphere, lambda: torus_grid(24)],
+        ids=["sphere", "graded-sphere", "torus"])
+    def test_block_basis_gradients_are_the_whole_mesh_rows(self, make):
+        mesh = make()
+        whole = basis_gradients(mesh)
+        for block in (slice(0, 1000), slice(1000, 2000), slice(3000, None),
+                      slice(None)):
+            assert basis_gradients(mesh, block).tobytes() == \
+                whole[block].tobytes()
+
     def test_build_memory_is_bounded_by_the_block(self):
-        # the build keeps 14 floats per point: the lifted point (3), the
-        # root weight (1), two lifted basis gradients (6) and the difference
-        # buffers (1 + 3), no 3 x 3 transform and no gradient matrix; what
-        # it frees again is a block's, not the whole mesh's (about 40 MB
-        # here with one whole-mesh batch)
+        # the build keeps 11 floats per point: the lifted point (3), the
+        # root weight (1), two lifted basis gradients (6) and the L2
+        # difference buffer (1), no 3 x 3 transform, no gradient matrix and
+        # no H1 difference buffer; what it frees again is a block's, not the
+        # whole mesh's (about 40 MB here with one whole-mesh batch)
         mesh = icosphere(5)
         mesh.metrics  # cached before the measurement
         surface = unit_sphere()
@@ -871,8 +885,28 @@ class TestBlockedLiftedQuadrature:
         # eight (3, 3) float arrays on the points of one block
         block_arrays = 8 * fem.BLOCK * len(QUAD_WEIGHTS) * 9 * 8
         assert evaluator.mesh is mesh
-        assert kept < 14 * 8 * points + 65536  # 64 KB for the objects
+        assert kept < 11 * 8 * points + 65536  # 64 KB for the objects
         assert peak - kept < block_arrays
+
+    def test_errors_allocate_less_than_one_whole_mesh_gradient(self):
+        # during a call, the evaluator's 11 floats per point and the call's
+        # own arrays (corner values, a block's H1 integrand and the exact
+        # gradient's) add up to less than 11 floats plus one (M, Q, 3)
+        # array: no whole-mesh H1 difference buffer, kept or transient
+        mesh = icosphere(5)
+        mesh.metrics  # cached before the measurement
+        problem = sphere_decay()
+        u_h = interpolate(mesh, problem.u0)
+        tracemalloc.start()
+        try:
+            evaluator = ErrorEvaluator(mesh, problem.surface)
+            tracemalloc.reset_peak()
+            evaluator.errors(u_h, problem.u, problem.grad_u, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        points = mesh.n_triangles * len(QUAD_WEIGHTS)
+        assert peak - 11 * 8 * points < 3 * 8 * points  # 2.95 MB
 
 
 def test_fresh_interpreter_runs_without_scipy_sparse():

@@ -5,6 +5,7 @@ from surfheat.errors import (NonConvergence, NonFiniteValue, OutsideTube,
                              SingularShapeOperator)
 from surfheat.fem import quadrature_points
 from surfheat.geometry import (
+    TORUS_RADII,
     GeometricOperators,
     LevelSetSurface,
     geometric_operators,
@@ -116,6 +117,19 @@ def out_of_place_sphere_hessian(p):
     r = np.linalg.norm(p, axis=-1, keepdims=True)
     n = p / r
     return (np.eye(3) - n[..., :, None] * n[..., None, :]) / r[..., None]
+
+
+def out_of_place_torus_hessian(p):
+    """Reference: the torus's ``(I - n n^T - R0 / rho e e^T) / D``, out of
+    place."""
+    R0 = TORUS_RADII[0]
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    rho = np.hypot(x, y)
+    D = np.hypot(rho - R0, z)[..., None, None]
+    n = torus().gradient(p)
+    e = np.stack([-y, x, np.zeros_like(x)], axis=-1) / rho[..., None]
+    along = (R0 / rho)[..., None, None] * e[..., :, None] * e[..., None, :]
+    return (np.eye(3) - n[..., :, None] * n[..., None, :] - along) / D
 
 
 def lift_jacobian(surface, points):
@@ -539,10 +553,11 @@ class TestGeometricOperators:
 
     @pytest.mark.parametrize("surface, make, hessian", [
         (unit_sphere(), lambda: icosphere(3), out_of_place_sphere_hessian),
-        (torus(), lambda: torus_grid(12), None)], ids=["sphere", "torus"])
+        (torus(), lambda: torus_grid(12), out_of_place_torus_hessian)],
+        ids=["sphere", "torus"])
     def test_equal_the_out_of_place_formula(self, surface, make, hessian):
         # bitwise, at the rule's points of a mesh and at tilted elements
-        # off the surface; on the sphere the Hessian is checked too
+        # off the surface, the operators and the in-place Hessian
         mesh = make()
         q = quadrature_points(mesh).shape[1]
         flat = (quadrature_points(mesh).reshape(-1, 3),
@@ -554,12 +569,11 @@ class TestGeometricOperators:
         for points, normals in (flat, (pts, nu_h)):
             ops = geometric_operators(surface, points, normals)
             expected = out_of_place_operators(surface, points, normals,
-                                              hessian or surface.hessian)
+                                              hessian)
             for got, want in zip(ops, expected):
                 assert got.tobytes() == want.tobytes()
-            if hessian is not None:
-                assert surface.hessian(points).tobytes() == \
-                    hessian(points).tobytes()
+            assert surface.hessian(points).tobytes() == \
+                hessian(points).tobytes()
 
     def test_returns_bundle(self):
         s = unit_sphere()
