@@ -11,7 +11,7 @@ Public layers
                 operators of the lifted setting
 ``mesh``        oriented triangulations, the lazily cached half-edge sort
                 and metrics (with squared edge lengths), closed-surface
-                validation, the genealogy arena of refinement, OFF/VTK I/O
+                validation, the genealogy arena of refinement, VTK output
 ``refinement``  marking (sorted element-id arrays), bisection/red-green-blue
                 refinement and coarsening of any such ids, nodal transfer
 ``fem``         the per-mesh P1 bundle (``Csr`` mass and stiffness on scipy's
@@ -44,8 +44,7 @@ from .fem import (  # noqa: F401
 from .geometry import (  # noqa: F401
     GeometricOperators, LevelSetSurface, geometric_operators, lift, torus,
     unit_sphere)
-from .mesh import (  # noqa: F401
-    SurfaceMesh, read_off, validate_mesh, write_off, write_vtk)
+from .mesh import SurfaceMesh, validate_mesh, write_vtk  # noqa: F401
 from .problems import (  # noqa: F401
     Problem, get_problem, icosphere, torus_grid)
 from .refinement import (  # noqa: F401

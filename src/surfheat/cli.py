@@ -49,7 +49,9 @@ def _march_uniform(problem, mesh, mass, stiffness, evaluator, tau, t_end,
     the steps; ``estimator`` accumulates the squared per-step combined
     indicator.  The final step is shortened so the times sum exactly to
     ``t_end``.  No solve reads an error: each step's norms run on ``pool``
-    during the next solve, and are folded in step order at the end.
+    during the next solve, and are folded in step order at the end.  A step
+    is submitted once the norms of the step two before it are done, so at
+    most two steps' solutions wait for the worker.
     """
     u = interpolate(mesh, problem.u0)
     first = pool.submit(evaluator.errors, u, problem.u, problem.grad_u, 0.0)
@@ -64,6 +66,8 @@ def _march_uniform(problem, mesh, mass, stiffness, evaluator, tau, t_end,
         u_new, _ = backward_euler_step(mass, stiffness, u, f_h, step_tau)
         ind = compute_indicators(mesh, u_new, u, f_h, step_tau)
         estimator += ind.eta_combined ** 2
+        if len(steps) >= 2:
+            steps[-2][1].result()
         steps.append((step_tau, pool.submit(
             evaluator.errors, u_new, problem.u, problem.grad_u, target)))
         u = u_new

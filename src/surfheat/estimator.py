@@ -48,11 +48,11 @@ def _increment(mesh, u_n, u_prev):
 
 
 def edge_jumps(mesh, values):
-    """Length-weighted co-normal flux jumps ``|e| [d_n u]`` of every edge (on a
-    boundary edge of an open set, its one side's flux).  With corner values
-    ``u`` and ``c[k] = cot[k] (u[k + 1] - u[k])``, the flux out of a triangle
-    across its local edge j is ``2 (c[j + 2] - c[j + 1])``.  An edge sums at
-    most two fluxes, so the order of the half-edges does not change it."""
+    """Length-weighted co-normal flux jumps ``|e| [d_n u]`` of every edge.
+    With corner values ``u`` and ``c[k] = cot[k] (u[k + 1] - u[k])``, the
+    flux out of a triangle across its local edge j is
+    ``2 (c[j + 2] - c[j + 1])``.  An edge sums two fluxes, so the order of
+    the half-edges does not change it."""
     u = values[mesh.triangles.T]
     c = p1_operators(mesh).cot * (u[[1, 2, 0]] - u)
     flux = u.reshape(-1, 3)  # into u's memory, in the order of tri_edges

@@ -402,7 +402,7 @@ class ErrorEvaluator:
     call at a time).  The gradients of a P1 function sum to zero over a flat
     element, so its lifted gradient is ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``.
     The L2 norm is one dot over the buffer; the H1 integrand is formed and
-    summed per block of ``BLOCK`` triangles.  Works on open triangle sets.
+    summed per block of ``BLOCK`` triangles.
     """
 
     __slots__ = ("mesh", "_y", "_sqrt_w", "_lifted_grads", "_diff")

@@ -7,9 +7,8 @@ every derived quantity is computed lazily, on first use, and cached on the
 mesh for its lifetime; nothing ever needs invalidating:
 
 - the half-edge sort (:class:`HalfEdges`), the mesh's one edge record:
-  edge ids, ``tri_edges`` and the half-edges of every edge, for open and
-  closed triangle sets alike; ``edges``, ``tri_edges`` and ``n_edges`` read
-  it unchecked;
+  edge ids, ``tri_edges`` and the half-edges of every edge; ``edges``,
+  ``tri_edges`` and ``n_edges`` read it unchecked;
 - the element metrics and squared edge lengths, on contiguous coordinate rows;
 - the P1 operator bundle (mass, stiffness and half-cotangent weights), built
   from the half-edge sort and the metrics by ``fem.p1_operators`` when a
@@ -96,7 +95,7 @@ class HalfEdges:
     ``counts`` (E,) half-edges in no particular order; ``edges`` (E, 2)
     holds the endpoints ``lo < hi``, ``tri_edges`` (M, 3) the edge of each
     half-edge, ``forward`` (3M,) whether a half-edge runs from ``lo`` to
-    ``hi``.  No closed surface is assumed.
+    ``hi``.
     """
 
     __slots__ = ("order", "counts", "edges", "tri_edges", "forward")
@@ -264,10 +263,6 @@ class SurfaceMesh:
     def n_edges(self):
         return len(self.edges)
 
-    def euler_characteristic(self):
-        """V - E + F (2 for a sphere, 0 for a torus)."""
-        return self.n_nodes - self.n_edges + self.n_triangles
-
     # ---------------------------------------------------------------- metrics
 
     @property
@@ -398,75 +393,6 @@ def validate_mesh(mesh, surface=None):
             raise ValueError(f"node off the surface by {d.max():.3g} "
                              f"(tol {ON_SURFACE_TOL:.3g})")
     return True
-
-
-# --------------------------------------------------------------------- file IO
-
-def write_off(mesh, path):
-    """Write the mesh (closed or not) in ASCII OFF format."""
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.n_nodes} {mesh.n_triangles} {mesh.n_edges}\n")
-        for x, y, z in mesh.nodes.tolist():
-            fh.write(f"{x!r} {y!r} {z!r}\n")
-        for a, b, c in mesh.triangles.tolist():
-            fh.write(f"3 {a} {b} {c}\n")
-
-
-def read_off(path):
-    """Read an ASCII OFF file into a raw :class:`SurfaceMesh`.
-
-    The result has no refinement metadata; run ``init_reference_edges``
-    (module ``refinement``) before refining it.
-    """
-    with open(path) as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    if len(tokens) < 4 or tokens[0] != "OFF":
-        raise ValueError("not an OFF file")
-    try:
-        nv, nf = int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise ValueError(f"OFF header counts {tokens[1]!r} and {tokens[2]!r} "
-                         "must be integers") from None
-    if nv < 0 or nf < 0:
-        raise ValueError(f"OFF header declares {nv} nodes and {nf} faces")
-    pos = 4
-    found = (len(tokens) - pos) // 3
-    if found < nv:
-        raise ValueError(f"OFF header declares {nv} nodes, file holds "
-                         f"coordinates for {found}")
-    nodes = np.empty((nv, 3))
-    for k, token in enumerate(tokens[pos:pos + 3 * nv]):
-        try:
-            nodes.flat[k] = float(token)
-        except ValueError:
-            raise ValueError(f"OFF node {k // 3} has a non-numeric "
-                             f"coordinate {token!r}") from None
-    pos += 3 * nv
-    triangles = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        if pos + 4 > len(tokens):
-            raise ValueError(f"OFF header declares {nf} faces, file holds {i}")
-        try:
-            k = int(tokens[pos])
-            face = [int(t) for t in tokens[pos + 1:pos + 4]]
-        except ValueError:
-            raise ValueError(f"OFF face {i} has a non-integer entry in "
-                             f"{' '.join(tokens[pos:pos + 4])!r}") from None
-        if k != 3:
-            raise ValueError(f"OFF face {i} has {k} vertices; only triangle "
-                             "faces are supported")
-        bad = [v for v in face if not 0 <= v < nv]
-        if bad:
-            raise ValueError(f"OFF face {i} refers to node {bad[0]}, but the "
-                             f"file declares {nv} nodes")
-        triangles[i] = face
-        pos += 1 + k
-    return SurfaceMesh(nodes, triangles)
 
 
 def write_vtk(mesh, path, point_data=None, name="u"):

@@ -2,6 +2,7 @@
 
 import csv
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -214,6 +215,32 @@ class TestConvergenceSweep:
                            match=r"^exact solution undefined at t=0\.30$"):
             convergence_sweep(problem, [2], [0.1], t_end=1.0)
         assert threading.active_count() == threads
+
+    def test_at_most_two_steps_wait_for_the_worker(self):
+        # Norms slower than the solves: each step is submitted once the
+        # norms of the step two before it are done, so the queued norms (and
+        # the solutions they hold) stay at two steps plus the t = 0 call.
+        problem, mesh = get_problem("sphere-decay"), icosphere(2)
+        mass, stiffness = assemble(mesh)
+        submitted, backlog = [], []
+
+        class Slow:
+            def errors(self, u_h, exact_u, exact_grad, t):
+                time.sleep(0.02)
+                return 0.0, 0.0
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append((args[-1], super().submit(fn, *args)))
+                backlog.append(sum(t > 0.0 and not f.done()
+                                   for t, f in submitted))
+                return submitted[-1][1]
+
+        with Pool(max_workers=1) as pool:
+            cli._march_uniform(problem, mesh, mass, stiffness, Slow(), 0.01,
+                               0.2, pool)
+        assert len(submitted) == 21
+        assert max(backlog) <= 2
 
     def test_one_evaluator_at_a_time(self, monkeypatch):
         # level L - 1's evaluator is freed before level L's is built

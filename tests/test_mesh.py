@@ -1,17 +1,17 @@
-"""Mesh data structure: adjacency, metrics, co-normal jumps, file IO."""
+"""Mesh data structure: adjacency, metrics, co-normal jumps, VTK output."""
 
 import numpy as np
 import pytest
 
-from surfheat import fem, mesh as meshmod
+from surfheat import fem
 from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
                              NonFiniteValue, NonManifold)
 from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
                            build_adjacency, conormal_flux_jumps,
-                           element_metrics, read_off, validate_mesh, write_off,
-                           write_vtk)
+                           element_metrics, validate_mesh, write_vtk)
 from surfheat.problems import icosahedron, icosphere, torus_grid
 from test_estimator import element_gradients, graded_sphere
+from topology import euler_characteristic
 
 RNG = np.random.default_rng(20240811)
 
@@ -50,14 +50,14 @@ class TestAdjacency:
         assert m.n_nodes == 4
         assert m.n_triangles == 4
         assert m.n_edges == 6
-        assert m.euler_characteristic() == 2
+        assert euler_characteristic(m) == 2
 
     def test_icosahedron_counts(self):
         m = icosahedron()
         assert m.n_nodes == 12
         assert m.n_triangles == 20
         assert m.n_edges == 30
-        assert m.euler_characteristic() == 2
+        assert euler_characteristic(m) == 2
 
     def test_edge_endpoints_sorted(self):
         m = icosahedron()
@@ -364,106 +364,6 @@ class TestGenerations:
 
 
 class TestFileIO:
-    def test_off_round_trip(self, tmp_path):
-        m = icosphere(1)
-        path = tmp_path / "mesh.off"
-        write_off(m, path)
-        back = read_off(path)
-        np.testing.assert_array_equal(back.triangles, m.triangles)
-        np.testing.assert_array_equal(back.nodes, m.nodes)  # repr round trip
-
-    def test_off_round_trip_of_open_set(self, tmp_path):
-        # half an icosphere has boundary edges: the header counts every
-        # edge once, whether one or two triangles share it
-        full = icosphere(2)
-        m = SurfaceMesh(full.nodes, full.triangles[:full.n_triangles // 2])
-        path = tmp_path / "half.off"
-        write_off(m, path)
-        n_edges = len(m.half_edges.edges)
-        assert (path.read_text().splitlines()[1]
-                == f"{m.n_nodes} {m.n_triangles} {n_edges}")
-        back = read_off(path)
-        np.testing.assert_array_equal(back.triangles, m.triangles)
-        np.testing.assert_array_equal(back.nodes, m.nodes)
-
-    def test_off_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.off"
-        path.write_text("PLY\n3 1 0\n")
-        with pytest.raises(ValueError, match="OFF"):
-            read_off(path)
-
-    def test_off_rejects_empty_file(self, tmp_path):
-        path = tmp_path / "empty.off"
-        for text in ("", "# only a comment\n"):
-            path.write_text(text)
-            with pytest.raises(ValueError, match="not an OFF file"):
-                read_off(path)
-
-    def test_off_rejects_truncated_node_block(self, tmp_path):
-        path = tmp_path / "short.off"
-        path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n")
-        with pytest.raises(ValueError, match="declares 4 nodes.* for 2"):
-            read_off(path)
-
-    def test_off_rejects_truncated_face_block(self, tmp_path):
-        path = tmp_path / "short.off"
-        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
-        with pytest.raises(ValueError, match="declares 2 faces, file holds 1"):
-            read_off(path)
-
-    @pytest.mark.parametrize("header", ["-1 0 0", "0 -1 0"])
-    def test_off_rejects_negative_counts(self, tmp_path, header):
-        path = tmp_path / "negative.off"
-        path.write_text(f"OFF\n{header}\n")
-        with pytest.raises(ValueError, match="OFF header declares .*-1"):
-            read_off(path)
-
-    def test_off_names_a_non_integer_header_count(self, tmp_path):
-        path = tmp_path / "fractional.off"
-        path.write_text("OFF\n3.5 1 0\n")
-        with pytest.raises(ValueError, match="OFF header counts '3.5'"):
-            read_off(path)
-
-    def test_off_names_the_face_with_a_non_integer_entry(self, tmp_path):
-        path = tmp_path / "face.off"
-        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n"
-                        "3 0 1 2\n3 0 1 x\n")
-        with pytest.raises(ValueError, match="OFF face 1 .*'3 0 1 x'"):
-            read_off(path)
-
-    def test_off_names_the_node_with_a_non_numeric_coordinate(self,
-                                                              tmp_path):
-        path = tmp_path / "node.off"
-        path.write_text("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(ValueError,
-                           match="^OFF node 1 has a non-numeric coordinate "
-                                 "'x'$"):
-            read_off(path)
-
-    @pytest.mark.parametrize("index", ["9", "-1"])
-    def test_off_names_the_face_with_a_missing_node(self, tmp_path,
-                                                     monkeypatch, index):
-        def no_mesh(*args, **kwargs):
-            raise AssertionError("a mesh was built")
-
-        monkeypatch.setattr(meshmod, "SurfaceMesh", no_mesh)
-        path = tmp_path / "face.off"
-        path.write_text("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n"
-                        f"3 0 1 2\n3 0 {index} 2\n")
-        with pytest.raises(ValueError,
-                           match=f"^OFF face 1 refers to node {index}, but "
-                                 "the file declares 3 nodes$"):
-            read_off(path)
-
-    def test_off_comments_ignored(self, tmp_path):
-        m = tetrahedron()
-        path = tmp_path / "mesh.off"
-        write_off(m, path)
-        text = path.read_text().replace("OFF\n", "OFF\n# a comment\n")
-        path.write_text(text)
-        back = read_off(path)
-        assert back.n_nodes == 4
-
     def test_vtk_snapshot(self, tmp_path):
         m = tetrahedron()
         path = tmp_path / "snap.vtk"
@@ -476,12 +376,3 @@ class TestFileIO:
         with pytest.raises(ValueError, match="point_data length"):
             write_vtk(m, path, point_data=np.zeros(3))
         assert path.read_text() == text
-
-    def test_off_names_a_non_triangle_face(self, tmp_path):
-        path = tmp_path / "quad.off"
-        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
-                        "3 0 1 2\n4 0 1 3 2\n")
-        with pytest.raises(ValueError,
-                           match="^OFF face 1 has 4 vertices; only triangle "
-                                 "faces are supported$"):
-            read_off(path)
