@@ -271,8 +271,8 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
     ValueError
         Unless the matrix is n x n and the start vector of length n.
     NonFiniteValue
-        As soon as the right-hand side, the diagonal or the residual holds
-        a NaN or an infinity, before any further iteration is spent.
+        As soon as the right-hand side, start vector, diagonal or residual
+        holds a NaN or an infinity, before any further iteration is spent.
     SolverDivergence
         If the matrix is found not to be positive definite (a diagonal
         entry or a curvature ``p . A p`` that is not positive), or if the
@@ -294,9 +294,11 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
         raise ValueError(f"PCG shapes: matrix {matrix.shape}, start vector "
                          f"{x.shape}, right-hand side ({n},)")
     diag = matrix.diagonal()
-    if not np.isfinite(diag).all():
-        raise NonFiniteValue("PCG matrix diagonal is not finite "
-                             "(0 iterations spent)")
+    for name, values in (("start vector", x), ("matrix diagonal", diag)):
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))
+            raise NonFiniteValue(f"PCG {name} is not finite: entry {i} is "
+                                 f"{values[i]} (0 iterations spent)")
     if not (diag > 0.0).all():
         i = int(np.argmin(diag > 0.0))
         raise SolverDivergence(
@@ -341,11 +343,13 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
         f"(relative residual {r_norm / b_norm:.3g})")
 
 
-def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
+def backward_euler_step(mass, stiffness, u_prev, f_n, tau, x0=None):
     """One implicit Euler step of the discrete heat equation.
 
     Solves ``(mass + tau * stiffness) u = mass (u_prev + tau * f_n)`` with
-    diagonally preconditioned CG started from ``u_prev``.  The two
+    diagonally preconditioned CG started from the vector ``x0``, or from
+    ``u_prev`` when it is None: the start moves the solution only within the
+    CG tolerance.  The two
     :class:`Csr` matrices must share one pattern, as those of
     :func:`assemble` do; the system is then one ``data`` vector on it.
 
@@ -364,7 +368,8 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau):
         raise ValueError("mass and stiffness do not share one CSR pattern")
     system = mass._replace(data=mass.data + tau * stiffness.data)
     rhs = mass @ (u_prev.coefficients + tau * f_n.coefficients)
-    x, iters = jacobi_cg(system, rhs, x0=u_prev.coefficients)
+    x, iters = jacobi_cg(system, rhs,
+                         x0=u_prev.coefficients if x0 is None else x0)
     return FeFunction(u_prev.generation, x), iters
 
 

@@ -39,12 +39,12 @@ def sphere_decay():
         return 5.0 * u(x, t)
 
     def grad_u(x, t):
-        g = np.empty(x.shape)
-        g[..., 0] = x[..., 1]
-        g[..., 1] = x[..., 0]
-        g[..., 2] = 0.0
-        g -= 2.0 * (x[..., 0] * x[..., 1])[..., None] * x
-        return np.exp(-t) * g
+        # e^(-t) ((x2, x1, 0) - 2 x1 x2 x), with no full-size temporary
+        decay = np.exp(-t)
+        g = x * (-2.0 * decay * x[..., 0] * x[..., 1])[..., None]
+        g[..., 0] += decay * x[..., 1]
+        g[..., 1] += decay * x[..., 0]
+        return g
 
     return Problem("sphere-decay", unit_sphere(), f=f,
                    u0=lambda x: u(x, 0.0), t_end=1.0, u=u, grad_u=grad_u)

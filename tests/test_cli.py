@@ -23,11 +23,20 @@ from surfheat.problems import get_problem, icosphere, torus_grid
 from test_geometry import report_operators
 
 
+# The start vectors of ``cli._march_uniform``, written out: the polynomial
+# extrapolation in the step index through the last 1 to 4 solutions.
+BINOMIAL = {1: (1.0,), 2: (2.0, -1.0), 3: (3.0, -3.0, 1.0),
+            4: (4.0, -6.0, 4.0, -1.0)}
+
+
 def reference_march_uniform(problem, mesh, mass, stiffness, evaluator, tau,
-                            t_end):
+                            t_end, extrapolate=True):
     """The fixed-mesh march with its error norms in line, one step after
-    the other: the oracle for the pipelined ``cli._march_uniform``."""
+    the other: the oracle for the pipelined ``cli._march_uniform``.  Each
+    solve starts from the ``BINOMIAL`` extrapolation of the last solutions,
+    or from the previous solution with ``extrapolate=False``."""
     u = interpolate(mesh, problem.u0)
+    history = [u.coefficients]
     l2, _ = evaluator.errors(u, problem.u, problem.grad_u, 0.0)
     err_linf_l2 = l2
     err_l2_h1_sq = 0.0
@@ -38,7 +47,10 @@ def reference_march_uniform(problem, mesh, mass, stiffness, evaluator, tau,
         step_tau = tau if t + tau < t_end - eps else t_end - t
         target = t + step_tau
         f_h = interpolate(mesh, problem.f, time=target)
-        u_new, _ = backward_euler_step(mass, stiffness, u, f_h, step_tau)
+        x0 = np.dot(BINOMIAL[len(history)], history) if extrapolate else None
+        u_new, _ = backward_euler_step(mass, stiffness, u, f_h, step_tau,
+                                       x0=x0)
+        history = [u_new.coefficients] + history[:3]
         ind = compute_indicators(mesh, u_new, u, f_h, step_tau)
         estimator += ind.eta_combined ** 2
         l2, h1 = evaluator.errors(u_new, problem.u, problem.grad_u, target)
@@ -132,34 +144,88 @@ class TestConvergenceSweep:
         # every tau is checked before the first mesh is built or solved on
         solves = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             solves.append(args)
-            return backward_euler_step(*args)
+            return backward_euler_step(*args, **kwargs)
 
         monkeypatch.setattr(cli, "backward_euler_step", counted)
         with pytest.raises(ValueError, match="tau"):
             convergence_sweep(get_problem("zero"), [2], [0.5, 2.0], t_end=1.0)
         assert solves == []
 
-    @pytest.mark.parametrize("taus,t_end", [([1.0, 0.05], None),
-                                            ([0.3], 1.0)])
-    def test_rows_bitwise_equal_serial_march(self, taus, t_end):
-        # tau = 0.3 with T = 1 shortens the last step to 0.1
-        problem = get_problem("sphere-decay")
-        threads = threading.active_count()
-        rows = convergence_sweep(problem, [2, 3], taus, t_end=t_end)
-        assert threading.active_count() == threads
-        expected = []
+    @staticmethod
+    def reference_rows(problem, taus, t_end, extrapolate):
+        rows = []
         for level in (2, 3):
             mesh = icosphere(level)
             evaluator = ErrorEvaluator(mesh, problem.surface)
             mass, stiffness = assemble(mesh)
             for tau in taus:
-                expected.append((mesh.metrics.h, tau, mesh.n_nodes,
-                                 *reference_march_uniform(
-                                     problem, mesh, mass, stiffness, evaluator,
-                                     tau, t_end or problem.t_end)))
-        assert np.array(rows).tobytes() == np.array(expected).tobytes()
+                rows.append((mesh.metrics.h, tau, mesh.n_nodes,
+                             *reference_march_uniform(
+                                 problem, mesh, mass, stiffness, evaluator,
+                                 tau, t_end or problem.t_end, extrapolate)))
+        return np.array(rows)
+
+    # tau = 0.3 with T = 1 shortens the last step to 0.1
+    SWEEPS = pytest.mark.parametrize("taus,t_end", [([1.0, 0.05], None),
+                                                    ([0.3], 1.0)])
+
+    @SWEEPS
+    def test_rows_bitwise_equal_serial_march(self, taus, t_end):
+        problem = get_problem("sphere-decay")
+        threads = threading.active_count()
+        rows = convergence_sweep(problem, [2, 3], taus, t_end=t_end)
+        assert threading.active_count() == threads
+        expected = self.reference_rows(problem, taus, t_end, True)
+        assert np.array(rows).tobytes() == expected.tobytes()
+
+    @SWEEPS
+    def test_rows_agree_with_previous_solution_start(self, taus, t_end):
+        # the start vector moves the rows only within the CG tolerance
+        problem = get_problem("sphere-decay")
+        rows = convergence_sweep(problem, [2, 3], taus, t_end=t_end)
+        assert_allclose(rows, self.reference_rows(problem, taus, t_end, False),
+                        rtol=1e-8, atol=0.0)
+
+    def test_extrapolation_weights_are_exact_on_polynomials(self):
+        # row k - 1 reproduces the next value of any degree k - 1 polynomial
+        # in the step index from its last k values, newest first
+        assert cli.EXTRAPOLATION == tuple(BINOMIAL.values())
+        rng = np.random.default_rng(4)
+        for k, weights in BINOMIAL.items():
+            coeffs = rng.standard_normal(k)
+            values = np.polyval(coeffs, np.arange(k, 0, -1.0))
+            assert_allclose(np.dot(weights, values), np.polyval(coeffs, k + 1),
+                            rtol=1e-12)
+
+    def test_extrapolated_start_halves_the_cg_iterations(self, monkeypatch):
+        # level 4, tau = 0.01 to T = 0.5: 502 iterations against 1,300 from
+        # the previous solution when measured
+        problem, mesh = get_problem("sphere-decay"), icosphere(4)
+        mass, stiffness = assemble(mesh)
+        totals = {}
+
+        class Null:
+            def errors(self, u_h, exact_u, exact_grad, t):
+                return 0.0, 0.0
+
+        for extrapolate in (True, False):
+            iters = []
+
+            def counted(*args, x0, extrapolate=extrapolate, iters=iters):
+                u_new, k = backward_euler_step(
+                    *args, x0=x0 if extrapolate else None)
+                iters.append(k)
+                return u_new, k
+
+            monkeypatch.setattr(cli, "backward_euler_step", counted)
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                cli._march_uniform(problem, mesh, mass, stiffness, Null(),
+                                   0.01, 0.5, pool)
+            assert len(iters) == 50
+            totals[extrapolate] = sum(iters)
+        assert 0 < totals[True] <= totals[False] / 2
 
     def test_solver_error_cancels_queued_norms_and_joins_worker(
             self, monkeypatch):

@@ -389,11 +389,25 @@ class TestSolver:
                 jacobi_cg(a, rhs)
             assert a.products == 0
 
-    def test_nonfinite_start_vector_fails_at_first_residual(self):
-        x0 = np.zeros(10)
-        x0[0] = np.nan
-        with pytest.raises(NonFiniteValue, match="after 0 iterations"):
-            jacobi_cg(as_scipy(self.spd(10)), RNG.standard_normal(10), x0=x0)
+    def test_nonfinite_start_vector_fails_at_first_residual(self, monkeypatch):
+        # named before the first product, that of the initial residual
+        products, kernel = [], fem.csr_matvec
+
+        def counting(*args):
+            products.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(fem, "csr_matvec", counting)
+        for bad in (np.nan, -np.inf):
+            x0 = np.zeros(10)
+            x0[4] = bad
+            with pytest.raises(NonFiniteValue,
+                               match=rf"^PCG start vector is not finite: "
+                                     rf"entry 4 is {bad} \(0 iterations "
+                                     rf"spent\)$"):
+                jacobi_cg(as_scipy(self.spd(10)), RNG.standard_normal(10),
+                          x0=x0)
+        assert products == []
 
     @pytest.mark.parametrize("diagonal", [np.nan, np.inf])
     def test_nonfinite_diagonal_fails_before_any_product(self, diagonal):
@@ -495,6 +509,36 @@ class TestInPlaceKernel:
                 as_scipy(mass) @ (u0 + tau * f), x0=u0)
             assert iters == ref_iters > 0
             np.testing.assert_array_equal(u1.coefficients, x)
+
+    def test_start_vector_is_u_prev_unless_given(self):
+        m = graded_sphere()
+        mass, stiffness = assemble(m)
+        u0, f, x0 = (FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
+                     for _ in range(3))
+        default = backward_euler_step(mass, stiffness, u0, f, 0.1)
+        for start in (None, u0.coefficients):
+            u1, iters = backward_euler_step(mass, stiffness, u0, f, 0.1,
+                                            x0=start)
+            assert iters == default[1] > 0
+            assert (u1.coefficients.tobytes()
+                    == default[0].coefficients.tobytes())
+        u1, iters = backward_euler_step(mass, stiffness, u0, f, 0.1,
+                                        x0=x0.coefficients)
+        x, ref_iters = reference_jacobi_cg(
+            (as_scipy(mass) + 0.1 * as_scipy(stiffness)).tocsr(),
+            as_scipy(mass) @ (u0.coefficients + 0.1 * f.coefficients),
+            x0=x0.coefficients)
+        assert iters == ref_iters > 0
+        np.testing.assert_array_equal(u1.coefficients, x)
+
+    @pytest.mark.parametrize("length", [1, 200])
+    def test_step_start_vector_of_the_wrong_length_raises(self, length):
+        m = icosphere(2)
+        mass, stiffness = assemble(m)
+        u = FeFunction.on_mesh(m, np.ones(m.n_nodes))
+        with pytest.raises(ValueError, match=rf"start vector \({length},\)"):
+            backward_euler_step(mass, stiffness, u, u, 0.1,
+                                x0=np.zeros(length))
 
     def test_dense_spd_matches_reference_bitwise(self):
         a = dense_spd(60)

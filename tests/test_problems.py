@@ -82,6 +82,18 @@ class TestConsistency:
             np.testing.assert_allclose(g, sphere_gradient_fd(problem.u, x, t),
                                        atol=1e-7)
 
+    def test_sphere_decay_gradient_matches_the_product_formula(self):
+        # the closed form e^(-t) ((x2, x1, 0) - 2 x1 x2 x), written out with
+        # its full-size temporaries, on whole quadrature-block shapes
+        grad_u = get_problem("sphere-decay").grad_u
+        x = random_sphere_points(4096 * 6).reshape(4096, 6, 3)
+        for t in (0.0, 0.37, 1.0):
+            g = np.zeros(x.shape)
+            g[..., 0], g[..., 1] = x[..., 1], x[..., 0]
+            g -= 2.0 * (x[..., 0] * x[..., 1])[..., None] * x
+            np.testing.assert_allclose(grad_u(x, t), np.exp(-t) * g,
+                                       rtol=0.0, atol=1e-15)
+
     @pytest.mark.parametrize("name", EXACT_PROBLEMS)
     def test_initial_condition_is_u_at_zero(self, name):
         problem = get_problem(name)
