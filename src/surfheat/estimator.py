@@ -92,8 +92,8 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     ``sum_j cot[j] (w[j + 1] - w[j])^2``.
     """
     f_h.check(mesh)
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < np.inf:  # a NaN fails it too
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     w, coarsening_sq = _increment(mesh, u_n, u_prev)
     met = mesh.metrics
     d = w[[1, 2, 0]] - w

@@ -100,9 +100,6 @@ class FeFunction:
                 f"expected {mesh.n_nodes} coefficients, got {c.shape}")
         return cls(mesh.generation, c)
 
-    def __len__(self):
-        return len(self.coefficients)
-
     def check(self, mesh):
         """Raise GenerationMismatch unless bound to ``mesh``."""
         if self.generation != mesh.generation:
@@ -156,7 +153,8 @@ def basis_gradients(mesh, block=slice(None)):
     """
     met = mesh.metrics
     # grad(phi_i) = n x (edge opposite vertex i) / (2 |T|)
-    opposite = np.roll(edge_rows(mesh, block), -1, axis=1)
+    opposite = np.roll(edge_rows(mesh.nodes, mesh.triangles[block]), -1,
+                       axis=1)
     G = cross_rows(met.normal.T[:, None, block], opposite) / (
         2.0 * met.area[block])
     return G.transpose(2, 1, 0)
@@ -349,9 +347,9 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau, x0=None):
     Solves ``(mass + tau * stiffness) u = mass (u_prev + tau * f_n)`` with
     diagonally preconditioned CG started from the vector ``x0``, or from
     ``u_prev`` when it is None: the start moves the solution only within the
-    CG tolerance.  The two
-    :class:`Csr` matrices must share one pattern, as those of
-    :func:`assemble` do; the system is then one ``data`` vector on it.
+    CG tolerance.  The two :class:`Csr` matrices must share one pattern, as
+    those of :func:`assemble` do; the system is then one ``data`` vector on
+    it.
 
     Returns
     -------
@@ -361,8 +359,8 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau, x0=None):
     """
     if u_prev.generation != f_n.generation:
         raise GenerationMismatch("u_prev and f_n live on different meshes")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < np.inf:  # a NaN fails it too
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if not all(a is b or np.array_equal(a, b) for a, b in (
             (mass.indptr, stiffness.indptr), (mass.indices, stiffness.indices))):
         raise ValueError("mass and stiffness do not share one CSR pattern")

@@ -29,36 +29,17 @@ ON_SURFACE_TOL = 1e-10
 TORUS_RADII = (2.0, 0.5)
 
 
-class LevelSetSurface:
-    """A closed surface described by a signed distance function.
-
-    Parameters
-    ----------
-    distance : callable
-        ``distance(points)`` with ``points`` of shape ``(..., 3)`` returning
-        the signed distance, shape ``(...,)``.  Negative inside.
-    gradient : callable
-        Gradient of the distance, shape ``(..., 3)``; a unit vector for an
-        exact signed distance.
-    hessian : callable
-        Hessian of the distance (the extended Weingarten map), shape
-        ``(..., 3, 3)``.
-    bounding_radius : float
-        Radius of a ball around the origin containing the surface; the
-        closest-point lift refuses points with ``|d| >= bounding_radius / 4``.
-    name : str, optional
-        Identifier used in diagnostics.
-    """
-
-    def __init__(self, distance, gradient, hessian, bounding_radius, name=""):
-        self.distance = distance
-        self.gradient = gradient
-        self.hessian = hessian
-        self.bounding_radius = float(bounding_radius)
-        self.name = name
-
-    def __repr__(self):
-        return f"LevelSetSurface({self.name or 'custom'}, R={self.bounding_radius})"
+# A closed surface described by a signed distance function.  ``distance``,
+# ``gradient`` and ``hessian`` take points of shape ``(..., 3)`` and return
+# the signed distance (negative inside) of shape ``(...,)``, its gradient
+# (a unit vector for an exact signed distance) of shape ``(..., 3)`` and its
+# Hessian (the extended Weingarten map) of shape ``(..., 3, 3)``.
+# ``bounding_radius`` is the radius of a ball around the origin containing
+# the surface: the closest-point lift refuses points with
+# ``|d| >= bounding_radius / 4``.  ``name`` identifies it in diagnostics.
+LevelSetSurface = namedtuple(
+    "LevelSetSurface", "distance gradient hessian bounding_radius name",
+    defaults=("",))
 
 
 def unit_sphere():

@@ -15,9 +15,10 @@ mesh for its lifetime; nothing ever needs invalidating:
   mesh is first assembled or estimated.
 
 A mesh that is only tested for coarsening builds no P1 bundle.
-The closed-surface checks of :func:`build_adjacency` are not cached: refinement
-(then lifting) and coarsening keep a mesh closed, oriented, finite and on its
-surface, so :func:`validate_mesh` checks it once, on the initial mesh of a run.
+:func:`build_adjacency` is the closed-surface check on the half-edge sort and
+returns nothing.  Refinement (then lifting) and coarsening keep a mesh closed,
+oriented, finite and on its surface, so :func:`validate_mesh` runs it once,
+on the initial mesh of a run.
 
 Triangle storage convention
 ---------------------------
@@ -30,7 +31,7 @@ raw triangles into this convention (longest edge first).
 Refinement history
 ------------------
 Coarsening needs to know which triangles are siblings and what their parent
-looked like.  That history lives in a :class:`Genealogy` arena owned by the
+looked like.  That history lives in a :data:`Genealogy` arena owned by the
 mesh: every refined triangle leaves behind one arena row (its vertex triple,
 a link to *its* parent's row and its number of children), and each current
 triangle carries the row index of its parent (``tri_parent``, ``-1`` for
@@ -42,37 +43,23 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DegenerateTriangle, InconsistentOrientation, NonManifold
+from .errors import (DegenerateTriangle, InconsistentOrientation,
+                     NonFiniteValue, NonManifold)
 from .geometry import ON_SURFACE_TOL, check_finite
 
 _generation_counter = itertools.count(1)
 
 
-class Genealogy:
-    """Arena of parent-triangle records left behind by refinement.
-
-    Attributes
-    ----------
-    verts : (P, 3) int array
-        Vertex triple of each refined parent, in reference-edge-first order.
-    parent : (P,) int array
-        Arena row of the parent's own parent record, or -1.
-    nchild : (P,) int array
-        Number of children the refinement produced (2, 3 or 4).
-    """
-
-    __slots__ = ("verts", "parent", "nchild")
-
-    def __init__(self, verts=None, parent=None, nchild=None):
-        self.verts = (np.empty((0, 3), dtype=np.int64) if verts is None
-                      else np.asarray(verts, dtype=np.int64))
-        self.parent = (np.empty(0, dtype=np.int64) if parent is None
-                       else np.asarray(parent, dtype=np.int64))
-        self.nchild = (np.empty(0, dtype=np.int64) if nchild is None
-                       else np.asarray(nchild, dtype=np.int64))
-
-    def __len__(self):
-        return len(self.nchild)
+# Arena of the parent-triangle records refinement leaves behind, one row per
+# refined parent: ``verts`` (P, 3) its vertex triple in reference-edge-first
+# order, ``parent`` (P,) the row of its own parent record or -1, ``nchild``
+# (P,) its number of children (2, 3 or 4).  ``refinement.refine`` and
+# ``coarsen`` build new arenas; none is written in place, so the arena of
+# every initial mesh is the one ``NO_GENEALOGY``.
+Genealogy = namedtuple("Genealogy", "verts parent nchild")
+NO_GENEALOGY = Genealogy(np.empty((0, 3), dtype=np.int64),
+                         np.empty(0, dtype=np.int64),
+                         np.empty(0, dtype=np.int64))
 
 
 # Per-element geometry: diameters, inradii, areas, unit normals, h and rho,
@@ -121,30 +108,8 @@ class HalfEdges:
 
 
 def build_adjacency(triangles, n_nodes, half_edges=None):
-    """Edge table of an oriented closed triangle mesh.
-
-    Parameters
-    ----------
-    triangles : (M, 3) int array
-    n_nodes : int
-    half_edges : HalfEdges, optional
-        The sorted half-edges of ``triangles``, if already built.
-
-    Returns
-    -------
-    edge_nodes : (E, 2) int array
-        Endpoints with ``edge_nodes[:, 0] < edge_nodes[:, 1]``, sorted
-        lexicographically (deterministic edge ids).
-    edge_tris : (E, 2) int array
-        The two incident triangles; the smaller triangle index is first.
-    edge_local : (E, 2) int array
-        Local edge index (0, 1, 2) of the edge within each incident triangle;
-        local edge j joins vertices j and (j+1) mod 3.
-    edge_forward : (E,) bool array
-        True if the first triangle traverses the edge from the smaller to the
-        larger node id.
-    tri_edges : (M, 3) int array
-        Global edge id of each triangle's three local edges.
+    """Check that ``triangles`` form a closed, consistently oriented surface;
+    ``half_edges`` is their :class:`HalfEdges` sort, if already built.
 
     Raises
     ------
@@ -158,19 +123,14 @@ def build_adjacency(triangles, n_nodes, half_edges=None):
         bad = int(np.argmax(he.counts != 2))
         raise NonManifold(f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) "
                           f"has {he.counts[bad]} incident triangles")
-    # every edge owns two consecutive half-edges; the smaller index first
-    # (min and max of the two columns: a row-wise np.sort is ten times slower)
-    a, b = he.order[0::2], he.order[1::2]
-    pair = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-    forward = he.forward[pair]
+    # every edge owns two consecutive half-edges of the sort
+    forward = he.forward[he.order].reshape(-1, 2)
     if np.any(forward[:, 0] == forward[:, 1]):
         bad = int(np.argmax(forward[:, 0] == forward[:, 1]))
+        t1, t2 = np.sort(he.order[2 * bad:2 * bad + 2] // 3)
         raise InconsistentOrientation(
-            f"triangles {pair[bad, 0] // 3} and {pair[bad, 1] // 3} traverse "
-            f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) in the same "
-            "direction")
-    edge_tris, edge_local = np.divmod(pair, 3)
-    return he.edges, edge_tris, edge_local, forward[:, 0], he.tri_edges
+            f"triangles {t1} and {t2} traverse edge ({he.edges[bad, 0]}, "
+            f"{he.edges[bad, 1]}) in the same direction")
 
 
 class SurfaceMesh:
@@ -192,8 +152,8 @@ class SurfaceMesh:
         Whether triangles are stored in reference-edge-first order.
     """
 
-    def __init__(self, nodes, triangles, tri_parent=None, genealogy=None,
-                 strategy=None, refedge_ready=False):
+    def __init__(self, nodes, triangles, tri_parent=None,
+                 genealogy=NO_GENEALOGY, strategy=None, refedge_ready=False):
         self.nodes = np.ascontiguousarray(nodes, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 3:
@@ -206,7 +166,7 @@ class SurfaceMesh:
         self.tri_parent = (np.full(len(self.triangles), -1, dtype=np.int64)
                            if tri_parent is None
                            else np.asarray(tri_parent, dtype=np.int64))
-        self.genealogy = Genealogy() if genealogy is None else genealogy
+        self.genealogy = genealogy
         self.strategy = strategy
         self.refedge_ready = bool(refedge_ready)
         self.generation = next(_generation_counter)
@@ -273,14 +233,14 @@ class SurfaceMesh:
         return self._metrics
 
 
-def edge_rows(mesh, block=slice(None)):
-    """Edge vectors of the triangles ``block`` as contiguous coordinate rows.
+def edge_rows(nodes, triangles):
+    """Edge vectors of the (k, 3) ``triangles`` as contiguous coordinate rows.
 
     Returns a (3, 3, k) array ``e`` with ``e[c, j]`` the c-th coordinate of
-    local edge j, ``p[(j + 1) % 3] - p[j]``, on every triangle of the block.
+    local edge j, ``p[(j + 1) % 3] - p[j]``, on every triangle.
     """
     # (coordinate, corner, triangle)
-    p = np.take(np.ascontiguousarray(mesh.nodes.T), mesh.triangles[block].T, 1)
+    p = np.take(np.ascontiguousarray(nodes.T), triangles.T, 1)
     return np.roll(p, -1, axis=1) - p
 
 
@@ -305,7 +265,7 @@ def element_metrics(mesh):
     DegenerateTriangle
         If some triangle's area is not above ``1e-14 * h**2``.
     """
-    e = edge_rows(mesh)
+    e = edge_rows(mesh.nodes, mesh.triangles)
     edge_sq = (e * e).sum(axis=0)  # (3, M): one row per local edge
     lengths = np.sqrt(edge_sq)
     h_T = lengths.max(axis=0)
@@ -326,10 +286,11 @@ def element_metrics(mesh):
 
 
 def _compute_edge_geometry(mesh):
-    """Edge lengths and co-normals of a closed mesh (a reference for tests)."""
+    """Edge lengths and co-normals of a closed mesh (a reference for tests);
+    column k of ``conormal`` belongs to the k-th of the edge's two
+    consecutive half-edges in ``mesh.half_edges.order``."""
     en = mesh.edges
-    _, et, el, _, _ = build_adjacency(mesh.triangles, mesh.n_nodes,
-                                      mesh.half_edges)
+    et, el = np.divmod(mesh.half_edges.order.reshape(-1, 2), 3)
     p = mesh.nodes
     normal = mesh.metrics.normal
     length = np.linalg.norm(p[en[:, 1]] - p[en[:, 0]], axis=1)
@@ -364,7 +325,7 @@ def conormal_flux_jumps(mesh, tri_grads):
     (E,) array of jump values in edge-id order.
     """
     geom = _compute_edge_geometry(mesh)
-    et = build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)[1]
+    et = mesh.half_edges.order.reshape(-1, 2) // 3
     g = np.asarray(tri_grads, dtype=float)
     return (np.einsum("ej,ej->e", g[et[:, 0]], geom.conormal[:, 0])
             + np.einsum("ej,ej->e", g[et[:, 1]], geom.conormal[:, 1]))
@@ -375,9 +336,11 @@ def validate_mesh(mesh, surface=None):
 
     Checks: finite node coordinates (``NonFiniteValue``), closed 2-manifold
     adjacency, consistent orientation, non-degenerate elements, every node
-    referenced, and (when ``surface`` is given) that every node lies on the
-    surface to within ``geometry.ON_SURFACE_TOL`` (``ValueError``).  The
-    half-edge sort it reads stays cached on the mesh.
+    referenced, and (when ``surface`` is given) that every node has a
+    finite distance (``NonFiniteValue``) and lies on the surface to within
+    ``geometry.ON_SURFACE_TOL`` (``ValueError``); the errors name the first
+    non-finite or the farthest node.  The half-edge sort it reads stays
+    cached on the mesh.
     """
     check_finite(mesh.nodes, "node")
     # NonManifold / InconsistentOrientation
@@ -389,8 +352,11 @@ def validate_mesh(mesh, surface=None):
         raise ValueError(f"{int((~used).sum())} unreferenced nodes")
     if surface is not None:
         d = np.abs(surface.distance(mesh.nodes))
-        if d.max() > ON_SURFACE_TOL:
-            raise ValueError(f"node off the surface by {d.max():.3g} "
+        k = int(np.argmax(d))  # the first NaN, if there is one
+        if not np.isfinite(d[k]):
+            raise NonFiniteValue(f"surface distance of node {k} is {d[k]}")
+        if d[k] > ON_SURFACE_TOL:
+            raise ValueError(f"node {k} off the surface by {d[k]:.3g} "
                              f"(tol {ON_SURFACE_TOL:.3g})")
     return True
 

@@ -130,6 +130,7 @@ _ICO_VERTS = np.array([
     (_PHI, 0, -1), (_PHI, 0, 1), (-_PHI, 0, -1), (-_PHI, 0, 1),
 ], dtype=float)
 
+# oriented outward: the right-hand normal of every face points away from 0
 _ICO_FACES = np.array([
     (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
     (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
@@ -141,13 +142,7 @@ _ICO_FACES = np.array([
 def icosahedron():
     """Regular icosahedron inscribed in the unit sphere (raw mesh)."""
     nodes = _ICO_VERTS / np.linalg.norm(_ICO_VERTS[0])
-    tris = _ICO_FACES.copy()
-    # enforce outward orientation regardless of the face table's chirality
-    p = nodes[tris]
-    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    inward = np.einsum("ij,ij->i", normal, p.mean(axis=1)) < 0
-    tris[inward] = tris[inward][:, [0, 2, 1]]
-    return SurfaceMesh(nodes, tris)
+    return SurfaceMesh(nodes, _ICO_FACES.copy())
 
 
 def red_subdivide(nodes, triangles):

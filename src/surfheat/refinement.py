@@ -28,7 +28,7 @@ from .errors import (GenerationMismatch, MetadataMissing, NonFiniteValue,
                      StrategyMismatch)
 from .fem import FeFunction
 from .geometry import ON_SURFACE_TOL, check_finite, lift
-from .mesh import Genealogy, SurfaceMesh
+from .mesh import Genealogy, SurfaceMesh, edge_rows
 
 
 def _check_indicators(indicators, theta):
@@ -119,12 +119,9 @@ def _rotate_reference_first(nodes, tris):
     Ties (relative 1e-12) break toward the lowest opposite-node id, making
     the choice deterministic on symmetric meshes.
     """
-    p = nodes[tris]
-    lengths = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-                        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-                        np.linalg.norm(p[:, 0] - p[:, 2], axis=1)], axis=1)
-    lmax = lengths.max(axis=1, keepdims=True)
-    tied = lengths >= lmax * (1.0 - 1e-12)
+    e = edge_rows(nodes, tris)
+    lengths = np.sqrt((e * e).sum(axis=0))  # (3, k): row j, local edge j
+    tied = (lengths >= lengths.max(axis=0) * (1.0 - 1e-12)).T
     opposite = tris[:, [2, 0, 1]]
     candidate = np.where(tied, opposite, np.iinfo(np.int64).max)
     j = np.argmin(candidate, axis=1)
@@ -140,7 +137,7 @@ def init_reference_edges(mesh):
     Node ids and triangle order are untouched, so the mesh keeps its
     generation and bound functions stay valid.
     """
-    if len(mesh.genealogy):
+    if len(mesh.genealogy.nchild):
         raise ValueError("reference edges of a refined mesh are structural; "
                          "re-initializing them would corrupt the genealogy")
     rotated = _rotate_reference_first(mesh.nodes, mesh.triangles)
@@ -256,7 +253,7 @@ def refine(mesh, marks, strategy):
         rows = offsets[idx, None] + np.arange(len(table))
         out_tris[rows] = cols[idx[:, None, None], table]
     # split parents get new genealogy rows, in triangle order
-    row_of = len(mesh.genealogy) + np.cumsum(split) - 1
+    row_of = len(mesh.genealogy.nchild) + np.cumsum(split) - 1
     out_parent = np.repeat(np.where(split, row_of, mesh.tri_parent), counts)
 
     if strategy == "rgb":
@@ -325,14 +322,14 @@ def coarsen(mesh, marks, functions, protect_from=None):
     gen = mesh.genealogy
     m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
     ids = _element_ids(marks, m_tris)
-    if len(gen) == 0 or ids.size == 0:
+    n_rows = len(gen.nchild)
+    if n_rows == 0 or ids.size == 0:
         return mesh, list(functions), 0
 
     marked = np.zeros(m_tris, dtype=bool)
     marked[ids] = True
     tp = mesh.tri_parent
     has_parent = tp >= 0
-    n_rows = len(gen)
     live = np.bincount(tp[has_parent], minlength=n_rows)
     marked_live = np.bincount(tp[has_parent & marked], minlength=n_rows)
     collapsing = (live == gen.nchild) & (marked_live == gen.nchild)

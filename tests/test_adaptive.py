@@ -129,7 +129,7 @@ class TestGatesAndDeterminism:
 
         def on_accept(record, mesh, u):
             assert u.generation == mesh.generation
-            assert len(u) == mesh.n_nodes
+            assert len(u.coefficients) == mesh.n_nodes
             assert mesh.n_nodes == record.dofs - record.nodes_removed
             seen.append(record.step)
 
@@ -149,7 +149,8 @@ class TestRejectedAttempts:
 
         def recorded(mass, stiffness, u_prev, f_h, tau):
             u_new, iters = solve(mass, stiffness, u_prev, f_h, tau)
-            solves.append((u_prev.generation, len(u_prev), tau, iters))
+            solves.append((u_prev.generation, len(u_prev.coefficients), tau,
+                           iters))
             return u_new, iters
 
         def on_accept(record, mesh, u):
@@ -299,7 +300,7 @@ class TestGuards:
         scaled = base.with_nodes(base.nodes * (1.0 + 1e-6))
         config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.1)
         with pytest.raises(ValueError,
-                           match=r"^node off the surface by 1e-06 "
+                           match=r"^node \d+ off the surface by 1e-06 "
                                  r"\(tol 1e-10\)$"):
             run(problem, problem.surface, scaled, config)
         assert solves == []

@@ -684,8 +684,11 @@ class TestTimeStepping:
         m = icosphere(0)
         mass, stiffness = assemble(m)
         u0 = FeFunction.on_mesh(m, np.zeros(m.n_nodes))
-        with pytest.raises(ValueError):
-            backward_euler_step(mass, stiffness, u0, u0, tau=0.0)
+        # refused by name, not later as a non-finite CG right-hand side
+        for tau in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^tau must be positive "
+                                                 rf"and finite, got {tau}$"):
+                backward_euler_step(mass, stiffness, u0, u0, tau=tau)
 
 
 class TestLiftedNorms:

@@ -6,7 +6,7 @@ import pytest
 from surfheat import fem
 from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
                              NonFiniteValue, NonManifold)
-from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
+from surfheat.mesh import (HalfEdges, SurfaceMesh, _compute_edge_geometry,
                            build_adjacency, conormal_flux_jumps,
                            element_metrics, validate_mesh, write_vtk)
 from surfheat.problems import icosahedron, icosphere, torus_grid
@@ -27,16 +27,17 @@ def tetrahedron():
 
 
 def edge_incidence(mesh):
-    """``(edge_tris, edge_local)`` of a closed mesh, from its half-edge
-    sort."""
-    return build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)[1:3]
+    """``(edge_tris, edge_local)`` (E, 2) of a closed mesh: the triangle and
+    local edge of each edge's two consecutive half-edges in the sort, the
+    order of the co-normal columns of ``_compute_edge_geometry``."""
+    return np.divmod(mesh.half_edges.order.reshape(-1, 2), 3)
 
 
 def conormal_flux_jump(mesh, edge, grad_t1, grad_t2):
     """Reference: co-normal flux jump of a P1 function across one edge.
 
     ``grad_t1``/``grad_t2`` are the constant tangential gradients on the two
-    triangles adjacent to ``edge`` (in ``edge_tris`` order).  Returns the sum
+    triangles adjacent to ``edge`` (in ``edge_incidence`` order).  Returns the sum
     of the outward co-normal fluxes.
     """
     geom = _compute_edge_geometry(mesh)
@@ -75,7 +76,7 @@ class TestAdjacency:
             for k in (0, 1):
                 t, loc = edge_tris[e, k], edge_local[e, k]
                 assert {tri[t, loc], tri[t, (loc + 1) % 3]} == endpoints
-        assert (edge_tris[:, 0] < edge_tris[:, 1]).all()
+        assert (edge_tris[:, 0] != edge_tris[:, 1]).all()
 
     def test_tri_edges_inverse(self):
         m = icosphere(1)
@@ -87,10 +88,13 @@ class TestAdjacency:
 
     def test_every_edge_traversed_both_ways(self):
         # closed oriented surface: each undirected edge appears once per
-        # direction, which is exactly what edge_forward encodes
+        # direction, which is what the check reads off the half-edge sort
         m = tetrahedron()
-        edge_forward = build_adjacency(m.triangles, m.n_nodes)[3]
-        assert edge_forward.dtype == bool
+        he = m.half_edges
+        assert he.forward.dtype == bool
+        forward = he.forward[he.order].reshape(-1, 2)
+        assert (forward[:, 0] != forward[:, 1]).all()
+        assert build_adjacency(m.triangles, m.n_nodes) is None
 
     def test_nonmanifold_rejected(self):
         m = tetrahedron()
@@ -113,10 +117,12 @@ class TestAdjacency:
     def test_deterministic_and_pure(self):
         m = icosphere(1)
         tris = m.triangles.copy()
-        first = build_adjacency(m.triangles, m.n_nodes)
-        second = build_adjacency(m.triangles, m.n_nodes)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
+        assert build_adjacency(m.triangles, m.n_nodes) is None
+        first = HalfEdges(m.triangles, m.n_nodes)
+        second = HalfEdges(m.triangles, m.n_nodes)
+        for name in HalfEdges.__slots__:
+            np.testing.assert_array_equal(getattr(first, name),
+                                          getattr(second, name))
         np.testing.assert_array_equal(tris, m.triangles)
 
 
@@ -156,12 +162,17 @@ class TestOneSortAdjacency:
                              ids=["graded-sphere", "torus"])
     def test_matches_two_sort_reference(self, make):
         m = make()
-        expected = two_sort_adjacency(m.triangles, m.n_nodes)
-        for got in (build_adjacency(m.triangles, m.n_nodes),
-                    build_adjacency(m.triangles, m.n_nodes, m.half_edges)):
-            for a, b in zip(got, expected):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+        assert build_adjacency(m.triangles, m.n_nodes) is None
+        assert build_adjacency(m.triangles, m.n_nodes, m.half_edges) is None
+        he = m.half_edges
+        # each edge's two half-edges, the smaller id (so triangle) first
+        pair = np.sort(he.order.reshape(-1, 2), axis=1)
+        edge_tris, edge_local = np.divmod(pair, 3)
+        got = (he.edges, edge_tris, edge_local, he.forward[pair[:, 0]],
+               he.tri_edges)
+        for a, b in zip(got, two_sort_adjacency(m.triangles, m.n_nodes)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
     def test_adjacency_and_p1_pattern_share_one_sort(self):
         m = icosphere(2)
@@ -278,8 +289,8 @@ class TestFluxJumps:
         grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
         edge_tris, _ = edge_incidence(m)
-        shared = int(np.nonzero((edge_tris[:, 0] == 0)
-                                & (edge_tris[:, 1] == 1))[0][0])
+        shared = int(np.nonzero((np.sort(edge_tris, axis=1)
+                                 == [0, 1]).all(axis=1))[0][0])
         assert abs(jumps[shared]) < 1e-13
 
     def test_unit_jump_construction(self):
@@ -338,6 +349,13 @@ class TestValidate:
         shifted = m.with_nodes(m.nodes * 1.001)
         with pytest.raises(ValueError, match="off the surface"):
             validate_mesh(shifted, unit_sphere())
+        # the error names the farthest node
+        nodes = m.nodes.copy()
+        nodes[3] *= 1.0 + 1e-8
+        nodes[9] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match=r"^node 9 off the surface by "
+                                             r"1e-06 \(tol 1e-10\)$"):
+            validate_mesh(m.with_nodes(nodes), unit_sphere())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_node_named(self, value):
@@ -349,6 +367,18 @@ class TestValidate:
                            match=rf"^node 5 has a non-finite coordinate: "
                                  rf"\[{value}, "):
             validate_mesh(m.with_nodes(nodes), unit_sphere())
+
+    def test_nan_surface_distance_named(self):
+        # a NaN distance is no distance within the tolerance
+        from surfheat.geometry import unit_sphere
+        m = icosphere(2)
+        sphere = unit_sphere()
+        nan_at_node_7 = sphere._replace(
+            distance=lambda p: np.where((p == m.nodes[7]).all(axis=-1),
+                                        np.nan, sphere.distance(p)))
+        with pytest.raises(NonFiniteValue,
+                           match=r"^surface distance of node 7 is nan$"):
+            validate_mesh(m, nan_at_node_7)
 
 
 class TestGenerations:

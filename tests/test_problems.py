@@ -175,14 +175,16 @@ class TestIcosphere:
         assert max(rhos) / min(rhos) < 1.05
 
     def test_oriented_outward(self):
-        m = icosphere(2)
-        centroids = m.nodes[m.triangles].mean(axis=1)
-        assert (np.einsum("ij,ij->i", m.metrics.normal, centroids) > 0).all()
+        # the icosahedron's face table is used as written, with no flips
+        for m in (icosahedron(), icosphere(2)):
+            centroids = m.nodes[m.triangles].mean(axis=1)
+            assert (np.einsum("ij,ij->i", m.metrics.normal,
+                              centroids) > 0).all()
 
     def test_ready_for_refinement(self):
         m = icosphere(1)
         assert m.refedge_ready
-        assert len(m.genealogy) == 0
+        assert len(m.genealogy.nchild) == 0
         assert m.strategy is None
 
     def test_negative_level(self):

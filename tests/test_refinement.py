@@ -99,7 +99,7 @@ def reference_refine(mesh, marks, strategy):
     is_child = np.zeros(total, dtype=bool)
     split = pattern != 0
     row_of = np.full(m_tris, -1, dtype=np.int64)
-    row_of[split] = len(mesh.genealogy) + np.arange(int(split.sum()))
+    row_of[split] = len(mesh.genealogy.nchild) + np.arange(int(split.sum()))
     keep = np.nonzero(~split)[0]
     out_tris[offsets[keep]] = tri[keep]
     out_parent[offsets[keep]] = mesh.tri_parent[keep]
@@ -275,7 +275,7 @@ class TestRefine:
         new, _ = refine(m, all_marks(m), "rgb")
         assert new.n_nodes == 42
         assert new.n_triangles == 80
-        assert len(new.genealogy) == 20
+        assert len(new.genealogy.nchild) == 20
         assert (new.tri_parent >= 0).all()
         validate_mesh(new)
 
@@ -296,7 +296,7 @@ class TestRefine:
         new, _ = refine(m, [0], "nvb")
         validate_mesh(new)
         # the marked triangle is gone and at least its refedge neighbor split
-        assert len(new.genealogy) >= 2
+        assert len(new.genealogy.nchild) >= 2
         assert new.n_triangles > 4
 
     def test_empty_marks_identity(self):
@@ -473,7 +473,7 @@ class TestCoarsen:
         assert removed == fine.n_nodes - m.n_nodes
         np.testing.assert_array_equal(back.nodes, m.nodes)
         np.testing.assert_array_equal(back.triangles, m.triangles)
-        assert len(back.genealogy) == 0
+        assert len(back.genealogy.nchild) == 0
         assert (back.tri_parent == -1).all()
         np.testing.assert_array_equal(u_back.coefficients,
                                       u.coefficients[:m.n_nodes])
@@ -490,7 +490,7 @@ class TestCoarsen:
         # the triangle list is recovered only as a set
         assert (sorted(map(tuple, back.triangles))
                 == sorted(map(tuple, m.triangles)))
-        assert len(back.genealogy) == 0
+        assert len(back.genealogy.nchild) == 0
 
     def test_two_rounds_need_two_passes(self):
         m = icosphere(1)
@@ -678,7 +678,7 @@ def test_refine_matches_reference_on_graded_meshes(strategy):
         centre /= np.linalg.norm(centre)
     assert refinements == 40
     assert coarsenings > 0
-    assert len(mesh.genealogy) > 0
+    assert len(mesh.genealogy.nchild) > 0
 
 
 def reference_coarsen(mesh, marks, functions, protect_from=None):
@@ -689,13 +689,13 @@ def reference_coarsen(mesh, marks, functions, protect_from=None):
     gen = mesh.genealogy
     m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
     marks = np.asarray(marks, dtype=np.int64)
-    if len(gen) == 0 or len(marks) == 0:
+    if len(gen.nchild) == 0 or len(marks) == 0:
         return (mesh, list(functions), 0), 0
     marked = np.zeros(m_tris, dtype=bool)
     marked[marks] = True
     tp = mesh.tri_parent
     has_parent = tp >= 0
-    n_rows = len(gen)
+    n_rows = len(gen.nchild)
     live = np.bincount(tp[has_parent], minlength=n_rows)
     marked_live = np.bincount(tp[has_parent & marked], minlength=n_rows)
     collapsing = (live == gen.nchild) & (marked_live == gen.nchild)
