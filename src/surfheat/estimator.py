@@ -73,8 +73,11 @@ def coarsening_indicator(mesh, u_n, u_prev):
 def combined(eta_h, eta_tau, tau, h):
     """Step indicator ``(1 + h^2) sqrt(tau (eta_h^2 + eta_tau^2))`` from the
     (unsquared) spatial and temporal indicator values."""
-    if eta_h < 0.0 or eta_tau < 0.0 or tau < 0.0 or h < 0.0:
-        raise ValueError("indicator inputs must be nonnegative")
+    for name, value in (("eta_h", eta_h), ("eta_tau", eta_tau), ("tau", tau),
+                        ("h", h)):
+        if not 0.0 <= value < np.inf:  # a NaN fails it too
+            raise ValueError(f"{name} must be nonnegative and finite, "
+                             f"got {value}")
     return float((1.0 + h * h)
                  * np.sqrt(tau * (eta_h * eta_h + eta_tau * eta_tau)))
 

@@ -341,15 +341,17 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
         f"(relative residual {r_norm / b_norm:.3g})")
 
 
-def backward_euler_step(mass, stiffness, u_prev, f_n, tau, x0=None):
+def backward_euler_step(mass, stiffness, u_prev, f_n, tau, x0=None,
+                        rtol=1e-10):
     """One implicit Euler step of the discrete heat equation.
 
     Solves ``(mass + tau * stiffness) u = mass (u_prev + tau * f_n)`` with
-    diagonally preconditioned CG started from the vector ``x0``, or from
-    ``u_prev`` when it is None: the start moves the solution only within the
-    CG tolerance.  The two :class:`Csr` matrices must share one pattern, as
-    those of :func:`assemble` do; the system is then one ``data`` vector on
-    it.
+    diagonally preconditioned CG to the relative residual ``rtol``, started
+    from the vector ``x0``, or from ``u_prev`` when it is None: the start
+    moves the solution only within that tolerance.  The fixed-mesh sweep
+    keeps the default 1e-10; the adaptive driver passes ``adaptive.CG_RTOL``.
+    The two :class:`Csr` matrices must share one pattern, as those of
+    :func:`assemble` do; the system is then one ``data`` vector on it.
 
     Returns
     -------
@@ -366,7 +368,7 @@ def backward_euler_step(mass, stiffness, u_prev, f_n, tau, x0=None):
         raise ValueError("mass and stiffness do not share one CSR pattern")
     system = mass._replace(data=mass.data + tau * stiffness.data)
     rhs = mass @ (u_prev.coefficients + tau * f_n.coefficients)
-    x, iters = jacobi_cg(system, rhs,
+    x, iters = jacobi_cg(system, rhs, rtol=rtol,
                          x0=u_prev.coefficients if x0 is None else x0)
     return FeFunction(u_prev.generation, x), iters
 

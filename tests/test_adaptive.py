@@ -16,7 +16,7 @@ from surfheat.errors import (DofCapExceeded, GenerationMismatch,
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import SurfaceMesh
 from surfheat.problems import Problem, get_problem, icosphere
-from surfheat.refinement import init_reference_edges, refine
+from surfheat.refinement import init_reference_edges, refine, transfer
 
 
 def constant_source(value=10.0):
@@ -147,8 +147,8 @@ class TestRejectedAttempts:
         steps = []
         solve = adaptive.backward_euler_step
 
-        def recorded(mass, stiffness, u_prev, f_h, tau):
-            u_new, iters = solve(mass, stiffness, u_prev, f_h, tau)
+        def recorded(mass, stiffness, u_prev, f_h, tau, **kwargs):
+            u_new, iters = solve(mass, stiffness, u_prev, f_h, tau, **kwargs)
             solves.append((u_prev.generation, len(u_prev.coefficients), tau,
                            iters))
             return u_new, iters
@@ -177,6 +177,52 @@ class TestRejectedAttempts:
         assert log.cum_dof_steps == sum(n for _, step_solves in steps
                                         for _, n, _, _ in step_solves)
         assert refined_rejects > 0
+
+
+class TestSolveStarts:
+    def test_nested_starts_and_cg_rtol(self, monkeypatch):
+        # a solve right after a refinement starts from the iterate just
+        # computed, transferred through that refinement; the first solve of
+        # every attempt, a retry after a temporal reject included, starts
+        # from u_prev; every solve stops at CG_RTOL
+        events = []
+        solve, refine_ = adaptive.backward_euler_step, adaptive.refine
+
+        def spied_solve(*args, **kwargs):
+            u_new, iters = solve(*args, **kwargs)
+            events.append(("solve", kwargs, u_new))
+            return u_new, iters
+
+        def spied_refine(*args, **kwargs):
+            refined, tmap = refine_(*args, **kwargs)
+            events.append(("refine", tmap))
+            return refined, tmap
+
+        monkeypatch.setattr(adaptive, "backward_euler_step", spied_solve)
+        monkeypatch.setattr(adaptive, "refine", spied_refine)
+        problem = get_problem("moving-peak-timing")
+        config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.05, theta=0.8,
+                                theta_star=0.2)
+        log = run(problem, problem.surface, icosphere(3), config)
+        expected = u_new = None
+        nested = unstarted = 0
+        for event in events:
+            if event[0] == "refine":
+                expected = transfer(u_new, event[1]).coefficients
+                continue
+            _, kwargs, u_new = event
+            assert kwargs["rtol"] == adaptive.CG_RTOL
+            if expected is None:
+                assert kwargs["x0"] is None
+                unstarted += 1
+            else:
+                assert kwargs["x0"].tobytes() == expected.tobytes()
+                nested += 1
+            expected = None
+        assert nested > 0
+        # more first solves than steps: some attempt was a retry
+        assert unstarted > log.accepted_steps
+        assert nested + unstarted == sum(r.spatial_iters for r in log.records)
 
 
 class TestGuards:
@@ -317,6 +363,30 @@ class TestGuards:
             run(problem, problem.surface, base.with_nodes(nodes), config)
         assert solves == []
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_initial_datum_fails_before_any_solve(self, monkeypatch,
+                                                             bad):
+        # "nan > tol" is False, so the interpolation-error guard alone would
+        # let it through to the first solve's right-hand side
+        solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
+        base = icosphere(2)
+        problem = get_problem("sphere-decay")._replace(
+            u0=lambda x: np.where((x == base.nodes[7]).all(axis=-1), bad,
+                                  x[..., 0] * x[..., 1]))
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
+        with pytest.raises(NonFiniteValue, match=r"^initial datum u0 is not "
+                           rf"finite: node 7 has {bad}$"):
+            run(problem, problem.surface, base, config)
+        assert solves == []
+
+    def test_non_finite_interpolation_error_fails(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "lifted_l2_distance",
+                            lambda *args: np.nan)
+        problem = get_problem("sphere-decay")
+        config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
+        with pytest.raises(ValueError, match="interpolation error nan"):
+            run(problem, problem.surface, icosphere(2), config)
+
     def test_solver_divergence_names_step(self, monkeypatch):
         def failing_step(*args, **kwargs):
             raise SolverDivergence("PCG stopped")
@@ -418,6 +488,7 @@ class TestConfigValidation:
         assert config.max_coarsen_iters == 10
         assert len(dataclasses.fields(AdaptiveConfig)) == 9
         assert adaptive.MAX_SPATIAL_ITERS == 30
+        assert adaptive.CG_RTOL == 1e-7
         assert adaptive.DOF_CAP == 2_000_000
         assert adaptive.TAU_MIN_FACTOR == 1e-8
 
@@ -435,12 +506,27 @@ class TestConfigValidation:
         {"strategy": "octasection"},
         {"coarsening": "sometimes"},
         {"max_coarsen_iters": -1},
+        {"max_coarsen_iters": 2.0},  # NaN, 2.5: test_max_coarsen_iters_named
     ])
     def test_rejects_bad_values(self, kwargs):
         base = dict(tol=0.1, tau0=0.01, t_end=1.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
             AdaptiveConfig(**base)
+
+    @pytest.mark.parametrize("value", [float("nan"), 2.5])
+    def test_max_coarsen_iters_named(self, value):
+        # a NaN would compare False against the pass count and silently
+        # switch the matching loop off
+        with pytest.raises(ValueError, match=r"^max_coarsen_iters must be "
+                           r"an integer >= 0, got (nan|2\.5)$"):
+            AdaptiveConfig(tol=0.1, tau0=0.01, t_end=1.0,
+                           max_coarsen_iters=value)
+
+    def test_max_coarsen_iters_accepts_numpy_integers(self):
+        config = AdaptiveConfig(tol=0.1, tau0=0.01, t_end=1.0,
+                                max_coarsen_iters=np.int64(0))
+        assert config.max_coarsen_iters == 0
 
     @pytest.mark.parametrize("tau0", [1e-9, 3.0])
     def test_tau0_bounds_named(self, tau0):

@@ -227,6 +227,25 @@ class TestConvergenceSweep:
             totals[extrapolate] = sum(iters)
         assert 0 < totals[True] <= totals[False] / 2
 
+    def test_sweep_solves_keep_the_tight_cg_tolerance(self, monkeypatch):
+        # the adaptive driver stops CG at adaptive.CG_RTOL; the sweep's rows
+        # are the acceptance anchors and keep 1e-10
+        rtols = []
+        solve = fem.jacobi_cg
+
+        def recorded(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "jacobi_cg", recorded)
+        problem, mesh = get_problem("sphere-decay"), icosphere(2)
+        mass, stiffness = assemble(mesh)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            cli._march_uniform(problem, mesh, mass, stiffness,
+                               ErrorEvaluator(mesh, problem.surface), 0.1,
+                               0.5, pool)
+        assert rtols == [1e-10] * 5
+
     def test_solver_error_cancels_queued_norms_and_joins_worker(
             self, monkeypatch):
         # The worker is held in the t = 0 norms until the sweep has failed

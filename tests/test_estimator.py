@@ -242,10 +242,15 @@ class TestCombined:
                             rtol=1e-15)
 
     def test_rejects_negative_inputs(self):
-        for args in ((-1.0, 0.0, 1.0, 1.0), (0.0, -1.0, 1.0, 1.0),
-                     (0.0, 0.0, -1.0, 1.0), (0.0, 0.0, 1.0, -1.0)):
-            with pytest.raises(ValueError):
-                estimator.combined(*args)
+        # NaN and infinity too: "x < 0" is False for NaN, and an infinity
+        # would reach the temporal gate
+        for k, name in enumerate(("eta_h", "eta_tau", "tau", "h")):
+            for bad in (-1.0, np.nan, np.inf):
+                args = [1.0, 1.0, 0.1, 0.1]
+                args[k] = bad
+                with pytest.raises(ValueError, match=rf"^{name} must be "
+                                   rf"nonnegative and finite, got {bad}$"):
+                    estimator.combined(*args)
 
 
 class TestBundle:
