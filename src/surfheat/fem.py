@@ -12,20 +12,21 @@ indicators run on, and mass and stiffness written straight into CSR on the
 sort's pattern, with no basis gradients.  ``assemble`` is a lookup.
 
 The lifted rule of the error norms is not cached on the mesh; its users
-lift it in blocks of ``BLOCK`` triangles.  An ``ErrorEvaluator`` keeps 11
-floats per point and streams the H1 seminorm block by block (class
+lift it in blocks of ``BLOCK`` triangles.  An ``ErrorEvaluator`` keeps 10
+floats per point and sums both norms in one block buffer (class
 docstring); ``lifted_l2_distance`` keeps only its differences and weights.
 
-Matrices are :class:`Csr` records: ``data``, int64 ``indices`` and
-``indptr``, ``shape`` and the positions ``diag`` of the diagonal in
-``data``.  Their one kernel, scipy's compiled ``csr_matvec``, is loaded
-from its extension file alone: importing ``scipy.sparse`` would cost each
-process 0.2 s and 13-20 MB.  Each product checks the vector's length, as
-the kernel has no bounds check.  A time step solves
-``(M + tau A) u = M (u_prev + tau f)``, one ``data`` vector on the pattern
-``assemble``'s two matrices share.  ``jacobi_cg`` makes one raw
-``csr_matvec`` per iteration into a preallocated vector and updates in
-place in textbook order: bitwise ``csr_array @ p`` with fresh vectors.
+Matrices are :class:`Csr` records: ``data``, int32 ``indices`` and
+``indptr``, ``shape`` and the intp positions ``diag`` of the diagonal in
+``data`` (numpy converts a non-intp gather index on every use).  Their
+one kernel, scipy's compiled ``csr_matvec``, is loaded from its extension
+file alone: importing ``scipy.sparse`` would cost each process 0.2 s and
+13-20 MB.  Each product checks the vector's length, as the kernel has no
+bounds check.  A time step solves ``(M + tau A) u = M (u_prev + tau f)``,
+one ``data`` vector on the pattern ``assemble``'s two matrices share.
+``jacobi_cg`` makes one raw ``csr_matvec`` per iteration into a
+preallocated vector and updates in place in textbook order: bitwise
+``csr_array @ p`` with fresh vectors.
 """
 
 import math
@@ -173,16 +174,19 @@ def _p1_pattern(edges, n):
     """Sorted CSR pattern of the P1 matrices: the diagonal plus both
     orientations of the edges ``lo < hi``, given in any edge order.
 
-    Returns ``indptr``, ``indices`` and ``source``; the entries of a matrix
-    with diagonal ``d`` and edge values ``v`` are ``concat(d, v, v)[source]``.
+    Returns int32 ``indptr`` and ``indices``, and ``source``: the entries
+    of diagonal ``d`` and edge values ``v`` are ``concat(d, v, v)[source]``.
     """
+    if n + 2 * len(edges) > np.iinfo(np.int32).max:
+        raise ValueError(f"P1 pattern with {n + 2 * len(edges)} entries does "
+                         "not fit int32 CSR indices")
     lo, hi = edges.T
     diag = np.arange(n)
     rows = np.concatenate((diag, lo, hi))
     cols = np.concatenate((diag, hi, lo))
     source = np.argsort(rows * np.int64(n) + cols)  # the keys are unique
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return indptr, cols[source], source
+    return indptr.astype(np.int32), cols[source].astype(np.int32), source
 
 
 def p1_operators(mesh):
@@ -267,7 +271,8 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
     Raises
     ------
     ValueError
-        Unless the matrix is n x n and the start vector of length n.
+        Unless 0 < rtol < 1, the matrix is n x n and the start vector of
+        length n.
     NonFiniteValue
         As soon as the right-hand side, start vector, diagonal or residual
         holds a NaN or an infinity, before any further iteration is spent.
@@ -277,6 +282,8 @@ def jacobi_cg(matrix, b, x0=None, rtol=1e-10, max_iter=None):
         relative residual does not reach ``rtol`` within ``max_iter``
         iterations (default ``10 n``).
     """
+    if not 0.0 < rtol < 1.0:  # a NaN fails it too
+        raise ValueError(f"PCG rtol must lie in (0, 1), got {rtol}")
     b = np.asarray(b, dtype=float)
     n = len(b)
     if max_iter is None:
@@ -388,9 +395,9 @@ def _lifted_block(mesh, surface, block, x, nu_h):
 
 
 def _weighted_sum_sq(diff, sqrt_w):
-    """``sum w |diff|^2`` over the quadrature points as one BLAS dot;
-    ``diff`` (m, Q) or (m, Q, 3) is overwritten with ``sqrt(w) diff``."""
-    diff *= sqrt_w.reshape(sqrt_w.shape + (1,) * (diff.ndim - 2))
+    """``sum w |diff|^2`` over the quadrature points as one BLAS dot; the
+    contiguous ``diff`` (m, Q) or (3, m, Q) becomes ``sqrt(w) diff``."""
+    diff *= sqrt_w
     flat = diff.ravel()
     return float(flat @ flat)
 
@@ -400,36 +407,37 @@ class ErrorEvaluator:
 
     Lifting the quadrature points and building the geometric operators
     dominates the cost of an error evaluation; a time march on a fixed mesh
-    would repeat it identically every step.  The evaluator keeps 11 floats
-    per (triangle, point): the lifted point, the root of the weight, the
-    lifted gradients ``L_k = B Q grad(phi_k)`` of basis functions 1 and 2
-    as one (2, M, Q, 3) array and the L2 difference buffer (so it serves one
-    call at a time).  The gradients of a P1 function sum to zero over a flat
-    element, so its lifted gradient is ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``.
-    The L2 norm is one dot over the buffer; the H1 integrand is formed and
-    summed per block of ``BLOCK`` triangles.
+    would repeat it identically every step.  The evaluator keeps 10 floats
+    per (triangle, point) as coordinate rows: the lifted point (3, M, Q), the
+    root of the weight and the lifted gradients ``L_k = B Q grad(phi_k)`` of
+    basis functions 1 and 2 (2, 3, M, Q).  The gradients of a P1 function
+    sum to zero over a flat element, so its lifted gradient is
+    ``(u_1 - u_0) L_1 + (u_2 - u_0) L_2``.  Both integrands of a block of
+    ``BLOCK`` triangles go through one (3, BLOCK, Q) buffer (so it serves
+    one call at a time); the exact solution reads contiguous rows.
     """
 
-    __slots__ = ("mesh", "_y", "_sqrt_w", "_lifted_grads", "_diff")
+    __slots__ = ("mesh", "_y", "_sqrt_w", "_lifted_grads", "_buffer")
 
     def __init__(self, mesh, surface):
         self.mesh = mesh
         m, q = mesh.n_triangles, len(QUAD_WEIGHTS)
-        self._y, self._sqrt_w = np.empty((m, q, 3)), np.empty((m, q))
-        self._lifted_grads = np.empty((2, m, q, 3))
+        self._y, self._sqrt_w = np.empty((3, m, q)), np.empty((m, q))
+        self._lifted_grads = np.empty((2, 3, m, q))
         for block, x, nu_h in quadrature_blocks(mesh):
             self._build(surface, block, x, nu_h)
-        self._diff = np.empty((m, q))
+        self._buffer = np.empty(3 * min(m, BLOCK) * q)
 
     def _build(self, surface, block, x, nu_h):
         """Fill one block; its temporaries die with this call."""
-        self._y[block], self._sqrt_w[block], ops = _lifted_block(
+        y, self._sqrt_w[block], ops = _lifted_block(
             self.mesh, surface, block, x, nu_h)
+        self._y[:, block] = np.moveaxis(y, -1, 0)
         trans = ops.grad_transform.reshape(-1, len(QUAD_WEIGHTS), 3, 3)
         # (k, 1, 3, 2): the columns grad(phi_1) and grad(phi_2)
         grads = basis_gradients(self.mesh, block)[:, None, 1:].swapaxes(2, 3)
         np.matmul(trans, grads,
-                  out=np.moveaxis(self._lifted_grads[:, block], 0, -1))
+                  out=self._lifted_grads[:, :, block].transpose(2, 3, 1, 0))
 
     def errors(self, u_h, exact_u, exact_grad, time):
         """L2 and H1-seminorm errors of the lifted discrete solution.
@@ -444,19 +452,24 @@ class ErrorEvaluator:
         (l2_error, h1_semi_error)
         """
         u_h.check(self.mesh)
-        y, sqrt_w, lifted = self._y, self._sqrt_w, self._lifted_grads
         u, tri = u_h.coefficients, self.mesh.triangles
-        diff = np.matmul(u[tri], QUAD_POINTS.T, out=self._diff)
         du = u[tri[:, 1:].T] - u[tri[:, 0]]  # (2, M): u_k - u_0
-        h1_sq = 0.0
-        for start in range(0, len(diff), BLOCK):
+        l2_sq = h1_sq = 0.0
+        for start in range(0, len(tri), BLOCK):
             block = slice(start, start + BLOCK)
-            diff[block] -= exact_u(y[block], time)
+            sqrt_w = self._sqrt_w[block]
+            points = self._y[:, block].transpose(1, 2, 0)  # (k, Q, 3) view
+            rows = self._buffer[:3 * sqrt_w.size].reshape(3, *sqrt_w.shape)
+            diff = np.matmul(u[tri[block]], QUAD_POINTS.T, out=rows[0])
+            diff -= exact_u(points, time)
+            l2_sq += _weighted_sum_sq(diff, sqrt_w)
             # (u_1 - u_0) L_1 + (u_2 - u_0) L_2 (class docstring)
-            gdiff = np.einsum("kmqc,km->mqc", lifted[:, block], du[:, block])
-            gdiff -= exact_grad(y[block], time)
-            h1_sq += _weighted_sum_sq(gdiff, sqrt_w[block])
-        return np.sqrt(_weighted_sum_sq(diff, sqrt_w)), np.sqrt(h1_sq)
+            lifted, steps = self._lifted_grads[:, :, block], du[:, block, None]
+            np.multiply(lifted[0], steps[0], out=rows)
+            rows += lifted[1] * steps[1]
+            rows -= np.moveaxis(exact_grad(points, time), -1, 0)
+            h1_sq += _weighted_sum_sq(rows, sqrt_w)
+        return np.sqrt(l2_sq), np.sqrt(h1_sq)
 
 
 def lifted_l2_distance(mesh, surface, u_h, field, time=None):

@@ -192,20 +192,22 @@ def geometric_operators(surface, points, nu_h):
     Raises
     ------
     NonFiniteValue
-        If a point has a non-finite coordinate (``check_finite``).
+        If a point or an element normal has a non-finite coordinate
+        (``check_finite``).
     SingularShapeOperator
         If ``I - d*Weingarten`` is singular at some point.
     ValueError
-        If ``nu_h . nu <= 0`` somewhere (inadmissible element).
+        Unless ``nu_h . nu > 0`` everywhere (inadmissible element).
     """
     p = np.asarray(points, dtype=float)
     check_finite(p)
+    check_finite(np.asarray(nu_h, dtype=float), "element normal")
     nu_h = np.broadcast_to(np.asarray(nu_h, dtype=float), p.shape)
     d = surface.distance(p)
     nu = surface.gradient(p)
     nu = nu / np.linalg.norm(nu, axis=-1, keepdims=True)
     dot = np.sum(nu_h * nu, axis=-1)
-    if np.any(dot <= 0.0):
+    if not np.all(dot > 0.0):  # a NaN dot fails it too
         raise ValueError("element normal points away from the surface normal")
     # each (..., 3, 3) array is formed in place: fewer block temporaries
     IdA = d[..., None, None] * surface.hessian(p)

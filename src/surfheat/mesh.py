@@ -6,9 +6,9 @@ immutable -- refinement, coarsening and node lifting build new meshes -- so
 every derived quantity is computed lazily, on first use, and cached on the
 mesh for its lifetime; nothing ever needs invalidating:
 
-- the half-edge sort (:class:`HalfEdges`), the mesh's one edge record:
-  edge ids, ``tri_edges`` and the half-edges of every edge; ``edges``,
-  ``tri_edges`` and ``n_edges`` read it unchecked;
+- the half-edge sort (:class:`HalfEdges`), the mesh's one edge record: the
+  two arrays its readers use; ``edges``, ``tri_edges`` and ``n_edges`` read
+  it unchecked;
 - the element metrics and squared edge lengths, on contiguous coordinate rows;
 - the P1 operator bundle (mass, stiffness and half-cotangent weights), built
   from the half-edge sort and the metrics by ``fem.p1_operators`` when a
@@ -75,36 +75,37 @@ EdgeGeometry = namedtuple("EdgeGeometry", "length conormal")
 
 
 class HalfEdges:
-    """The 3M half-edges ``3 t + j`` (local vertex j to j + 1 of triangle t),
-    sorted by one unstable argsort of their keys ``lo * N + hi``.
-
-    ``order`` (3M,) lists the edges lexicographically, each with its
-    ``counts`` (E,) half-edges in no particular order; ``edges`` (E, 2)
-    holds the endpoints ``lo < hi``, ``tri_edges`` (M, 3) the edge of each
-    half-edge, ``forward`` (3M,) whether a half-edge runs from ``lo`` to
-    ``hi``.
+    """The edges of the 3M half-edges ``3 t + j`` (local vertex j to j + 1 of
+    triangle t), from one unstable argsort of their keys ``lo * N + hi``:
+    ``edges`` (E, 2) holds the endpoints ``lo < hi`` in lexicographic order,
+    ``tri_edges`` (M, 3) the edge of each half-edge.  Only the closed-surface
+    check and the test references need more; :func:`half_edge_pairs` derives
+    the half-edges of each edge.
     """
 
-    __slots__ = ("order", "counts", "edges", "tri_edges", "forward")
+    __slots__ = ("edges", "tri_edges")
 
     def __init__(self, triangles, n_nodes):
         tri = np.asarray(triangles, dtype=np.int64)
         a, b = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
-        self.forward = a < b
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         key = lo * np.int64(n_nodes) + hi
-        self.order = np.argsort(key)
-        key = key[self.order]
+        order = np.argsort(key)
+        key = key[order]
         new_edge = np.empty(len(key) + 1, dtype=bool)
         new_edge[0] = new_edge[-1] = True
         np.not_equal(key[1:], key[:-1], out=new_edge[1:-1])
-        start = np.flatnonzero(new_edge)
-        self.counts = np.diff(start)
-        first = self.order[start[:-1]]
+        first = order[np.flatnonzero(new_edge[:-1])]
         self.edges = np.stack([lo[first], hi[first]], axis=1)
         edge_of = np.empty(len(key), dtype=np.int64)
-        edge_of[self.order] = np.cumsum(new_edge[:-1], dtype=np.int64) - 1
+        edge_of[order] = np.cumsum(new_edge[:-1], dtype=np.int64) - 1
         self.tri_edges = edge_of.reshape(tri.shape)
+
+
+def half_edge_pairs(tri_edges):
+    """(E, 2) the two half-edges ``3 t + j`` of each edge of a closed mesh,
+    the smaller first: a stable argsort of the edge of each half-edge."""
+    return np.argsort(tri_edges.ravel(), kind="stable").reshape(-1, 2)
 
 
 def build_adjacency(triangles, n_nodes, half_edges=None):
@@ -119,15 +120,16 @@ def build_adjacency(triangles, n_nodes, half_edges=None):
         If two triangles traverse a shared edge in the same direction.
     """
     he = half_edges or HalfEdges(triangles, n_nodes)
-    if np.any(he.counts != 2):
-        bad = int(np.argmax(he.counts != 2))
+    counts = np.bincount(he.tri_edges.ravel(), minlength=len(he.edges))
+    if np.any(counts != 2):
+        bad = int(np.argmax(counts != 2))
         raise NonManifold(f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) "
-                          f"has {he.counts[bad]} incident triangles")
-    # every edge owns two consecutive half-edges of the sort
-    forward = he.forward[he.order].reshape(-1, 2)
+                          f"has {counts[bad]} incident triangles")
+    tri, pairs = np.asarray(triangles), half_edge_pairs(he.tri_edges)
+    forward = (tri < np.roll(tri, -1, axis=1)).ravel()[pairs]  # lo to hi
     if np.any(forward[:, 0] == forward[:, 1]):
         bad = int(np.argmax(forward[:, 0] == forward[:, 1]))
-        t1, t2 = np.sort(he.order[2 * bad:2 * bad + 2] // 3)
+        t1, t2 = pairs[bad] // 3
         raise InconsistentOrientation(
             f"triangles {t1} and {t2} traverse edge ({he.edges[bad, 0]}, "
             f"{he.edges[bad, 1]}) in the same direction")
@@ -288,9 +290,9 @@ def element_metrics(mesh):
 def _compute_edge_geometry(mesh):
     """Edge lengths and co-normals of a closed mesh (a reference for tests);
     column k of ``conormal`` belongs to the k-th of the edge's two
-    consecutive half-edges in ``mesh.half_edges.order``."""
+    half-edges in ``half_edge_pairs``."""
     en = mesh.edges
-    et, el = np.divmod(mesh.half_edges.order.reshape(-1, 2), 3)
+    et, el = np.divmod(half_edge_pairs(mesh.tri_edges), 3)
     p = mesh.nodes
     normal = mesh.metrics.normal
     length = np.linalg.norm(p[en[:, 1]] - p[en[:, 0]], axis=1)
@@ -325,7 +327,7 @@ def conormal_flux_jumps(mesh, tri_grads):
     (E,) array of jump values in edge-id order.
     """
     geom = _compute_edge_geometry(mesh)
-    et = mesh.half_edges.order.reshape(-1, 2) // 3
+    et = half_edge_pairs(mesh.tri_edges) // 3
     g = np.asarray(tri_grads, dtype=float)
     return (np.einsum("ej,ej->e", g[et[:, 0]], geom.conormal[:, 0])
             + np.einsum("ej,ej->e", g[et[:, 1]], geom.conormal[:, 1]))

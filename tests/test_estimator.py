@@ -13,7 +13,7 @@ from surfheat.errors import GenerationMismatch
 from surfheat.fem import FeFunction, assemble, basis_gradients, p1_operators
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
-                           conormal_flux_jumps)
+                           conormal_flux_jumps, half_edge_pairs)
 from surfheat.problems import icosphere, torus_grid
 from surfheat.refinement import (coarsen, init_reference_edges,
                                  lift_new_nodes, mark_coarsen, refine,
@@ -347,7 +347,7 @@ def reference_jump(mesh):
     g = basis_gradients(mesh).transpose(2, 1, 0)
     blocks = np.einsum("kit,kjt->tij", g, g)
     blocks *= mesh.metrics.area[:, None, None]
-    et, el = np.divmod(mesh.half_edges.order.reshape(-1, 2), 3)
+    et, el = np.divmod(half_edge_pairs(mesh.tri_edges), 3)
     opposite = (el + 2) % 3
     rows = np.take(blocks.reshape(-1, 3), 3 * et + opposite, axis=0)
     n_edges = len(et)

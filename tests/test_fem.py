@@ -228,6 +228,20 @@ class TestDirectCsrAssembly:
         assert mass.diag is stiffness.diag
 
     @ORACLE_MESHES
+    def test_product_arrays_are_int32(self, make):
+        # csr_matvec reads indptr and indices; the gather arrays stay intp
+        mass, stiffness = assemble(make())
+        for matrix in (mass, stiffness):
+            assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
+            assert matrix.diag.dtype == np.intp
+
+    def test_pattern_beyond_int32_is_refused_by_name(self):
+        # N + 2 E entries, counted before any array of the pattern is built
+        with pytest.raises(ValueError, match=r"^P1 pattern with 2147483648 "
+                                             r"entries does not fit int32"):
+            fem._p1_pattern(np.empty((0, 2), dtype=np.int64), 2 ** 31)
+
+    @ORACLE_MESHES
     def test_pattern_does_not_depend_on_edge_order(self, make):
         m = make()
         rng = np.random.default_rng(3)
@@ -434,6 +448,31 @@ class TestSolver:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
             jacobi_cg(as_scipy(self.spd(4)), np.ones(5))
+
+    @pytest.mark.parametrize("rtol", [np.nan, -1.0, 0.0, 1.0, 2.0])
+    def test_rtol_outside_the_unit_interval_fails_before_any_product(
+            self, monkeypatch, rtol):
+        # from 0 on M + 0.01 A: NaN or -1 ran to a zero residual and blamed
+        # p.Ap = 0 at iteration 221; 2 returned the zero start as solved
+        products, kernel = [], fem.csr_matvec
+
+        def counting(*args):
+            products.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(fem, "csr_matvec", counting)
+        m = icosphere(3)
+        mass, stiffness = assemble(m)
+        system = mass._replace(data=mass.data + 0.01 * stiffness.data)
+        u = FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
+        message = rf"^PCG rtol must lie in \(0, 1\), got {rtol}$"
+        with pytest.raises(ValueError, match=message):
+            jacobi_cg(system, mass @ u.coefficients, x0=np.zeros(m.n_nodes),
+                      rtol=rtol)
+        products.clear()
+        with pytest.raises(ValueError, match=message):
+            backward_euler_step(mass, stiffness, u, u, 0.01, rtol=rtol)
+        assert len(products) == 1  # the right-hand side's, before the CG
 
     @pytest.mark.parametrize("length", [5, 15])
     def test_start_vector_of_the_wrong_length_raises(self, length):
@@ -869,16 +908,20 @@ class TestBlockedLiftedQuadrature:
         evaluator = ErrorEvaluator(mesh, surface)
         y, sqrt_w, trans = whole_mesh_quadrature(mesh, surface)
         lifted = whole_mesh_lifted_gradients(mesh, trans)
-        for got, expected in ((evaluator._y, y), (evaluator._sqrt_w, sqrt_w),
-                              (evaluator._lifted_grads, lifted)):
+        # the evaluator keeps coordinate rows: (3, M, Q) and (2, 3, M, Q)
+        for got, expected in ((evaluator._y, np.moveaxis(y, -1, 0)),
+                              (evaluator._sqrt_w, sqrt_w),
+                              (evaluator._lifted_grads,
+                               np.moveaxis(lifted, -1, 1))):
+            assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
         u_h = interpolate(mesh, lambda x: np.cos(2.0 * x[:, 0]) + x[:, 1])
         for t in (0.0, 0.7):
             l2, h1 = evaluator.errors(u_h, wavy, wavy_grad, t)
             ref_l2, ref_h1 = whole_mesh_errors(mesh, surface, u_h, wavy,
                                                wavy_grad, t)
-            # L2 is one dot over the whole buffer; H1 sums per block
-            assert l2 == ref_l2
+            # both norms sum per block, the reference over the whole mesh
+            assert l2 == pytest.approx(ref_l2, rel=1e-13, abs=0.0)
             assert h1 == pytest.approx(ref_h1, rel=1e-13, abs=0.0)
         field = lambda y: wavy(y, 0.3)  # noqa: E731
         assert lifted_l2_distance(mesh, surface, u_h, field) == \
@@ -934,6 +977,23 @@ class TestBlockedLiftedQuadrature:
         assert evaluator.mesh is mesh
         assert kept < 11 * 8 * points + 65536  # 64 KB for the objects
         assert peak - kept < block_arrays
+
+    def test_evaluator_keeps_ten_floats_per_point_and_one_block_buffer(self):
+        # the lifted point (3), the root weight (1) and two lifted basis
+        # gradients (6) per point, and the (3, BLOCK, Q) integrand buffer;
+        # 88.1 B per point here with a whole-mesh L2 difference buffer
+        mesh = icosphere(5)
+        mesh.metrics  # cached before the measurement
+        tracemalloc.start()
+        try:
+            evaluator = ErrorEvaluator(mesh, unit_sphere())
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        points = mesh.n_triangles * len(QUAD_WEIGHTS)
+        arrays = 10 * 8 * points + 3 * fem.BLOCK * len(QUAD_WEIGHTS) * 8
+        assert evaluator.mesh is mesh
+        assert arrays <= kept < arrays + 65536  # 64 KB for the objects
 
     def test_errors_allocate_less_than_one_whole_mesh_gradient(self):
         # during a call, the evaluator's 11 floats per point and the call's

@@ -523,6 +523,29 @@ class TestGeometricOperators:
             geometric_operators(unit_sphere(), points,
                                 np.array([0.0, 0.0, 1.0]))
 
+    def test_non_finite_normal_named(self):
+        # a NaN normal gave a NaN dot, which passed the sign test, and
+        # returned mu = [nan] with no error
+        with pytest.raises(NonFiniteValue, match=r"^element normal 0 has a "
+                           r"non-finite coordinate: \[nan, 0\.0, 0\.0\]$"):
+            geometric_operators(unit_sphere(), [[1.0, 0.0, 0.0]],
+                                [np.nan, 0.0, 0.0])
+        normals = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        normals[1, 2] = np.inf
+        with pytest.raises(NonFiniteValue, match=r"^element normal 1 "):
+            geometric_operators(unit_sphere(), [[0.0, 0.0, 1.0],
+                                                [0.0, 1.0, 0.0]], normals)
+
+    def test_nan_surface_normal_fails_the_sign_test(self):
+        sphere = unit_sphere()
+        nan_gradient = LevelSetSurface(
+            distance=sphere.distance, hessian=sphere.hessian,
+            gradient=lambda p: np.full(np.shape(p), np.nan),
+            bounding_radius=1.0)
+        with pytest.raises(ValueError, match="points away"):
+            geometric_operators(nan_gradient, [[0.0, 0.0, 1.0]],
+                                [0.0, 0.0, 1.0])
+
     def test_inadmissible_normal(self):
         s = unit_sphere()
         p = np.array([[0.0, 0.0, 1.0]])

@@ -8,8 +8,10 @@ from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
                              NonFiniteValue, NonManifold)
 from surfheat.mesh import (HalfEdges, SurfaceMesh, _compute_edge_geometry,
                            build_adjacency, conormal_flux_jumps,
-                           element_metrics, validate_mesh, write_vtk)
+                           element_metrics, half_edge_pairs, validate_mesh,
+                           write_vtk)
 from surfheat.problems import icosahedron, icosphere, torus_grid
+from surfheat.refinement import coarsen
 from test_estimator import element_gradients, graded_sphere
 from topology import euler_characteristic
 
@@ -28,9 +30,15 @@ def tetrahedron():
 
 def edge_incidence(mesh):
     """``(edge_tris, edge_local)`` (E, 2) of a closed mesh: the triangle and
-    local edge of each edge's two consecutive half-edges in the sort, the
-    order of the co-normal columns of ``_compute_edge_geometry``."""
-    return np.divmod(mesh.half_edges.order.reshape(-1, 2), 3)
+    local edge of each edge's two half-edges, the smaller first, the order
+    of the co-normal columns of ``_compute_edge_geometry``."""
+    return np.divmod(half_edge_pairs(mesh.tri_edges), 3)
+
+
+def half_edge_forward(triangles):
+    """(3M,) whether each half-edge ``3 t + j`` runs from the smaller node
+    id to the larger."""
+    return (triangles < np.roll(triangles, -1, axis=1)).ravel()
 
 
 def conormal_flux_jump(mesh, edge, grad_t1, grad_t2):
@@ -90,9 +98,7 @@ class TestAdjacency:
         # closed oriented surface: each undirected edge appears once per
         # direction, which is what the check reads off the half-edge sort
         m = tetrahedron()
-        he = m.half_edges
-        assert he.forward.dtype == bool
-        forward = he.forward[he.order].reshape(-1, 2)
+        forward = half_edge_forward(m.triangles)[half_edge_pairs(m.tri_edges)]
         assert (forward[:, 0] != forward[:, 1]).all()
         assert build_adjacency(m.triangles, m.n_nodes) is None
 
@@ -166,10 +172,10 @@ class TestOneSortAdjacency:
         assert build_adjacency(m.triangles, m.n_nodes, m.half_edges) is None
         he = m.half_edges
         # each edge's two half-edges, the smaller id (so triangle) first
-        pair = np.sort(he.order.reshape(-1, 2), axis=1)
+        pair = half_edge_pairs(he.tri_edges)
         edge_tris, edge_local = np.divmod(pair, 3)
-        got = (he.edges, edge_tris, edge_local, he.forward[pair[:, 0]],
-               he.tri_edges)
+        got = (he.edges, edge_tris, edge_local,
+               half_edge_forward(m.triangles)[pair[:, 0]], he.tri_edges)
         for a, b in zip(got, two_sort_adjacency(m.triangles, m.n_nodes)):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -189,6 +195,57 @@ class TestOneSortAdjacency:
         m = tetrahedron()
         with pytest.raises(NonManifold, match="has 4 incident triangles"):
             build_adjacency(np.vstack([m.triangles, m.triangles]), m.n_nodes)
+
+
+def five_array_record(triangles, n_nodes):
+    """Reference: the half-edge record as it held ``order``, ``counts`` and
+    ``forward`` beside ``edges`` and ``tri_edges``, one unstable argsort."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    a, b = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
+    forward = a < b
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    key = lo * np.int64(n_nodes) + hi
+    order = np.argsort(key)
+    key = key[order]
+    new_edge = np.empty(len(key) + 1, dtype=bool)
+    new_edge[0] = new_edge[-1] = True
+    np.not_equal(key[1:], key[:-1], out=new_edge[1:-1])
+    start = np.flatnonzero(new_edge)
+    counts = np.diff(start)
+    first = order[start[:-1]]
+    edges = np.stack([lo[first], hi[first]], axis=1)
+    edge_of = np.empty(len(key), dtype=np.int64)
+    edge_of[order] = np.cumsum(new_edge[:-1], dtype=np.int64) - 1
+    return order, counts, edges, edge_of.reshape(tri.shape), forward
+
+
+def coarsened_sphere():
+    mesh = graded_sphere()
+    coarse, _, removed = coarsen(mesh, np.arange(mesh.n_triangles), [])
+    assert 0 < removed and coarse.genealogy.nchild.size
+    return coarse
+
+
+class TestTwoArrayRecord:
+    @pytest.mark.parametrize("make", [
+        lambda: icosphere(3), lambda: torus_grid(12), graded_sphere,
+        coarsened_sphere], ids=["icosphere", "torus", "refined", "coarsened"])
+    def test_derived_arrays_equal_the_five_array_record(self, make):
+        m = make()
+        he = m.half_edges
+        assert HalfEdges.__slots__ == ("edges", "tri_edges")
+        assert not hasattr(he, "__dict__")
+        order, counts, edges, tri_edges, forward = five_array_record(
+            m.triangles, m.n_nodes)
+        pairs = half_edge_pairs(he.tri_edges)
+        got = (he.edges, he.tri_edges,
+               np.bincount(he.tri_edges.ravel(), minlength=m.n_edges),
+               half_edge_forward(m.triangles), pairs)
+        expected = (edges, tri_edges, counts, forward,
+                    np.sort(order.reshape(-1, 2), axis=1))
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
 
 
 class TestMetrics:
