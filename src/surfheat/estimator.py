@@ -59,8 +59,8 @@ def edge_jumps(mesh, values):
     for j in range(3):
         np.subtract(c[j - 1], c[j - 2], out=flux[:, j])
     flux *= 2.0
-    return np.bincount(mesh.tri_edges.ravel(), flux.ravel(),
-                       minlength=mesh.n_edges)
+    edges, tri_edges = mesh.half_edges
+    return np.bincount(tri_edges.ravel(), flux.ravel(), minlength=len(edges))
 
 
 def coarsening_indicator(mesh, u_n, u_prev):
@@ -109,7 +109,7 @@ def compute_indicators(mesh, u_n, u_prev, f_h, tau):
     del w, d  # at most three (3, M) arrays at a time, as in edge_jumps
     jumps = edge_jumps(mesh, u_n.coefficients)
     jumps *= jumps
-    edge_sq = jumps[mesh.tri_edges.T]
+    edge_sq = jumps[mesh.half_edges.tri_edges.T]
     spatial_sq = (met.h_T ** 2 * residual_sq
                   + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
     eta_h_sq = float(spatial_sq.sum())

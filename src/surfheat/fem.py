@@ -205,10 +205,11 @@ def p1_operators(mesh):
     met = mesh.metrics
     s = met.edge_sq
     cot = (s[[1, 2, 0]] + s[[2, 0, 1]] - s) / (8.0 * met.area)
+    edges, tri_edges = mesh.half_edges
     # (t, j) order, as in triangles.ravel() and tri_edges.ravel()
-    corners, half = mesh.triangles.ravel(), mesh.tri_edges.ravel()
-    n_edges = mesh.n_edges
-    indptr, indices, source = _p1_pattern(mesh.edges, n)
+    corners, half = mesh.triangles.ravel(), tri_edges.ravel()
+    n_edges = len(edges)
+    indptr, indices, source = _p1_pattern(edges, n)
     diag = np.flatnonzero(source < n)
 
     def on_pattern(on_diag, off):

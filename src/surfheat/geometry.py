@@ -193,7 +193,7 @@ def geometric_operators(surface, points, nu_h):
     ------
     NonFiniteValue
         If a point or an element normal has a non-finite coordinate
-        (``check_finite``).
+        (``check_finite``), or ``I - d*Weingarten`` a non-finite entry.
     SingularShapeOperator
         If ``I - d*Weingarten`` is singular at some point.
     ValueError
@@ -212,6 +212,10 @@ def geometric_operators(surface, points, nu_h):
     # each (..., 3, 3) array is formed in place: fewer block temporaries
     IdA = d[..., None, None] * surface.hessian(p)
     np.subtract(_EYE3, IdA, out=IdA)
+    if not np.isfinite(IdA).all():
+        k = np.argmin(np.isfinite(IdA.reshape(-1, 9)).all(axis=1))
+        raise NonFiniteValue(f"I - d*Weingarten of point {k} has a "
+                             "non-finite entry")
     det = np.linalg.det(IdA)
     if np.any(np.abs(det) < 1e-12):
         raise SingularShapeOperator("I - d*Weingarten is singular")

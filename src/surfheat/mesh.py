@@ -6,17 +6,19 @@ immutable -- refinement, coarsening and node lifting build new meshes -- so
 every derived quantity is computed lazily, on first use, and cached on the
 mesh for its lifetime; nothing ever needs invalidating:
 
-- the half-edge sort (:class:`HalfEdges`), the mesh's one edge record: the
-  two arrays its readers use; ``edges``, ``tri_edges`` and ``n_edges`` read
-  it unchecked;
-- the element metrics and squared edge lengths, on contiguous coordinate rows;
+- ``half_edges``, the mesh's one edge record: the plain arrays ``(edges,
+  tri_edges)`` of :data:`HalfEdges`, from one ``np.unique`` of the half-edge
+  keys (:func:`sort_half_edges`);
+- ``metrics``, the element metrics and squared edge lengths, on contiguous
+  coordinate rows;
 - the P1 operator bundle (mass, stiffness and half-cotangent weights), built
-  from the half-edge sort and the metrics by ``fem.p1_operators`` when a
-  mesh is first assembled or estimated.
+  from the edge record and the metrics by ``fem.p1_operators`` when a mesh
+  is first assembled or estimated.
 
-A mesh that is only tested for coarsening builds no P1 bundle.
-:func:`build_adjacency` is the closed-surface check on the half-edge sort and
-returns nothing.  Refinement (then lifting) and coarsening keep a mesh closed,
+The first two are ``functools.cached_property`` attributes.  A mesh that is
+only tested for coarsening builds no P1 bundle.  :func:`build_adjacency`
+is the closed-surface check of a mesh on its edge record and returns
+nothing.  Refinement (then lifting) and coarsening keep a mesh closed,
 oriented, finite and on its surface, so :func:`validate_mesh` runs it once,
 on the initial mesh of a run.
 
@@ -40,6 +42,7 @@ initial triangles).  Siblings are the triangles that share a parent row.
 
 import itertools
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -74,32 +77,22 @@ ElementMetrics = namedtuple("ElementMetrics",
 EdgeGeometry = namedtuple("EdgeGeometry", "length conormal")
 
 
-class HalfEdges:
-    """The edges of the 3M half-edges ``3 t + j`` (local vertex j to j + 1 of
-    triangle t), from one unstable argsort of their keys ``lo * N + hi``:
-    ``edges`` (E, 2) holds the endpoints ``lo < hi`` in lexicographic order,
-    ``tri_edges`` (M, 3) the edge of each half-edge.  Only the closed-surface
-    check and the test references need more; :func:`half_edge_pairs` derives
-    the half-edges of each edge.
-    """
+# The mesh's one edge record, as Funken, Praetorius and Wissgott's
+# ``edge2nodes`` and ``element2edges``: ``edges`` (E, 2) the endpoints
+# ``lo < hi`` of each edge in lexicographic order, ``tri_edges`` (M, 3) the
+# edge of each half-edge ``3 t + j`` (local vertex j to j + 1 of triangle t).
+HalfEdges = namedtuple("HalfEdges", "edges tri_edges")
 
-    __slots__ = ("edges", "tri_edges")
 
-    def __init__(self, triangles, n_nodes):
-        tri = np.asarray(triangles, dtype=np.int64)
-        a, b = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        key = lo * np.int64(n_nodes) + hi
-        order = np.argsort(key)
-        key = key[order]
-        new_edge = np.empty(len(key) + 1, dtype=bool)
-        new_edge[0] = new_edge[-1] = True
-        np.not_equal(key[1:], key[:-1], out=new_edge[1:-1])
-        first = order[np.flatnonzero(new_edge[:-1])]
-        self.edges = np.stack([lo[first], hi[first]], axis=1)
-        edge_of = np.empty(len(key), dtype=np.int64)
-        edge_of[order] = np.cumsum(new_edge[:-1], dtype=np.int64) - 1
-        self.tri_edges = edge_of.reshape(tri.shape)
+def sort_half_edges(triangles, n_nodes):
+    """The :data:`HalfEdges` of ``triangles``, from one ``np.unique`` of the
+    half-edge keys ``lo * n_nodes + hi``."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    a, b = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
+    keys, edge_of = np.unique(np.minimum(a, b) * np.int64(n_nodes)
+                              + np.maximum(a, b), return_inverse=True)
+    return HalfEdges(np.stack(np.divmod(keys, n_nodes), axis=1),
+                     edge_of.reshape(tri.shape))
 
 
 def half_edge_pairs(tri_edges):
@@ -108,9 +101,9 @@ def half_edge_pairs(tri_edges):
     return np.argsort(tri_edges.ravel(), kind="stable").reshape(-1, 2)
 
 
-def build_adjacency(triangles, n_nodes, half_edges=None):
-    """Check that ``triangles`` form a closed, consistently oriented surface;
-    ``half_edges`` is their :class:`HalfEdges` sort, if already built.
+def build_adjacency(mesh):
+    """Check that ``mesh`` is a closed, consistently oriented surface, on
+    its cached :data:`HalfEdges`.
 
     Raises
     ------
@@ -119,20 +112,20 @@ def build_adjacency(triangles, n_nodes, half_edges=None):
     InconsistentOrientation
         If two triangles traverse a shared edge in the same direction.
     """
-    he = half_edges or HalfEdges(triangles, n_nodes)
-    counts = np.bincount(he.tri_edges.ravel(), minlength=len(he.edges))
+    edges, tri_edges = mesh.half_edges
+    counts = np.bincount(tri_edges.ravel(), minlength=len(edges))
     if np.any(counts != 2):
         bad = int(np.argmax(counts != 2))
-        raise NonManifold(f"edge ({he.edges[bad, 0]}, {he.edges[bad, 1]}) "
+        raise NonManifold(f"edge ({edges[bad, 0]}, {edges[bad, 1]}) "
                           f"has {counts[bad]} incident triangles")
-    tri, pairs = np.asarray(triangles), half_edge_pairs(he.tri_edges)
+    tri, pairs = mesh.triangles, half_edge_pairs(tri_edges)
     forward = (tri < np.roll(tri, -1, axis=1)).ravel()[pairs]  # lo to hi
     if np.any(forward[:, 0] == forward[:, 1]):
         bad = int(np.argmax(forward[:, 0] == forward[:, 1]))
         t1, t2 = pairs[bad] // 3
         raise InconsistentOrientation(
-            f"triangles {t1} and {t2} traverse edge ({he.edges[bad, 0]}, "
-            f"{he.edges[bad, 1]}) in the same direction")
+            f"triangles {t1} and {t2} traverse edge ({edges[bad, 0]}, "
+            f"{edges[bad, 1]}) in the same direction")
 
 
 class SurfaceMesh:
@@ -172,8 +165,6 @@ class SurfaceMesh:
         self.strategy = strategy
         self.refedge_ready = bool(refedge_ready)
         self.generation = next(_generation_counter)
-        self._half_edges = None
-        self._metrics = None
         self._operators = None  # fem.P1Operators, filled by fem.p1_operators
 
     # ------------------------------------------------------------------ basic
@@ -202,37 +193,17 @@ class SurfaceMesh:
         m.generation = self.generation
         return m
 
-    # -------------------------------------------------------------- adjacency
+    # ---------------------------------------------------------------- caches
 
-    @property
+    @cached_property
     def half_edges(self):
-        """The sorted half-edges (cached); see :class:`HalfEdges`."""
-        if self._half_edges is None:
-            self._half_edges = HalfEdges(self.triangles, self.n_nodes)
-        return self._half_edges
+        """The mesh's edge record; see :func:`sort_half_edges`."""
+        return sort_half_edges(self.triangles, self.n_nodes)
 
-    @property
-    def edges(self):
-        """(E, 2) endpoints, smaller id first, lexicographically sorted."""
-        return self.half_edges.edges
-
-    @property
-    def tri_edges(self):
-        """(M, 3) global edge id of each triangle's local edges."""
-        return self.half_edges.tri_edges
-
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
-    # ---------------------------------------------------------------- metrics
-
-    @property
+    @cached_property
     def metrics(self):
-        """Element metrics bundle (cached)."""
-        if self._metrics is None:
-            self._metrics = element_metrics(self)
-        return self._metrics
+        """Element metrics bundle; see :func:`element_metrics`."""
+        return element_metrics(self)
 
 
 def edge_rows(nodes, triangles):
@@ -291,8 +262,8 @@ def _compute_edge_geometry(mesh):
     """Edge lengths and co-normals of a closed mesh (a reference for tests);
     column k of ``conormal`` belongs to the k-th of the edge's two
     half-edges in ``half_edge_pairs``."""
-    en = mesh.edges
-    et, el = np.divmod(half_edge_pairs(mesh.tri_edges), 3)
+    en, tri_edges = mesh.half_edges
+    et, el = np.divmod(half_edge_pairs(tri_edges), 3)
     p = mesh.nodes
     normal = mesh.metrics.normal
     length = np.linalg.norm(p[en[:, 1]] - p[en[:, 0]], axis=1)
@@ -327,7 +298,7 @@ def conormal_flux_jumps(mesh, tri_grads):
     (E,) array of jump values in edge-id order.
     """
     geom = _compute_edge_geometry(mesh)
-    et = half_edge_pairs(mesh.tri_edges) // 3
+    et = half_edge_pairs(mesh.half_edges.tri_edges) // 3
     g = np.asarray(tri_grads, dtype=float)
     return (np.einsum("ej,ej->e", g[et[:, 0]], geom.conormal[:, 0])
             + np.einsum("ej,ej->e", g[et[:, 1]], geom.conormal[:, 1]))
@@ -341,12 +312,11 @@ def validate_mesh(mesh, surface=None):
     referenced, and (when ``surface`` is given) that every node has a
     finite distance (``NonFiniteValue``) and lies on the surface to within
     ``geometry.ON_SURFACE_TOL`` (``ValueError``); the errors name the first
-    non-finite or the farthest node.  The half-edge sort it reads stays
-    cached on the mesh.
+    non-finite or the farthest node.  The edge record it reads stays cached
+    on the mesh.
     """
     check_finite(mesh.nodes, "node")
-    # NonManifold / InconsistentOrientation
-    build_adjacency(mesh.triangles, mesh.n_nodes, mesh.half_edges)
+    build_adjacency(mesh)  # NonManifold / InconsistentOrientation
     mesh.metrics  # DegenerateTriangle; cached for the first assembly
     used = np.zeros(mesh.n_nodes, dtype=bool)
     used[mesh.triangles.ravel()] = True

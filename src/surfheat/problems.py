@@ -11,7 +11,7 @@ from collections import namedtuple
 import numpy as np
 
 from .geometry import TORUS_RADII, unit_sphere
-from .mesh import HalfEdges, SurfaceMesh
+from .mesh import SurfaceMesh, sort_half_edges
 from .refinement import _RED_TABLE, init_reference_edges
 
 
@@ -150,13 +150,13 @@ def red_subdivide(nodes, triangles):
 
     Genealogy-free helper for generating initial meshes; returns the new node
     and triangle arrays (orientation preserved, midpoints not projected).
-    Midpoints are numbered in the edge order of :class:`mesh.HalfEdges`.
+    Midpoints are numbered in the edge order of :func:`mesh.sort_half_edges`.
     """
     tri = np.asarray(triangles, dtype=np.int64)
     n = len(nodes)
-    he = HalfEdges(tri, n)
-    mids = 0.5 * (nodes[he.edges[:, 0]] + nodes[he.edges[:, 1]])
-    children = np.hstack([tri, n + he.tri_edges])[:, _RED_TABLE]
+    edges, tri_edges = sort_half_edges(tri, n)
+    mids = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
+    children = np.hstack([tri, n + tri_edges])[:, _RED_TABLE]
     return np.vstack([nodes, mids]), children.reshape(-1, 3)
 
 

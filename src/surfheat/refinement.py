@@ -62,7 +62,7 @@ def mark_refine(indicators, theta, criterion="bulk"):
         total = float(np.sum(eta ** 2))
         if total == 0.0:
             return np.empty(0, np.int64)
-        order = np.lexsort((np.arange(len(eta)), -eta))
+        order = np.argsort(-eta, kind="stable")
         csum = np.cumsum(eta[order] ** 2)
         target = (1.0 - theta) * total
         k = int(np.argmax(csum >= target - 1e-12 * total)) + 1
@@ -85,7 +85,7 @@ def mark_coarsen(indicators, theta_star, criterion="bulk"):
     if criterion == "doerfler":
         total = float(np.sum(eta ** 2))
         budget = theta_star * total
-        order = np.lexsort((np.arange(len(eta)), eta))
+        order = np.argsort(eta, kind="stable")
         csum = np.cumsum(eta[order] ** 2)
         k = int(np.searchsorted(csum, budget * (1.0 + 1e-12), side="right"))
         return np.sort(order[:k])
@@ -216,8 +216,8 @@ def refine(mesh, marks, strategy):
         return mesh, TransferMap(np.empty((0, 2), dtype=np.int64),
                                  mesh.generation, mesh.generation)
 
-    te = mesh.tri_edges
-    edge_marked = np.zeros(mesh.n_edges, dtype=bool)
+    edges, te = mesh.half_edges
+    edge_marked = np.zeros(len(edges), dtype=bool)
     if strategy == "nvb":
         edge_marked[te[ids, 0]] = True
     else:
@@ -230,9 +230,9 @@ def refine(mesh, marks, strategy):
         edge_marked[te[need, 0]] = True
 
     split_edges = np.nonzero(edge_marked)[0]
-    mid_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
+    mid_of_edge = np.full(len(edges), -1, dtype=np.int64)
     mid_of_edge[split_edges] = mesh.n_nodes + np.arange(len(split_edges))
-    endpoints = mesh.edges[split_edges]
+    endpoints = edges[split_edges]
     mids = 0.5 * mesh.nodes[endpoints].sum(axis=1)
     new_nodes = np.vstack([mesh.nodes, mids])
 
@@ -309,7 +309,8 @@ def coarsen(mesh, marks, functions, protect_from=None):
     functions : list of FeFunction
         Bound to this mesh; restricted nodally onto the coarser mesh.
     protect_from : int, optional
-        Nodes with index ``>= protect_from`` are never removed.
+        Nodes with index ``>= protect_from`` are never removed; a negative
+        value raises ``ValueError``.
 
     Returns
     -------
@@ -317,6 +318,10 @@ def coarsen(mesh, marks, functions, protect_from=None):
         The coarsened mesh, the restricted functions, and the number of
         removed nodes.
     """
+    if protect_from is not None and not (
+            isinstance(protect_from, (int, np.integer)) and protect_from >= 0):
+        raise ValueError("protect_from must be None or an integer >= 0, "
+                         f"got {protect_from!r}")
     for u in functions:
         u.check(mesh)
     gen = mesh.genealogy

@@ -387,6 +387,16 @@ class TestGuards:
         with pytest.raises(ValueError, match="interpolation error nan"):
             run(problem, problem.surface, icosphere(2), config)
 
+    def test_non_finite_weingarten_map_is_not_a_coarse_mesh(self):
+        # it surfaced as "initial mesh too coarse: interpolation error nan"
+        problem = get_problem("sphere-decay")
+        surface = problem.surface._replace(
+            hessian=lambda p: np.full(np.shape(p) + (3,), np.nan))
+        config = AdaptiveConfig(tol=0.5, tau0=0.01, t_end=1.0)
+        with pytest.raises(NonFiniteValue, match=r"^I - d\*Weingarten of "
+                           r"point 0 has a non-finite entry$"):
+            run(problem, surface, icosphere(2), config)
+
     def test_solver_divergence_names_step(self, monkeypatch):
         def failing_step(*args, **kwargs):
             raise SolverDivergence("PCG stopped")

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from surfheat import cli, fem
+from surfheat.adaptive import AdaptiveConfig, RunLog
 from surfheat.cli import (CONVERGENCE_FIELDS, GEOMETRY_FIELDS, TIMING_FIELDS,
                           _parse_taus, convergence_sweep, fitted_orders,
                           geometry_report, main, timing_table)
@@ -450,6 +451,26 @@ class TestRunCommand:
             "error: --level 9 gives 2621442 nodes, above the cap of "
             "2000000\n")
         assert not out.exists()
+
+    def test_adaptive_options_reach_the_config(self, tmp_path, monkeypatch,
+                                               capsys):
+        calls = []
+
+        def spy(problem, surface, initial_mesh, config, on_accept=None):
+            calls.append((problem.name, initial_mesh.n_nodes, config))
+            return RunLog()
+
+        monkeypatch.setattr(cli, "run", spy)
+        assert main(["run", "--problem", "sphere-decay", "--tol", "0.3",
+                     "--tau0", "0.05", "--t-end", "0.4", "--level", "2",
+                     "--strategy", "rgb", "--criterion", "doerfler",
+                     "--coarsening", "reset", "--theta", "0.6",
+                     "--theta-star", "0.3",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert calls == [("sphere-decay", 162, AdaptiveConfig(
+            tol=0.3, tau0=0.05, t_end=0.4, theta=0.6, theta_star=0.3,
+            criterion="doerfler", strategy="rgb", coarsening="reset"))]
+        assert "accepted 0 steps" in capsys.readouterr().out
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         code = main(["run", "--theta", "1.5",

@@ -308,7 +308,7 @@ def reference_indicators(mesh, u_n, u_prev, f_h, tau):
     edge_sq = _compute_edge_geometry(mesh).length ** 2 * jumps ** 2
     w = u_n - u_prev
     spatial = (met.h_T ** 2 * l2_sq(w / tau - f_h)
-               + 0.5 * edge_sq[mesh.tri_edges].sum(axis=1))
+               + 0.5 * edge_sq[mesh.half_edges.tri_edges].sum(axis=1))
     g = gradients(w)
     temporal = l2_sq(w) + met.area * np.einsum("mi,mi->m", g, g)
     return spatial, temporal, l2_sq(w)
@@ -329,10 +329,11 @@ def out_of_place_indicators(mesh, u_n, u_prev, f_h, tau):
     u = u_n[mesh.triangles.T]
     c = cot * (u[[1, 2, 0]] - u)
     flux = 2.0 * (c[[2, 0, 1]] - c[[1, 2, 0]])
-    jumps = np.bincount(mesh.tri_edges.T.ravel(), flux.ravel(),
-                        minlength=mesh.n_edges)
+    edges, tri_edges = mesh.half_edges
+    jumps = np.bincount(tri_edges.T.ravel(), flux.ravel(),
+                        minlength=len(edges))
     jumps *= jumps
-    edge_sq = jumps[mesh.tri_edges.T]
+    edge_sq = jumps[tri_edges.T]
     met = mesh.metrics
     spatial = (met.h_T ** 2 * estimator._corner_l2_sq(met.area, w)
                + 0.5 * (edge_sq[0] + edge_sq[1] + edge_sq[2]))
@@ -347,7 +348,7 @@ def reference_jump(mesh):
     g = basis_gradients(mesh).transpose(2, 1, 0)
     blocks = np.einsum("kit,kjt->tij", g, g)
     blocks *= mesh.metrics.area[:, None, None]
-    et, el = np.divmod(half_edge_pairs(mesh.tri_edges), 3)
+    et, el = np.divmod(half_edge_pairs(mesh.half_edges.tri_edges), 3)
     opposite = (el + 2) % 3
     rows = np.take(blocks.reshape(-1, 3), 3 * et + opposite, axis=0)
     n_edges = len(et)
@@ -355,7 +356,7 @@ def reference_jump(mesh):
         ((-2.0 * rows).ravel(), np.take(tri, et, axis=0).ravel(),
          np.arange(0, 6 * n_edges + 1, 6)), shape=(n_edges, n))
     half_incidence = sp.csr_array(
-        (np.full(3 * m, 0.5), mesh.tri_edges.ravel(),
+        (np.full(3 * m, 0.5), mesh.half_edges.tri_edges.ravel(),
          np.arange(0, 3 * m + 1, 3)), shape=(m, n_edges))
     return jump, half_incidence
 
@@ -412,7 +413,7 @@ class TestOnePass:
         # vectors stay below four (3, M) arrays beyond the returned
         # indicators
         mesh = icosphere(5)
-        p1_operators(mesh), mesh.metrics, mesh.tri_edges  # cached first
+        p1_operators(mesh), mesh.metrics, mesh.half_edges  # cached first
         rng = np.random.default_rng(29)
         u_n, u_prev, f_h = (fe(mesh, v) for v in
                             rng.standard_normal((3, mesh.n_nodes)))

@@ -245,14 +245,15 @@ class TestDirectCsrAssembly:
     def test_pattern_does_not_depend_on_edge_order(self, make):
         m = make()
         rng = np.random.default_rng(3)
-        perm = rng.permutation(m.n_edges)
-        indptr, indices, source = fem._p1_pattern(m.edges, m.n_nodes)
-        p_indptr, p_indices, p_source = fem._p1_pattern(m.edges[perm],
+        edges = m.half_edges.edges
+        perm = rng.permutation(len(edges))
+        indptr, indices, source = fem._p1_pattern(edges, m.n_nodes)
+        p_indptr, p_indices, p_source = fem._p1_pattern(edges[perm],
                                                         m.n_nodes)
         np.testing.assert_array_equal(p_indptr, indptr)
         np.testing.assert_array_equal(p_indices, indices)
         # edge values given in the permuted order land on the same entries
-        d, v = rng.random(m.n_nodes), rng.random(m.n_edges)
+        d, v = rng.random(m.n_nodes), rng.random(len(edges))
         np.testing.assert_array_equal(
             np.concatenate((d, v[perm], v[perm]))[p_source],
             np.concatenate((d, v, v))[source])
@@ -810,7 +811,7 @@ class TestLiftedNorms:
             h1_parts.append(e_h1 ** 2)
             dist_parts.append(lifted_l2_distance(part, surface, u_part,
                                                  problem.u, time=t) ** 2)
-            assert part._half_edges is None
+            assert "half_edges" not in vars(part)
         assert np.sqrt(sum(l2_parts)) == pytest.approx(l2, rel=1e-12)
         assert np.sqrt(sum(h1_parts)) == pytest.approx(h1, rel=1e-12)
         assert np.sqrt(sum(dist_parts)) == pytest.approx(l2, rel=1e-12)
@@ -957,11 +958,12 @@ class TestBlockedLiftedQuadrature:
                 whole[block].tobytes()
 
     def test_build_memory_is_bounded_by_the_block(self):
-        # the build keeps 11 floats per point: the lifted point (3), the
-        # root weight (1), two lifted basis gradients (6) and the L2
-        # difference buffer (1), no 3 x 3 transform, no gradient matrix and
-        # no H1 difference buffer; what it frees again is a block's, not the
-        # whole mesh's (about 40 MB here with one whole-mesh batch)
+        # the build keeps 10 floats per point: the lifted point (3), the
+        # root weight (1) and two lifted basis gradients (6), plus one
+        # (3, BLOCK, Q) integrand buffer, no 3 x 3 transform, no gradient
+        # matrix and no whole-mesh difference buffer; what it frees again is
+        # a block's, not the whole mesh's (about 40 MB here with one
+        # whole-mesh batch)
         mesh = icosphere(5)
         mesh.metrics  # cached before the measurement
         surface = unit_sphere()
@@ -974,8 +976,9 @@ class TestBlockedLiftedQuadrature:
         points = mesh.n_triangles * len(QUAD_WEIGHTS)
         # eight (3, 3) float arrays on the points of one block
         block_arrays = 8 * fem.BLOCK * len(QUAD_WEIGHTS) * 9 * 8
+        buffer = 3 * fem.BLOCK * len(QUAD_WEIGHTS) * 8
         assert evaluator.mesh is mesh
-        assert kept < 11 * 8 * points + 65536  # 64 KB for the objects
+        assert kept < 10 * 8 * points + buffer + 65536  # 64 KB: the objects
         assert peak - kept < block_arrays
 
     def test_evaluator_keeps_ten_floats_per_point_and_one_block_buffer(self):
@@ -996,10 +999,11 @@ class TestBlockedLiftedQuadrature:
         assert arrays <= kept < arrays + 65536  # 64 KB for the objects
 
     def test_errors_allocate_less_than_one_whole_mesh_gradient(self):
-        # during a call, the evaluator's 11 floats per point and the call's
-        # own arrays (corner values, a block's H1 integrand and the exact
-        # gradient's) add up to less than 11 floats plus one (M, Q, 3)
-        # array: no whole-mesh H1 difference buffer, kept or transient
+        # during a call, the evaluator's 10 floats per point and block
+        # buffer and the call's own arrays (corner values, a block's H1
+        # integrand and the exact gradient's) add up to less than those plus
+        # one (M, Q, 3) array: no whole-mesh difference buffer, kept or
+        # transient
         mesh = icosphere(5)
         mesh.metrics  # cached before the measurement
         problem = sphere_decay()
@@ -1013,7 +1017,8 @@ class TestBlockedLiftedQuadrature:
         finally:
             tracemalloc.stop()
         points = mesh.n_triangles * len(QUAD_WEIGHTS)
-        assert peak - 11 * 8 * points < 3 * 8 * points  # 2.95 MB
+        kept = 10 * 8 * points + 3 * fem.BLOCK * len(QUAD_WEIGHTS) * 8
+        assert peak - kept < 3 * 8 * points  # 2.95 MB
 
 
 def test_fresh_interpreter_runs_without_scipy_sparse():

@@ -536,6 +536,22 @@ class TestGeometricOperators:
             geometric_operators(unit_sphere(), [[0.0, 0.0, 1.0],
                                                 [0.0, 1.0, 0.0]], normals)
 
+    def test_non_finite_weingarten_map_named(self):
+        # a NaN Hessian gave NaN mu and BQ, with only numpy's "invalid value
+        # encountered in det" warning as a sign
+        sphere = unit_sphere()
+        nan_on_y = sphere._replace(hessian=lambda p: np.where(
+            p[..., 1, None, None] > 0.5, np.nan, sphere.hessian(p)))
+        points = np.array([[0.0, 0.0, 1.1], [0.0, 1.1, 0.0],
+                           [0.0, 0.9, 0.0]])
+        with pytest.raises(NonFiniteValue, match=r"^I - d\*Weingarten of "
+                           r"point 1 has a non-finite entry$"):
+            geometric_operators(nan_on_y, points, points / 1.1)
+        inf_hessian = sphere._replace(
+            hessian=lambda p: np.full(np.shape(p) + (3,), np.inf))
+        with pytest.raises(NonFiniteValue, match=r"point 0 "):
+            geometric_operators(inf_hessian, points[:1], points[0] / 1.1)
+
     def test_nan_surface_normal_fails_the_sign_test(self):
         sphere = unit_sphere()
         nan_gradient = LevelSetSurface(

@@ -8,8 +8,8 @@ from surfheat.errors import (DegenerateTriangle, InconsistentOrientation,
                              NonFiniteValue, NonManifold)
 from surfheat.mesh import (HalfEdges, SurfaceMesh, _compute_edge_geometry,
                            build_adjacency, conormal_flux_jumps,
-                           element_metrics, half_edge_pairs, validate_mesh,
-                           write_vtk)
+                           element_metrics, half_edge_pairs, sort_half_edges,
+                           validate_mesh, write_vtk)
 from surfheat.problems import icosahedron, icosphere, torus_grid
 from surfheat.refinement import coarsen
 from test_estimator import element_gradients, graded_sphere
@@ -32,7 +32,7 @@ def edge_incidence(mesh):
     """``(edge_tris, edge_local)`` (E, 2) of a closed mesh: the triangle and
     local edge of each edge's two half-edges, the smaller first, the order
     of the co-normal columns of ``_compute_edge_geometry``."""
-    return np.divmod(half_edge_pairs(mesh.tri_edges), 3)
+    return np.divmod(half_edge_pairs(mesh.half_edges.tri_edges), 3)
 
 
 def half_edge_forward(triangles):
@@ -58,19 +58,19 @@ class TestAdjacency:
         m = tetrahedron()
         assert m.n_nodes == 4
         assert m.n_triangles == 4
-        assert m.n_edges == 6
+        assert len(m.half_edges.edges) == 6
         assert euler_characteristic(m) == 2
 
     def test_icosahedron_counts(self):
         m = icosahedron()
         assert m.n_nodes == 12
         assert m.n_triangles == 20
-        assert m.n_edges == 30
+        assert len(m.half_edges.edges) == 30
         assert euler_characteristic(m) == 2
 
     def test_edge_endpoints_sorted(self):
         m = icosahedron()
-        e = m.edges
+        e = m.half_edges.edges
         assert (e[:, 0] < e[:, 1]).all()
         keys = e[:, 0] * m.n_nodes + e[:, 1]
         assert (np.diff(keys) > 0).all()
@@ -79,8 +79,7 @@ class TestAdjacency:
         m = icosahedron()
         tri = m.triangles
         edge_tris, edge_local = edge_incidence(m)
-        for e in range(m.n_edges):
-            endpoints = set(m.edges[e])
+        for e, endpoints in enumerate(map(set, m.half_edges.edges)):
             for k in (0, 1):
                 t, loc = edge_tris[e, k], edge_local[e, k]
                 assert {tri[t, loc], tri[t, (loc + 1) % 3]} == endpoints
@@ -91,44 +90,44 @@ class TestAdjacency:
         edge_tris, _ = edge_incidence(m)
         for t in range(m.n_triangles):
             for loc in range(3):
-                e = m.tri_edges[t, loc]
+                e = m.half_edges.tri_edges[t, loc]
                 assert t in edge_tris[e]
 
     def test_every_edge_traversed_both_ways(self):
         # closed oriented surface: each undirected edge appears once per
         # direction, which is what the check reads off the half-edge sort
         m = tetrahedron()
-        forward = half_edge_forward(m.triangles)[half_edge_pairs(m.tri_edges)]
+        pairs = half_edge_pairs(m.half_edges.tri_edges)
+        forward = half_edge_forward(m.triangles)[pairs]
         assert (forward[:, 0] != forward[:, 1]).all()
-        assert build_adjacency(m.triangles, m.n_nodes) is None
+        assert build_adjacency(m) is None
 
     def test_nonmanifold_rejected(self):
         m = tetrahedron()
         bad = np.vstack([m.triangles, m.triangles[:1]])
         with pytest.raises(NonManifold):
-            build_adjacency(bad, m.n_nodes)
+            build_adjacency(SurfaceMesh(m.nodes, bad))
 
     def test_open_surface_rejected(self):
         m = tetrahedron()
         with pytest.raises(NonManifold):
-            build_adjacency(m.triangles[:3], m.n_nodes)
+            build_adjacency(SurfaceMesh(m.nodes, m.triangles[:3]))
 
     def test_inconsistent_orientation_rejected(self):
         m = tetrahedron()
         bad = m.triangles.copy()
         bad[0] = bad[0][[0, 2, 1]]
         with pytest.raises(InconsistentOrientation):
-            build_adjacency(bad, m.n_nodes)
+            build_adjacency(SurfaceMesh(m.nodes, bad))
 
     def test_deterministic_and_pure(self):
         m = icosphere(1)
         tris = m.triangles.copy()
-        assert build_adjacency(m.triangles, m.n_nodes) is None
-        first = HalfEdges(m.triangles, m.n_nodes)
-        second = HalfEdges(m.triangles, m.n_nodes)
-        for name in HalfEdges.__slots__:
-            np.testing.assert_array_equal(getattr(first, name),
-                                          getattr(second, name))
+        assert build_adjacency(m) is None
+        first = sort_half_edges(m.triangles, m.n_nodes)
+        second = sort_half_edges(m.triangles, m.n_nodes)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tris, m.triangles)
 
 
@@ -168,8 +167,7 @@ class TestOneSortAdjacency:
                              ids=["graded-sphere", "torus"])
     def test_matches_two_sort_reference(self, make):
         m = make()
-        assert build_adjacency(m.triangles, m.n_nodes) is None
-        assert build_adjacency(m.triangles, m.n_nodes, m.half_edges) is None
+        assert build_adjacency(m) is None
         he = m.half_edges
         # each edge's two half-edges, the smaller id (so triangle) first
         pair = half_edge_pairs(he.tri_edges)
@@ -184,22 +182,23 @@ class TestOneSortAdjacency:
         m = icosphere(2)
         he = m.half_edges
         mass, _ = fem.assemble(m)
-        assert len(mass.data) == m.n_nodes + 2 * m.n_edges
+        assert len(mass.data) == m.n_nodes + 2 * len(he.edges)
         assert m.half_edges is he
-        assert m.tri_edges is he.tri_edges
-        assert m.edges is he.edges
 
     def test_four_triangles_on_an_edge_is_nonmanifold(self):
         # the sorted keys still come in equal pairs, so only the count check
         # tells this apart from a pair with clashing orientations
         m = tetrahedron()
         with pytest.raises(NonManifold, match="has 4 incident triangles"):
-            build_adjacency(np.vstack([m.triangles, m.triangles]), m.n_nodes)
+            build_adjacency(SurfaceMesh(m.nodes,
+                                        np.vstack([m.triangles, m.triangles])))
 
 
 def five_array_record(triangles, n_nodes):
     """Reference: the half-edge record as it held ``order``, ``counts`` and
-    ``forward`` beside ``edges`` and ``tri_edges``, one unstable argsort."""
+    ``forward`` beside ``edges`` and ``tri_edges``, one unstable argsort;
+    its ``edges`` and ``tri_edges`` are those of the one-argsort sort that
+    ``sort_half_edges`` replaced."""
     tri = np.asarray(triangles, dtype=np.int64)
     a, b = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
     forward = a < b
@@ -233,13 +232,15 @@ class TestTwoArrayRecord:
     def test_derived_arrays_equal_the_five_array_record(self, make):
         m = make()
         he = m.half_edges
-        assert HalfEdges.__slots__ == ("edges", "tri_edges")
-        assert not hasattr(he, "__dict__")
+        assert type(he) is HalfEdges
+        assert HalfEdges._fields == ("edges", "tri_edges")
+        assert he.edges.dtype == he.tri_edges.dtype == np.int64
+        assert m.half_edges is he  # cached on the mesh
         order, counts, edges, tri_edges, forward = five_array_record(
             m.triangles, m.n_nodes)
         pairs = half_edge_pairs(he.tri_edges)
         got = (he.edges, he.tri_edges,
-               np.bincount(he.tri_edges.ravel(), minlength=m.n_edges),
+               np.bincount(he.tri_edges.ravel(), minlength=len(he.edges)),
                half_edge_forward(m.triangles), pairs)
         expected = (edges, tri_edges, counts, forward,
                     np.sort(order.reshape(-1, 2), axis=1))
@@ -296,7 +297,8 @@ class TestConormals:
         m = icosahedron()
         geom = _compute_edge_geometry(m)
         edge_tris, _ = edge_incidence(m)
-        ev = m.nodes[m.edges[:, 1]] - m.nodes[m.edges[:, 0]]
+        edges = m.half_edges.edges
+        ev = m.nodes[edges[:, 1]] - m.nodes[edges[:, 0]]
         for k in (0, 1):
             co = geom.conormal[:, k]
             np.testing.assert_allclose(np.linalg.norm(co, axis=1), 1.0,
@@ -314,8 +316,8 @@ class TestConormals:
         geom = _compute_edge_geometry(m)
         edge_tris, edge_local = edge_incidence(m)
         tri = m.triangles
-        for e in range(m.n_edges):
-            mid = m.nodes[m.edges[e]].mean(axis=0)
+        for e, ends in enumerate(m.half_edges.edges):
+            mid = m.nodes[ends].mean(axis=0)
             for k in (0, 1):
                 t, loc = edge_tris[e, k], edge_local[e, k]
                 opp = m.nodes[tri[t, (loc + 2) % 3]]
@@ -323,8 +325,9 @@ class TestConormals:
 
     def test_edge_lengths(self):
         m = icosahedron()
-        expected = np.linalg.norm(m.nodes[m.edges[:, 1]]
-                                  - m.nodes[m.edges[:, 0]], axis=1)
+        edges = m.half_edges.edges
+        expected = np.linalg.norm(m.nodes[edges[:, 1]]
+                                  - m.nodes[edges[:, 0]], axis=1)
         length = _compute_edge_geometry(m).length
         np.testing.assert_allclose(length, expected)
         # icosahedron inscribed in the unit sphere has a single edge length
@@ -365,7 +368,7 @@ class TestFluxJumps:
         grads = element_gradients(m, u)
         jumps = conormal_flux_jumps(m, grads)
         edge_tris, _ = edge_incidence(m)
-        for e in range(0, m.n_edges, 7):
+        for e in range(0, len(m.half_edges.edges), 7):
             t1, t2 = edge_tris[e]
             assert jumps[e] == pytest.approx(
                 conormal_flux_jump(m, e, grads[t1], grads[t2]), abs=1e-13)
@@ -382,8 +385,8 @@ class TestFluxJumps:
         jumps = conormal_flux_jumps(m, grads)
         acc = np.zeros(m.n_nodes)
         w = 0.5 * _compute_edge_geometry(m).length * jumps
-        np.add.at(acc, m.edges[:, 0], w)
-        np.add.at(acc, m.edges[:, 1], w)
+        np.add.at(acc, m.half_edges.edges[:, 0], w)
+        np.add.at(acc, m.half_edges.edges[:, 1], w)
         np.testing.assert_allclose(stiffness @ u.coefficients, acc,
                                    atol=1e-12)
 

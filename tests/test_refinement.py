@@ -63,8 +63,8 @@ def reference_refine(mesh, marks, strategy):
     if len(marks) == 0:
         return mesh, identity
     m_tris = mesh.n_triangles
-    te = mesh.tri_edges
-    edge_marked = np.zeros(mesh.n_edges, dtype=bool)
+    edges, te = mesh.half_edges
+    edge_marked = np.zeros(len(edges), dtype=bool)
     if strategy == "nvb":
         edge_marked[te[marks, 0]] = True
     else:
@@ -77,9 +77,9 @@ def reference_refine(mesh, marks, strategy):
 
     n_old = mesh.n_nodes
     split_edges = np.nonzero(edge_marked)[0]
-    mid_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
+    mid_of_edge = np.full(len(edges), -1, dtype=np.int64)
     mid_of_edge[split_edges] = n_old + np.arange(len(split_edges))
-    endpoints = mesh.edges[split_edges]
+    endpoints = edges[split_edges]
     new_nodes = np.vstack([
         mesh.nodes,
         0.5 * (mesh.nodes[endpoints[:, 0]] + mesh.nodes[endpoints[:, 1]]),
@@ -531,6 +531,16 @@ class TestCoarsen:
             undone, _, removed = coarsen(fine, all_marks(fine), [],
                                          protect_from=protect_from)
             assert removed == fine.n_nodes - m.n_nodes
+
+    @pytest.mark.parametrize("protect_from", [-1, 2.0, "12"])
+    def test_protect_from_must_be_a_nonnegative_integer(self, protect_from):
+        # -1 as a slice start protected only the last node: 57 of the 60
+        # midpoints went
+        m = icosphere(1)
+        fine, _ = refine(m, all_marks(m), "nvb")
+        with pytest.raises(ValueError, match=r"^protect_from must be None or "
+                           rf"an integer >= 0, got {protect_from!r}$"):
+            coarsen(fine, all_marks(fine), [], protect_from=protect_from)
 
     def test_without_genealogy_is_noop(self):
         m = icosphere(1)

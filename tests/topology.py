@@ -3,4 +3,4 @@
 
 def euler_characteristic(mesh):
     """V - E + F (2 for a sphere, 0 for a torus)."""
-    return mesh.n_nodes - mesh.n_edges + mesh.n_triangles
+    return mesh.n_nodes - len(mesh.half_edges.edges) + mesh.n_triangles
