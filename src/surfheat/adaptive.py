@@ -26,7 +26,6 @@ Guards, as module constants: ``MAX_SPATIAL_ITERS`` solves per attempt,
 step, first solve to coarsening, names the step in any ``SurfheatError``.
 """
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -38,8 +37,9 @@ from .estimator import coarsening_indicator, compute_indicators
 from .fem import (FeFunction, assemble, backward_euler_step, interpolate,
                   lifted_l2_distance)
 from .mesh import validate_mesh
-from .refinement import (coarsen, lift_new_nodes, mark_coarsen, mark_refine,
-                         refine, transfer)
+# ``lift_new_nodes`` is imported for the layer trace (perfbench/tracer.py) only
+from .refinement import (coarsen, is_count, lift_new_nodes,  # noqa: F401
+                         mark_coarsen, mark_refine, refine, transfer)
 
 CRITERIA = ("bulk", "doerfler")
 STRATEGIES = ("nvb", "rgb")
@@ -92,8 +92,7 @@ class AdaptiveConfig:
             raise ValueError(f"unknown refinement strategy {self.strategy!r}")
         if self.coarsening not in COARSENING_MODES:
             raise ValueError(f"unknown coarsening mode {self.coarsening!r}")
-        if not (isinstance(self.max_coarsen_iters, numbers.Integral)
-                and self.max_coarsen_iters >= 0):
+        if not is_count(self.max_coarsen_iters):
             raise ValueError(f"max_coarsen_iters must be an integer >= 0, "
                              f"got {self.max_coarsen_iters!r}")
 
@@ -158,9 +157,8 @@ class _Work:
 
 def _resolve(problem, surface, config, work, log, target, tau):
     """One temporal attempt to ``target`` that advances ``work``; returns
-    ``(u_new, indicators)`` on ``work.mesh``.  CG stops at ``CG_RTOL`` and
-    starts from ``u_prev`` in the first solve, and after a refinement from
-    the iterate just computed, transferred (nested iteration).
+    ``(u_new, indicators)`` on ``work.mesh``.  CG starts from ``u_prev``, and
+    after a refinement from the transferred iterate (nested iteration).
     ``SpatialStagnation`` and ``DofCapExceeded`` are raised before ``work``
     takes a refinement."""
     x0 = None  # CG starts from u_prev
@@ -181,16 +179,15 @@ def _resolve(problem, surface, config, work, log, target, tau):
                 f"{MAX_SPATIAL_ITERS} solves (tol {config.tol:.3e})")
         marks = mark_refine(np.sqrt(ind.spatial_sq), config.theta,
                             config.criterion)
-        refined, tmap = refine(work.mesh, marks, config.strategy)
+        refined, tmap = refine(work.mesh, marks, config.strategy, surface)
         if refined is work.mesh:
             raise SpatialStagnation("marking selected no element while the "
                                     "spatial indicator is above tolerance")
         if refined.n_nodes > DOF_CAP:
             raise DofCapExceeded(f"refinement to {refined.n_nodes} nodes "
                                  f"exceeds the cap of {DOF_CAP}")
-        work.u_prev = transfer(work.u_prev, tmap)
+        work.mesh, work.u_prev = refined, transfer(work.u_prev, tmap)
         x0 = transfer(u_new, tmap).coefficients  # nested start
-        work.mesh = lift_new_nodes(refined, surface)
         log.peak_dofs = max(log.peak_dofs, work.mesh.n_nodes)
 
 

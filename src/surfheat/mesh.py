@@ -2,9 +2,9 @@
 
 The mesh is the single shared data structure of the package: a node array, an
 oriented triangle array, and per-triangle refinement metadata.  A mesh is
-immutable -- refinement, coarsening and node lifting build new meshes -- so
-every derived quantity is computed lazily, on first use, and cached on the
-mesh for its lifetime; nothing ever needs invalidating:
+immutable -- refinement and coarsening build new meshes -- so every derived
+quantity is computed lazily, on first use, and cached on the mesh for its
+lifetime; nothing ever needs invalidating:
 
 - ``half_edges``, the mesh's one edge record: the plain arrays ``(edges,
   tri_edges)`` of :data:`HalfEdges`, from one ``np.unique`` of the half-edge
@@ -18,9 +18,9 @@ mesh for its lifetime; nothing ever needs invalidating:
 The first two are ``functools.cached_property`` attributes.  A mesh that is
 only tested for coarsening builds no P1 bundle.  :func:`build_adjacency`
 is the closed-surface check of a mesh on its edge record and returns
-nothing.  Refinement (then lifting) and coarsening keep a mesh closed,
-oriented, finite and on its surface, so :func:`validate_mesh` runs it once,
-on the initial mesh of a run.
+nothing.  Refinement (which lifts the nodes it adds) and coarsening keep a
+mesh closed, oriented, finite and on its surface, so :func:`validate_mesh`
+runs it once, on the initial mesh of a run.
 
 Triangle storage convention
 ---------------------------
@@ -180,18 +180,6 @@ class SurfaceMesh:
     def __repr__(self):
         return (f"SurfaceMesh({self.n_nodes} nodes, {self.n_triangles} "
                 f"triangles, gen={self.generation})")
-
-    def with_nodes(self, nodes):
-        """Same connectivity and metadata with new node positions.
-
-        The DOF layout is unchanged, so the result keeps this mesh's
-        generation id: nodal coefficient vectors remain valid.  Used for
-        lifting freshly created nodes onto the surface.
-        """
-        m = SurfaceMesh(nodes, self.triangles, self.tri_parent,
-                        self.genealogy, self.strategy, self.refedge_ready)
-        m.generation = self.generation
-        return m
 
     # ---------------------------------------------------------------- caches
 

@@ -6,12 +6,9 @@ bisection always splits the reference edge; red/green/blue refinement
 classifies the split pattern against it.  Conformity closure is the usual
 fixed point: whenever any edge of a triangle is due for bisection, its
 reference edge is due as well.  The children of each split pattern are one
-integer table indexed into a triangle's vertices and edge midpoints.
-
-A refinement step keeps the old nodes and appends one midpoint per split
-edge.  Its ``TransferMap`` lists the endpoints of those edges, the parents
-of the new nodes in the node hierarchy of that step, and ``transfer``
-interpolates nodal values through it.
+integer table indexed into a triangle's vertices and edge midpoints.  A step
+appends one lifted midpoint per split edge to the old nodes; ``transfer``
+carries nodal values through its ``TransferMap``.
 
 Coarsening inverts refinement through the genealogy arena: a sibling group
 whose members are all present and all marked collapses back to its recorded
@@ -92,17 +89,16 @@ def mark_coarsen(indicators, theta_star, criterion="bulk"):
     raise ValueError(f"unknown marking criterion {criterion!r}")
 
 
-# The node relation of one refinement step: the new mesh keeps the
-# ``n_old`` old nodes, and its node ``n_old + k`` is the midpoint of the old
-# edge ``endpoints[k]`` (an (K, 2) int array; K = 0 when nothing was split).
+# The node relation of one refinement step: the new mesh keeps the ``n_old``
+# old nodes, and its node ``n_old + k`` is the lifted midpoint of the old edge
+# ``endpoints[k]`` (an (K, 2) int array; K = 0 when nothing was split).
 TransferMap = namedtuple("TransferMap",
                          "endpoints src_generation dst_generation")
 
 
 def transfer(u_old, tmap):
-    """Carry nodal values through a refinement step: exact P1 interpolation
-    on the pre-lift mesh, which keeps the old values and appends the
-    endpoint average at each new midpoint."""
+    """Carry nodal values through a refinement step: old values are kept, and
+    each new node takes its endpoints' average (P1 at its flat midpoint)."""
     if u_old.generation != tmap.src_generation:
         raise GenerationMismatch(
             f"function generation {u_old.generation} does not match the "
@@ -165,6 +161,12 @@ _TABLES = {
 }
 
 
+def is_count(value):
+    """Whether ``value`` is an integer >= 0 (a numpy one too), but no bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool) and value >= 0)
+
+
 def _element_ids(marks, n_triangles):
     """Marked triangle ids as an int64 array, checked against the mesh."""
     ids = np.asarray(marks)
@@ -175,8 +177,8 @@ def _element_ids(marks, n_triangles):
     return ids.astype(np.int64, copy=False)
 
 
-def refine(mesh, marks, strategy):
-    """Subdivide the marked triangles, with conformity closure.
+def refine(mesh, marks, strategy, surface):
+    """Subdivide the marked triangles, with conformity closure; lift new nodes.
 
     Parameters
     ----------
@@ -187,13 +189,15 @@ def refine(mesh, marks, strategy):
     strategy : {"nvb", "rgb"}
         nvb bisects reference edges recursively; rgb subdivides marked
         triangles into four and closes with green/blue bisections.
+    surface : LevelSetSurface
+        The surface the new nodes are lifted onto (``lift_new_nodes``).
 
     Returns
     -------
     (SurfaceMesh, TransferMap)
-        The refined *pre-lift* mesh and the map onto it.  The old nodes
-        keep their ids; the new nodes follow, one per split edge, at the
-        flat midpoints of the ``TransferMap.endpoints`` rows.
+        The refined mesh and the map onto it.  The old nodes stay as they
+        are; one new node per split edge follows: the midpoint of its
+        ``TransferMap.endpoints`` row, lifted after rgb's choice of edges.
 
     Raises
     ------
@@ -257,9 +261,10 @@ def refine(mesh, marks, strategy):
     out_parent = np.repeat(np.where(split, row_of, mesh.tri_parent), counts)
 
     if strategy == "rgb":
-        # keep the reference-edge = longest-edge invariant on the children
+        # keep reference edge = longest edge on the children, before the lift
         child = np.repeat(split, counts)
         out_tris[child] = _rotate_reference_first(new_nodes, out_tris[child])
+    new_nodes[mesh.n_nodes:] = lift_new_nodes(mids, surface)
 
     old = mesh.genealogy
     genealogy = Genealogy(
@@ -273,21 +278,18 @@ def refine(mesh, marks, strategy):
                                 refined.generation)
 
 
-def lift_new_nodes(mesh, surface):
-    """Project off-surface nodes onto the surface (connectivity unchanged).
-
-    Nodes already on the surface (``|d| <= geometry.ON_SURFACE_TOL``, the
-    tolerance a run's initial mesh must meet) are left bitwise intact, so
-    repeated lifting is idempotent; lifted nodes land within it too.
-    """
-    check_finite(mesh.nodes, "node")
-    d = surface.distance(mesh.nodes)
-    off = ~(np.abs(d) <= ON_SURFACE_TOL)  # a NaN distance goes to the lift
+def lift_new_nodes(points, surface):
+    """The (k, 3) ``points``, those off the surface by more than
+    ``geometry.ON_SURFACE_TOL`` (the tolerance a run's initial mesh must meet)
+    projected onto it and the others bitwise intact, so lifting is idempotent;
+    lifted points land within the tolerance too."""
+    check_finite(points, "node")
+    off = ~(np.abs(surface.distance(points)) <= ON_SURFACE_TOL)  # NaN: lift
     if not off.any():
-        return mesh
-    nodes = mesh.nodes.copy()
-    nodes[off] = lift(surface, mesh.nodes[off])
-    return mesh.with_nodes(nodes)
+        return points
+    lifted = points.copy()
+    lifted[off] = lift(surface, points[off])
+    return lifted
 
 
 def coarsen(mesh, marks, functions, protect_from=None):
@@ -304,13 +306,12 @@ def coarsen(mesh, marks, functions, protect_from=None):
     ----------
     mesh : SurfaceMesh
     marks : array_like of int
-        Ids of the triangles marked for coarsening, in any order, repeats
-        allowed.
+        Ids of the triangles marked for coarsening, any order, repeats allowed.
     functions : list of FeFunction
         Bound to this mesh; restricted nodally onto the coarser mesh.
     protect_from : int, optional
         Nodes with index ``>= protect_from`` are never removed; a negative
-        value raises ``ValueError``.
+        value or a bool raises ``ValueError``.
 
     Returns
     -------
@@ -318,8 +319,7 @@ def coarsen(mesh, marks, functions, protect_from=None):
         The coarsened mesh, the restricted functions, and the number of
         removed nodes.
     """
-    if protect_from is not None and not (
-            isinstance(protect_from, (int, np.integer)) and protect_from >= 0):
+    if protect_from is not None and not is_count(protect_from):
         raise ValueError("protect_from must be None or an integer >= 0, "
                          f"got {protect_from!r}")
     for u in functions:

@@ -21,9 +21,9 @@ from surfheat.fem import (FeFunction, assemble, interpolate,
 from surfheat.geometry import unit_sphere
 from surfheat.mesh import validate_mesh
 from surfheat.problems import get_problem, icosphere
-from surfheat.refinement import (coarsen, lift_new_nodes, mark_coarsen,
-                                 mark_refine, refine, transfer)
-from topology import euler_characteristic
+from surfheat.refinement import (coarsen, mark_coarsen, mark_refine, refine,
+                                 transfer)
+from topology import NO_LIFT, euler_characteristic
 
 SWEEP_LEVELS = (2, 3, 4, 5, 6)
 TAU_FINE = 0.01
@@ -216,8 +216,9 @@ def test_criterion_09_mesh_machinery(report):
     surface = unit_sphere()
     rng = np.random.default_rng(42)
 
-    # refine -> transfer reproduces affine functions at the new (pre-lift)
-    # nodes exactly; affine span = the P1 space on flat triangles
+    # refine -> transfer reproduces affine functions at the new nodes, left
+    # at the flat midpoints, exactly; affine span = the P1 space on flat
+    # triangles
     worst_transfer = 0.0
     for strategy in ("nvb", "rgb"):
         mesh = icosphere(2)
@@ -225,7 +226,7 @@ def test_criterion_09_mesh_machinery(report):
         affine = lambda p: coeff[0] + p @ coeff[1:]  # noqa: E731
         u = FeFunction.on_mesh(mesh, affine(mesh.nodes))
         marks = mark_refine(rng.random(mesh.n_triangles), 0.5)
-        fine, tmap = refine(mesh, marks, strategy)
+        fine, tmap = refine(mesh, marks, strategy, NO_LIFT)
         v = transfer(u, tmap)
         worst_transfer = max(worst_transfer, float(np.max(
             np.abs(v.coefficients - affine(fine.nodes)))))
@@ -234,8 +235,8 @@ def test_criterion_09_mesh_machinery(report):
     # refine-all -> coarsen-all recovers the parent node set
     for strategy in ("nvb", "rgb"):
         mesh = icosphere(2)
-        fine, _ = refine(mesh, np.arange(mesh.n_triangles), strategy)
-        fine = lift_new_nodes(fine, surface)
+        fine, _ = refine(mesh, np.arange(mesh.n_triangles), strategy,
+                         surface)
         back = fine
         while True:
             back, _, removed = coarsen(back, np.arange(back.n_triangles), [])
@@ -266,10 +267,10 @@ def test_criterion_09_mesh_machinery(report):
             else:
                 marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)),
                                     criterion)
-                mesh, tmap = refine(mesh, marks, strategy)
+                lifted = rng.random() < 0.5
+                mesh, tmap = refine(mesh, marks, strategy,
+                                    surface if lifted else NO_LIFT)
                 u = transfer(u, tmap)
-                if rng.random() < 0.5:
-                    mesh = lift_new_nodes(mesh, surface)
             validate_mesh(mesh)
             u.check(mesh)
             assert euler_characteristic(mesh) == 2

@@ -7,14 +7,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from surfheat import adaptive, mesh as meshmod
+from surfheat import adaptive, mesh as meshmod, refinement
 from surfheat.adaptive import AdaptiveConfig, RunLog, StepRecord, run
 from surfheat.errors import (DofCapExceeded, GenerationMismatch,
                              MetadataMissing, NonFiniteValue, NonManifold,
                              OutsideTube, SolverDivergence, SpatialStagnation,
                              StrategyMismatch, TauUnderflow)
 from surfheat.geometry import unit_sphere
-from surfheat.mesh import SurfaceMesh
+from surfheat.mesh import SurfaceMesh, validate_mesh
 from surfheat.problems import Problem, get_problem, icosphere
 from surfheat.refinement import init_reference_edges, refine, transfer
 
@@ -122,6 +122,31 @@ class TestGatesAndDeterminism:
         assert records_without_wall(first) == records_without_wall(second)
         assert first.cum_dof_steps == second.cum_dof_steps
         assert first.peak_dofs == second.peak_dofs
+
+    @pytest.mark.parametrize("strategy", ["nvb", "rgb"])
+    def test_refined_and_accepted_meshes_are_valid(self, monkeypatch,
+                                                   strategy):
+        # refine lifts the nodes it adds: every mesh a refinement returns
+        # and every accepted mesh is closed, oriented, non-degenerate and on
+        # the surface
+        problem = get_problem("moving-peak-timing")
+        surface = problem.surface
+        refine_, refined, accepted = adaptive.refine, [], []
+
+        def validated_refine(*args, **kwargs):
+            mesh, tmap = refine_(*args, **kwargs)
+            refined.append(validate_mesh(mesh, surface))
+            return mesh, tmap
+
+        def on_accept(record, mesh, u):
+            accepted.append(validate_mesh(mesh, surface))
+
+        monkeypatch.setattr(adaptive, "refine", validated_refine)
+        config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.05, theta=0.8,
+                                theta_star=0.2, strategy=strategy)
+        log = run(problem, surface, icosphere(3), config, on_accept=on_accept)
+        assert len(refined) > 0
+        assert len(accepted) == log.accepted_steps > 0
 
     def test_callback_sees_final_step_state(self):
         problem, config = self.make()
@@ -343,7 +368,8 @@ class TestGuards:
         solves = count_calls(monkeypatch, adaptive, "backward_euler_step")
         problem = get_problem("moving-peak-timing")
         base = icosphere(3)
-        scaled = base.with_nodes(base.nodes * (1.0 + 1e-6))
+        scaled = SurfaceMesh(base.nodes * (1.0 + 1e-6), base.triangles,
+                             refedge_ready=True)
         config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.1)
         with pytest.raises(ValueError,
                            match=r"^node \d+ off the surface by 1e-06 "
@@ -360,7 +386,9 @@ class TestGuards:
         nodes[5, 1] = np.nan
         config = AdaptiveConfig(tol=1e-6, tau0=0.5, t_end=1.0)
         with pytest.raises(NonFiniteValue, match=r"^node 5 has a non-finite"):
-            run(problem, problem.surface, base.with_nodes(nodes), config)
+            run(problem, problem.surface,
+                SurfaceMesh(nodes, base.triangles, refedge_ready=True),
+                config)
         assert solves == []
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -414,10 +442,12 @@ class TestGuards:
         ("refine", StrategyMismatch("mesh was refined by rgb")),
     ])
     def test_refinement_errors_name_step(self, monkeypatch, name, error):
+        # refine calls the lift of the nodes it adds from its own module
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(adaptive, name, failing)
+        owner = refinement if name == "lift_new_nodes" else adaptive
+        monkeypatch.setattr(owner, name, failing)
         problem = get_problem("sphere-decay")
         config = AdaptiveConfig(tol=0.05, tau0=0.01, t_end=1.0)
         with pytest.raises(type(error),
@@ -517,6 +547,7 @@ class TestConfigValidation:
         {"coarsening": "sometimes"},
         {"max_coarsen_iters": -1},
         {"max_coarsen_iters": 2.0},  # NaN, 2.5: test_max_coarsen_iters_named
+        {"max_coarsen_iters": True},  # would read as one pass
     ])
     def test_rejects_bad_values(self, kwargs):
         base = dict(tol=0.1, tau0=0.01, t_end=1.0)
@@ -524,12 +555,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             AdaptiveConfig(**base)
 
-    @pytest.mark.parametrize("value", [float("nan"), 2.5])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True])
     def test_max_coarsen_iters_named(self, value):
         # a NaN would compare False against the pass count and silently
-        # switch the matching loop off
+        # switch the matching loop off; True would read as one pass
         with pytest.raises(ValueError, match=r"^max_coarsen_iters must be "
-                           r"an integer >= 0, got (nan|2\.5)$"):
+                           r"an integer >= 0, got (nan|2\.5|True)$"):
             AdaptiveConfig(tol=0.1, tau0=0.01, t_end=1.0,
                            max_coarsen_iters=value)
 

@@ -16,8 +16,8 @@ from surfheat.mesh import (SurfaceMesh, _compute_edge_geometry,
                            conormal_flux_jumps, half_edge_pairs)
 from surfheat.problems import icosphere, torus_grid
 from surfheat.refinement import (coarsen, init_reference_edges,
-                                 lift_new_nodes, mark_coarsen, refine,
-                                 transfer)
+                                 mark_coarsen, refine, transfer)
+from topology import NO_LIFT
 
 
 def all_marks(mesh):
@@ -173,7 +173,7 @@ class TestSpatial:
     def test_rejects_stale_function(self):
         mesh = init_reference_edges(pyramid())
         u = fe(mesh, np.zeros(5))
-        fine, _ = refine(mesh, all_marks(mesh), "nvb")
+        fine, _ = refine(mesh, all_marks(mesh), "nvb", NO_LIFT)
         with pytest.raises(GenerationMismatch):
             estimator.compute_indicators(fine, u, u, u, 1.0)
 
@@ -211,7 +211,7 @@ class TestTemporal:
         u_n = fe(mesh, rng.standard_normal(mesh.n_nodes))
         u_prev = fe(mesh, rng.standard_normal(mesh.n_nodes))
         before = increment_indicators(mesh, u_n, u_prev).eta_tau_sq
-        fine, tmap = refine(mesh, all_marks(mesh), "nvb")
+        fine, tmap = refine(mesh, all_marks(mesh), "nvb", NO_LIFT)
         after = increment_indicators(
             fine, transfer(u_n, tmap), transfer(u_prev, tmap)).eta_tau_sq
         npt.assert_allclose(after, before, rtol=1e-12)
@@ -369,8 +369,7 @@ def graded_sphere():
     for round_ in range(4):
         centroids = mesh.nodes[mesh.triangles].mean(axis=1)
         near = np.flatnonzero(centroids @ pole > 0.6 + 0.1 * round_)
-        refined, _ = refine(mesh, near, "nvb")
-        mesh = lift_new_nodes(refined, surface)
+        mesh, _ = refine(mesh, near, "nvb", surface)
     return mesh
 
 
@@ -458,8 +457,7 @@ class TestOnePass:
 
     def test_coarsening_only_mesh_builds_no_operators(self):
         mesh = init_reference_edges(icosphere(1))
-        fine, tmap = refine(mesh, all_marks(mesh), "nvb")
-        fine = lift_new_nodes(fine, unit_sphere())
+        fine, tmap = refine(mesh, all_marks(mesh), "nvb", unit_sphere())
         rng = np.random.default_rng(18)
         u_n = fe(fine, rng.standard_normal(fine.n_nodes))
         u_prev = fe(fine, rng.standard_normal(fine.n_nodes))
@@ -473,11 +471,10 @@ class TestOnePass:
 
     def test_lifted_mesh_has_its_own_gradients(self):
         mesh = init_reference_edges(icosphere(1))
-        refined, _ = refine(mesh, all_marks(mesh), "nvb")
-        before = p1_operators(refined).cot
-        lifted = lift_new_nodes(refined, unit_sphere())
+        flat, _ = refine(mesh, all_marks(mesh), "nvb", NO_LIFT)
+        lifted, _ = refine(mesh, all_marks(mesh), "nvb", unit_sphere())
+        before = p1_operators(flat).cot
         after = p1_operators(lifted).cot
-        assert lifted._operators is not refined._operators
         assert not np.allclose(before, after)
         # half the cotangent opposite edge j is -|T| grad(phi_j).grad(phi_j+1)
         G = basis_gradients(lifted)

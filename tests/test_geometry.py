@@ -15,6 +15,7 @@ from surfheat.geometry import (
 )
 from surfheat.problems import icosphere, torus_grid
 from surfheat.refinement import refine
+from topology import NO_LIFT
 
 RNG = np.random.default_rng(20240811)
 
@@ -276,7 +277,7 @@ class TestLift:
         # the points the solver lifts: lifted-quadrature points and the
         # midpoints of a refinement
         mesh = mesh()
-        fine, _ = refine(mesh, np.arange(mesh.n_triangles), "nvb")
+        fine, _ = refine(mesh, np.arange(mesh.n_triangles), "nvb", NO_LIFT)
         x = np.concatenate([
             quadrature_points(mesh).reshape(-1, 3),
             fine.nodes[mesh.n_nodes:]])

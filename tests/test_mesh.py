@@ -406,7 +406,7 @@ class TestValidate:
     def test_off_surface_node(self):
         from surfheat.geometry import unit_sphere
         m = icosahedron()
-        shifted = m.with_nodes(m.nodes * 1.001)
+        shifted = SurfaceMesh(m.nodes * 1.001, m.triangles)
         with pytest.raises(ValueError, match="off the surface"):
             validate_mesh(shifted, unit_sphere())
         # the error names the farthest node
@@ -415,7 +415,7 @@ class TestValidate:
         nodes[9] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match=r"^node 9 off the surface by "
                                              r"1e-06 \(tol 1e-10\)$"):
-            validate_mesh(m.with_nodes(nodes), unit_sphere())
+            validate_mesh(SurfaceMesh(nodes, m.triangles), unit_sphere())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_node_named(self, value):
@@ -426,7 +426,7 @@ class TestValidate:
         with pytest.raises(NonFiniteValue,
                            match=rf"^node 5 has a non-finite coordinate: "
                                  rf"\[{value}, "):
-            validate_mesh(m.with_nodes(nodes), unit_sphere())
+            validate_mesh(SurfaceMesh(nodes, m.triangles), unit_sphere())
 
     def test_nan_surface_distance_named(self):
         # a NaN distance is no distance within the tolerance
@@ -445,12 +445,6 @@ class TestGenerations:
     def test_fresh_generation_per_mesh(self):
         a, b = tetrahedron(), tetrahedron()
         assert a.generation != b.generation
-
-    def test_with_nodes_preserves_generation(self):
-        m = tetrahedron()
-        moved = m.with_nodes(m.nodes * 2.0)
-        assert moved.generation == m.generation
-        np.testing.assert_array_equal(moved.triangles, m.triangles)
 
 
 class TestFileIO:

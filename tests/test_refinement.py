@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from surfheat.errors import (GenerationMismatch, MetadataMissing,
                              NonFiniteValue, OutsideTube, StrategyMismatch)
 from surfheat.fem import FeFunction, interpolate
-from surfheat.geometry import ON_SURFACE_TOL, LevelSetSurface, unit_sphere
+from surfheat.geometry import (ON_SURFACE_TOL, LevelSetSurface, torus,
+                               unit_sphere)
 from surfheat.mesh import Genealogy, SurfaceMesh, validate_mesh
-from surfheat.problems import icosahedron, icosphere
+from surfheat.problems import icosahedron, icosphere, torus_grid
 from surfheat.refinement import (_rotate_reference_first, coarsen,
                                  init_reference_edges, lift_new_nodes,
                                  mark_coarsen, mark_refine, refine, transfer)
+from topology import NO_LIFT
 
 RNG = np.random.default_rng(990817)
 
@@ -55,7 +57,8 @@ SentinelMap = namedtuple("SentinelMap",
 
 
 def reference_refine(mesh, marks, strategy):
-    """Reference refinement: ``(SurfaceMesh, SentinelMap)``."""
+    """Reference refinement: ``(SurfaceMesh, SentinelMap)``, with the new
+    nodes at the flat midpoints."""
     identity = SentinelMap(np.arange(mesh.n_nodes),
                            np.full(mesh.n_nodes, -1, dtype=np.int64),
                            mesh.generation, mesh.generation)
@@ -260,7 +263,7 @@ class TestReferenceEdges:
 
     def test_refuses_refined_mesh(self):
         m = init_reference_edges(icosahedron())
-        refined, _ = refine(m, all_marks(m), "nvb")
+        refined, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         with pytest.raises(ValueError):
             init_reference_edges(refined)
 
@@ -268,11 +271,11 @@ class TestReferenceEdges:
 class TestRefine:
     def test_requires_reference_edges(self):
         with pytest.raises(MetadataMissing):
-            refine(icosahedron(), [0], "nvb")
+            refine(icosahedron(), [0], "nvb", NO_LIFT)
 
     def test_rgb_red_step_counts(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "rgb")
+        new, _ = refine(m, all_marks(m), "rgb", NO_LIFT)
         assert new.n_nodes == 42
         assert new.n_triangles == 80
         assert len(new.genealogy.nchild) == 20
@@ -281,7 +284,7 @@ class TestRefine:
 
     def test_nvb_all_bisects_every_triangle(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "nvb")
+        new, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         validate_mesh(new)
         assert new.n_triangles >= 40
         # every split produces 1 + (marked edges) children and each split
@@ -293,7 +296,7 @@ class TestRefine:
 
     def test_single_mark_closure_conformity(self):
         m = init_reference_edges(tetrahedron(stretch=(1.0, 1.1, 1.25)))
-        new, _ = refine(m, [0], "nvb")
+        new, _ = refine(m, [0], "nvb", NO_LIFT)
         validate_mesh(new)
         # the marked triangle is gone and at least its refedge neighbor split
         assert len(new.genealogy.nchild) >= 2
@@ -301,7 +304,7 @@ class TestRefine:
 
     def test_empty_marks_identity(self):
         m = init_reference_edges(icosahedron())
-        new, tmap = refine(m, [], "nvb")
+        new, tmap = refine(m, [], "nvb", NO_LIFT)
         assert new is m
         assert tmap.src_generation == tmap.dst_generation
         assert tmap.endpoints.shape == (0, 2)  # no new nodes
@@ -310,36 +313,37 @@ class TestRefine:
         m = init_reference_edges(icosahedron())
         for marks in ([25], [3, -1]):
             with pytest.raises(ValueError):
-                refine(m, marks, "nvb")
+                refine(m, marks, "nvb", NO_LIFT)
 
     def test_mask_and_float_marks_rejected(self):
         # a mask would read as the ids 0 and 1, a float id would truncate
         m = init_reference_edges(icosphere(1))
-        fine, _ = refine(m, all_marks(m), "nvb")
+        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         mask = np.zeros(m.n_triangles, dtype=bool)
         mask[40] = True
         for marks in (mask, [40.7], np.array([40.0])):
             with pytest.raises(ValueError, match="marks must be triangle ids"):
-                refine(m, marks, "nvb")
+                refine(m, marks, "nvb", NO_LIFT)
             with pytest.raises(ValueError, match="marks must be triangle ids"):
                 coarsen(fine, marks, [])
-        assert refine(m, np.array([], dtype=np.uint8), "nvb")[0] is m
+        no_ids = np.array([], dtype=np.uint8)
+        assert refine(m, no_ids, "nvb", NO_LIFT)[0] is m
         assert coarsen(fine, [], [])[0] is fine
 
     def test_strategy_is_sticky(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "nvb")
+        new, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         with pytest.raises(StrategyMismatch):
-            refine(new, [0], "rgb")
+            refine(new, [0], "rgb", NO_LIFT)
 
     def test_unknown_strategy(self):
         m = init_reference_edges(icosahedron())
         with pytest.raises(ValueError):
-            refine(m, all_marks(m), "quadtree")
+            refine(m, all_marks(m), "quadtree", NO_LIFT)
 
     def test_rgb_children_longest_edge_first(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, range(7), "rgb")
+        new, _ = refine(m, range(7), "rgb", NO_LIFT)
         child = new.tri_parent >= 0
         p = new.nodes[new.triangles[child]]
         lengths = np.stack([np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
@@ -349,7 +353,7 @@ class TestRefine:
 
     def test_genealogy_records_parent_vertices(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "rgb")
+        new, _ = refine(m, all_marks(m), "rgb", NO_LIFT)
         g = new.genealogy
         np.testing.assert_array_equal(g.verts, m.triangles)
         assert (g.parent == -1).all()
@@ -361,7 +365,7 @@ class TestTransfer:
         m = icosphere(1)
         coeff = np.array([0.4, -1.1, 2.2])
         u = FeFunction.on_mesh(m, m.nodes @ coeff + 0.9)
-        new, tmap = refine(m, range(0, 80, 3), "nvb")
+        new, tmap = refine(m, range(0, 80, 3), "nvb", NO_LIFT)
         v = transfer(u, tmap)
         np.testing.assert_allclose(v.coefficients, new.nodes @ coeff + 0.9,
                                    atol=1e-12)
@@ -369,7 +373,7 @@ class TestTransfer:
     def test_constants_bitwise(self):
         m = icosphere(1)
         u = FeFunction.on_mesh(m, np.full(m.n_nodes, 0.123456789))
-        new, tmap = refine(m, all_marks(m), "nvb")
+        new, tmap = refine(m, all_marks(m), "nvb", NO_LIFT)
         v = transfer(u, tmap)
         assert (v.coefficients == 0.123456789).all()
 
@@ -378,7 +382,7 @@ class TestTransfer:
         # evaluate children against their recorded parents at random points
         m = icosphere(1)
         u = FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes))
-        new, tmap = refine(m, range(0, 80, 2), "rgb")
+        new, tmap = refine(m, range(0, 80, 2), "rgb", NO_LIFT)
         v = transfer(u, tmap)
         g = new.genealogy
         children = np.nonzero(new.tri_parent >= 0)[0]
@@ -398,7 +402,7 @@ class TestTransfer:
         m = icosphere(1)
         other = icosphere(1)
         u = FeFunction.on_mesh(other, np.zeros(other.n_nodes))
-        _, tmap = refine(m, all_marks(m), "nvb")
+        _, tmap = refine(m, all_marks(m), "nvb", NO_LIFT)
         with pytest.raises(GenerationMismatch):
             transfer(u, tmap)
 
@@ -406,38 +410,37 @@ class TestTransfer:
 class TestLiftNewNodes:
     def test_midpoints_projected_to_unit_radius(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "rgb")
-        lifted = lift_new_nodes(new, unit_sphere())
-        assert lifted.n_nodes == 42
-        np.testing.assert_allclose(np.linalg.norm(lifted.nodes, axis=1), 1.0,
+        new, _ = refine(m, all_marks(m), "rgb", unit_sphere())
+        assert new.n_nodes == 42
+        np.testing.assert_allclose(np.linalg.norm(new.nodes, axis=1), 1.0,
                                    atol=1e-12)
         # pre-existing nodes bitwise untouched
-        np.testing.assert_array_equal(lifted.nodes[:12], m.nodes)
+        np.testing.assert_array_equal(new.nodes[:12], m.nodes)
+        validate_mesh(new, unit_sphere())
 
     def test_idempotent(self):
         m = init_reference_edges(icosahedron())
-        new, _ = refine(m, all_marks(m), "nvb")
-        once = lift_new_nodes(new, unit_sphere())
+        new, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
+        once = lift_new_nodes(new.nodes[m.n_nodes:], unit_sphere())
         assert lift_new_nodes(once, unit_sphere()) is once
 
     def test_on_surface_tolerance_decides_what_moves(self):
-        m = icosphere(1)
-        nodes = m.nodes.copy()
+        nodes = icosphere(1).nodes.copy()
+        before = nodes.copy()
         nodes[0] *= 1.0 + 0.5 * ON_SURFACE_TOL
         nodes[1] *= 1.0 + 2.0 * ON_SURFACE_TOL
-        lifted = lift_new_nodes(m.with_nodes(nodes), unit_sphere())
-        np.testing.assert_array_equal(lifted.nodes[0], nodes[0])
-        assert not np.array_equal(lifted.nodes[1], nodes[1])
-        assert abs(np.linalg.norm(lifted.nodes[1]) - 1.0) < 1e-15
-        np.testing.assert_array_equal(lifted.nodes[2:], m.nodes[2:])
+        lifted = lift_new_nodes(nodes, unit_sphere())
+        np.testing.assert_array_equal(lifted[0], nodes[0])
+        assert not np.array_equal(lifted[1], nodes[1])
+        assert abs(np.linalg.norm(lifted[1]) - 1.0) < 1e-15
+        np.testing.assert_array_equal(lifted[2:], before[2:])
 
     def test_non_finite_node_named(self):
-        m = icosphere(1)
-        nodes = m.nodes.copy()
+        nodes = icosphere(1).nodes.copy()
         nodes[7, 1] = np.nan
         with pytest.raises(NonFiniteValue, match=r"^node 7 has a non-finite "
                            r"coordinate: \[\S+, nan, \S+\]$"):
-            lift_new_nodes(m.with_nodes(nodes), unit_sphere())
+            lift_new_nodes(nodes, unit_sphere())
 
     def test_non_finite_distance_goes_to_the_lift(self):
         # a NaN distance is not "on the surface": the lift refuses it
@@ -449,24 +452,51 @@ class TestLiftNewNodes:
             gradient=sphere.gradient, hessian=sphere.hessian,
             bounding_radius=1.0)
         with pytest.raises(OutsideTube, match=r"\|d\| = nan"):
-            lift_new_nodes(m, nan_at_node_7)
+            lift_new_nodes(m.nodes, nan_at_node_7)
 
     def test_generation_survives_lift(self):
+        # the transfer's target is the lifted mesh refine returns
         m = icosphere(1)
         u = FeFunction.on_mesh(m, np.zeros(m.n_nodes))
-        new, tmap = refine(m, all_marks(m), "nvb")
-        v = transfer(u, tmap)
-        lifted = lift_new_nodes(new, unit_sphere())
-        assert lifted.generation == new.generation
-        v.check(lifted)
+        new, tmap = refine(m, all_marks(m), "nvb", unit_sphere())
+        assert tmap.dst_generation == new.generation
+        transfer(u, tmap).check(new)
+
+
+@pytest.mark.parametrize("strategy", ["nvb", "rgb"])
+@pytest.mark.parametrize("mesh, surface", [
+    (icosphere(3), unit_sphere()), (torus_grid(12), torus())],
+    ids=["sphere", "torus"])
+def test_refine_lifts_after_choosing_reference_edges(mesh, surface, strategy):
+    # in three rounds of refinement, the connectivity is that of the flat
+    # refinement of the same mesh: rgb chooses its reference edges on the
+    # flat midpoints (on the sphere the third round's would differ on the
+    # lifted ones); the old nodes stay bitwise and the new ones are the flat
+    # midpoints of the endpoint rows, lifted
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        marks = rng.choice(mesh.n_triangles, mesh.n_triangles // 5,
+                           replace=False)
+        new, tmap = refine(mesh, marks, strategy, surface)
+        flat, flat_map = refine(mesh, marks, strategy, NO_LIFT)
+        assert mesh_arrays(new)[1:] == mesh_arrays(flat)[1:]
+        assert tmap.endpoints.tobytes() == flat_map.endpoints.tobytes()
+        n_old = mesh.n_nodes
+        assert new.nodes[:n_old].tobytes() == mesh.nodes.tobytes()
+        mids = 0.5 * mesh.nodes[tmap.endpoints].sum(axis=1)
+        assert flat.nodes[n_old:].tobytes() == mids.tobytes()
+        lifted = lift_new_nodes(mids, surface)
+        assert new.nodes[n_old:].tobytes() == lifted.tobytes()
+        assert not np.array_equal(lifted, mids)
+        validate_mesh(new, surface)
+        mesh = new
 
 
 class TestCoarsen:
     @pytest.mark.parametrize("strategy", ["nvb", "rgb"])
     def test_refine_all_round_trip(self, strategy):
         m = icosphere(1)
-        fine, tmap = refine(m, all_marks(m), strategy)
-        fine = lift_new_nodes(fine, unit_sphere())
+        fine, tmap = refine(m, all_marks(m), strategy, unit_sphere())
         u = transfer(FeFunction.on_mesh(m, RNG.standard_normal(m.n_nodes)),
                      tmap)
         back, (u_back,), removed = coarsen(fine, all_marks(fine), [u])
@@ -482,7 +512,7 @@ class TestCoarsen:
     @pytest.mark.parametrize("strategy", ["nvb", "rgb"])
     def test_partial_refine_full_undo(self, strategy):
         m = icosphere(1)
-        fine, _ = refine(m, [3, 4, 19], strategy)
+        fine, _ = refine(m, [3, 4, 19], strategy, NO_LIFT)
         back, _, removed = coarsen(fine, all_marks(fine), [])
         assert removed == fine.n_nodes - m.n_nodes
         np.testing.assert_array_equal(back.nodes, m.nodes)
@@ -494,8 +524,8 @@ class TestCoarsen:
 
     def test_two_rounds_need_two_passes(self):
         m = icosphere(1)
-        r1, _ = refine(m, all_marks(m), "nvb")
-        r2, _ = refine(r1, range(0, r1.n_triangles, 4), "nvb")
+        r1, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
+        r2, _ = refine(r1, range(0, r1.n_triangles, 4), "nvb", NO_LIFT)
         mesh = r2
         passes = 0
         while True:
@@ -510,7 +540,7 @@ class TestCoarsen:
 
     def test_unmarked_sibling_pins_neighbors(self):
         m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "rgb")
+        fine, _ = refine(m, all_marks(m), "rgb", NO_LIFT)
         marks = np.arange(1, fine.n_triangles)
         back, _, removed = coarsen(fine, marks, [])
         # a family may only collapse together with every family it shares a
@@ -522,7 +552,7 @@ class TestCoarsen:
     def test_protect_from_blocks_removal(self):
         # the midpoints are the tail from m.n_nodes on
         m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb")
+        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         kept, _, removed = coarsen(fine, all_marks(fine), [],
                                    protect_from=m.n_nodes)
         assert removed == 0
@@ -532,12 +562,12 @@ class TestCoarsen:
                                          protect_from=protect_from)
             assert removed == fine.n_nodes - m.n_nodes
 
-    @pytest.mark.parametrize("protect_from", [-1, 2.0, "12"])
+    @pytest.mark.parametrize("protect_from", [-1, 2.0, "12", True])
     def test_protect_from_must_be_a_nonnegative_integer(self, protect_from):
         # -1 as a slice start protected only the last node: 57 of the 60
-        # midpoints went
+        # midpoints went; True would protect every node from index 1 on
         m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb")
+        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         with pytest.raises(ValueError, match=r"^protect_from must be None or "
                            rf"an integer >= 0, got {protect_from!r}$"):
             coarsen(fine, all_marks(fine), [], protect_from=protect_from)
@@ -550,14 +580,14 @@ class TestCoarsen:
 
     def test_function_generation_guard(self):
         m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb")
+        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         stale = FeFunction.on_mesh(m, np.zeros(m.n_nodes))
         with pytest.raises(GenerationMismatch):
             coarsen(fine, all_marks(fine), [stale])
 
     def test_out_of_range_mark(self):
         m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb")
+        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
         for marks in ([fine.n_triangles], [3, -1]):
             with pytest.raises(ValueError):
                 coarsen(fine, marks, [])
@@ -580,8 +610,8 @@ def test_mark_order_and_repeats_do_not_matter(strategy):
     u = interpolate(mesh, lambda x: np.sin(2.0 * x[:, 0]) + x[:, 1] * x[:, 2])
     ids = np.sort(rng.choice(mesh.n_triangles, 6, replace=False))
     messy = list(rng.permutation(np.concatenate([ids, ids[::2]])))
-    fine, tmap = refine(mesh, ids, strategy)
-    fine_messy, tmap_messy = refine(mesh, messy, strategy)
+    fine, tmap = refine(mesh, ids, strategy, NO_LIFT)
+    fine_messy, tmap_messy = refine(mesh, messy, strategy, NO_LIFT)
     assert mesh_arrays(fine_messy) == mesh_arrays(fine)
     assert tmap_messy.endpoints.tobytes() == tmap.endpoints.tobytes()
     v, v_messy = transfer(u, tmap), transfer(u, tmap_messy)
@@ -602,7 +632,7 @@ def test_mark_order_and_repeats_do_not_matter(strategy):
        strategy=st.sampled_from(["nvb", "rgb"]))
 def test_random_marks_keep_invariants(marked, strategy):
     base = init_reference_edges(icosahedron())
-    new, tmap = refine(base, marked, strategy)
+    new, tmap = refine(base, marked, strategy, NO_LIFT)
     validate_mesh(new)
     assert new.metrics.area.sum() == pytest.approx(
         base.metrics.area.sum(), rel=1e-12)
@@ -623,9 +653,8 @@ def test_fuzz_refine_coarsen(strategy):
         grow = rng.random() < 0.6 and mesh.n_triangles < 3000
         if grow or mesh.n_triangles <= 20:
             marks = mark_refine(rng.random(mesh.n_triangles), 0.6)
-            refined, tmap = refine(mesh, marks, strategy)
+            mesh, tmap = refine(mesh, marks, strategy, surface)
             u = transfer(u, tmap)
-            mesh = lift_new_nodes(refined, surface)
         else:
             marks = mark_coarsen(rng.random(mesh.n_triangles), 0.7)
             mesh, (u,), _ = coarsen(mesh, marks, [u])
@@ -633,12 +662,17 @@ def test_fuzz_refine_coarsen(strategy):
         u.check(mesh)
 
 
-def assert_same_refinement(mesh, marks, strategy, u):
-    """``refine`` and ``transfer`` against the references, bitwise."""
-    new, tmap = refine(mesh, marks, strategy)
+def assert_same_refinement(mesh, marks, strategy, u, surface):
+    """``refine`` and ``transfer`` against the references, bitwise; the new
+    nodes are the reference's flat midpoints, lifted."""
+    new, tmap = refine(mesh, marks, strategy, surface)
     ref, smap = reference_refine(mesh, marks, strategy)
-    pairs = [(getattr(new, name), getattr(ref, name), name)
-             for name in ("nodes", "triangles", "tri_parent")]
+    n_old = mesh.n_nodes
+    ref_nodes = np.vstack([ref.nodes[:n_old],
+                           lift_new_nodes(ref.nodes[n_old:], surface)])
+    pairs = [(new.nodes, ref_nodes, "nodes")]
+    pairs += [(getattr(new, name), getattr(ref, name), name)
+              for name in ("triangles", "tri_parent")]
     pairs += [(getattr(new.genealogy, name), getattr(ref.genealogy, name),
                f"genealogy.{name}")
               for name in ("verts", "parent", "nchild")]
@@ -648,7 +682,6 @@ def assert_same_refinement(mesh, marks, strategy, u):
         assert got.tobytes() == expected.tobytes(), name
     assert new.strategy == ref.strategy
     # the endpoint rows are the parents of the new nodes, in node order
-    n_old = mesh.n_nodes
     np.testing.assert_array_equal(
         tmap.endpoints,
         np.column_stack([smap.source_a, smap.source_b])[n_old:])
@@ -679,8 +712,8 @@ def test_refine_matches_reference_on_graded_meshes(strategy):
         else:
             marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)),
                                 ("bulk", "doerfler")[step % 2])
-            refined, u = assert_same_refinement(mesh, marks, strategy, u)
-            mesh = lift_new_nodes(refined, surface)
+            mesh, u = assert_same_refinement(mesh, marks, strategy, u,
+                                             surface)
             refinements += 1
             if refinements == 40:
                 break
@@ -817,10 +850,9 @@ def test_coarsen_matches_recomputing_reference(strategy, protect):
         else:
             marks = mark_refine(eta, float(rng.uniform(0.3, 0.9)))
             n_old = mesh.n_nodes
-            refined, tmap = refine(mesh, marks, strategy)
+            mesh, tmap = refine(mesh, marks, strategy, surface)
             u, births = transfer(u, tmap), transfer(births, tmap)
             births.coefficients[n_old:] = step
-            mesh = lift_new_nodes(refined, surface)
         centre = centre + 0.2 * rng.standard_normal(3)
         centre /= np.linalg.norm(centre)
     assert coarsenings >= 15
