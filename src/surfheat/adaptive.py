@@ -16,10 +16,12 @@ transferred to the refined mesh (nested iteration; Bornemann and Deuflhard,
 Numer. Math. 75, 1996), and every adaptive solve stops at the relative
 residual ``CG_RTOL`` = 1e-7, not the fixed-mesh sweep's 1e-10.
 
-A step's coarsening never removes a node created while resolving that step.
-Refinement appends nodes and coarsening keeps the survivors in order, so those
-nodes are the tail from the step's starting node count, less the nodes removed
-so far.  ``reset`` relies on the same order: the initial nodes are a prefix.
+A matching pass offers ``coarsen`` only triangles whose parent genealogy row
+was made during the run and before this step.  Rows are appended and kept in
+order, so that is one range: from the initial mesh's row count up to the
+step's own rows at the end.  Every child holds a midpoint its refinement made,
+so no node of the step or of the initial mesh goes: the initial nodes stay a
+prefix, as ``reset`` relies on.
 
 Guards, as module constants: ``MAX_SPATIAL_ITERS`` solves per attempt,
 ``DOF_CAP`` nodes and tau above ``TAU_MIN_FACTOR * t_end``.  One handler per
@@ -38,7 +40,7 @@ from .fem import (FeFunction, assemble, backward_euler_step, interpolate,
                   lifted_l2_distance)
 from .mesh import validate_mesh
 # ``lift_new_nodes`` is imported for the layer trace (perfbench/tracer.py) only
-from .refinement import (coarsen, is_count, lift_new_nodes,  # noqa: F401
+from .refinement import (coarsen, lift_new_nodes,  # noqa: F401
                          mark_coarsen, mark_refine, refine, transfer)
 
 CRITERIA = ("bulk", "doerfler")
@@ -92,7 +94,8 @@ class AdaptiveConfig:
             raise ValueError(f"unknown refinement strategy {self.strategy!r}")
         if self.coarsening not in COARSENING_MODES:
             raise ValueError(f"unknown coarsening mode {self.coarsening!r}")
-        if not is_count(self.max_coarsen_iters):
+        n = self.max_coarsen_iters  # an integer >= 0, numpy's too, no bool
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError(f"max_coarsen_iters must be an integer >= 0, "
                              f"got {self.max_coarsen_iters!r}")
 
@@ -191,14 +194,14 @@ def _resolve(problem, surface, config, work, log, target, tau):
         log.peak_dofs = max(log.peak_dofs, work.mesh.n_nodes)
 
 
-def _coarsen(config, mesh, u, u_prev, ind, initial_mesh, protect_from):
-    """The post-accept phase of ``mesh`` and ``u`` by ``config.coarsening``,
-    removing no node from ``protect_from`` on.  Returns ``(mesh, u,
-    eta_c_sq, coarsen_iters, nodes_removed)``."""
-    coarsening_sq, eta_c_sq = ind.coarsening_sq, ind.eta_c_sq
-    iters = nodes_removed = 0
+def _coarsen(config, mesh, u, u_prev, ind, initial_mesh, step_rows):
+    """The post-accept phase of ``mesh`` and ``u`` by ``config.coarsening``.
+    A matching pass offers ``coarsen`` the marked triangles whose parent row
+    was made in the run before this step, whose own rows are the last
+    ``step_rows``.  Returns ``(mesh, u, eta_c_sq, iters, nodes_removed)``."""
+    accepted, first = mesh, len(initial_mesh.genealogy.nchild)
+    coarsening_sq, eta_c_sq, iters = ind.coarsening_sq, ind.eta_c_sq, 0
     if config.coarsening == "reset" and mesh is not initial_mesh:
-        nodes_removed = mesh.n_nodes - initial_mesh.n_nodes
         u = FeFunction.on_mesh(
             initial_mesh, u.coefficients[:initial_mesh.n_nodes].copy())
         mesh = initial_mesh
@@ -206,18 +209,19 @@ def _coarsen(config, mesh, u, u_prev, ind, initial_mesh, protect_from):
            and iters < config.max_coarsen_iters):
         marks = mark_coarsen(np.sqrt(coarsening_sq), config.theta_star,
                              config.criterion)
-        new_mesh, (new_u, new_uprev), removed = coarsen(
-            mesh, marks, [u, u_prev], protect_from=protect_from - nodes_removed)
+        row = mesh.tri_parent[marks]
+        last = len(mesh.genealogy.nchild) - step_rows
+        new_mesh, (new_u, new_uprev), _ = coarsen(
+            mesh, marks[(row >= first) & (row < last)], [u, u_prev])
         iters += 1
-        if removed == 0:
+        if new_mesh is mesh:
             break
         new_sq, new_total = coarsening_indicator(new_mesh, new_u, new_uprev)
         if new_total > config.tol:
             break  # roll back to the previous grid
         mesh, u, u_prev = new_mesh, new_u, new_uprev
-        nodes_removed += removed
         coarsening_sq, eta_c_sq = new_sq, new_total
-    return mesh, u, eta_c_sq, iters, nodes_removed
+    return mesh, u, eta_c_sq, iters, accepted.n_nodes - mesh.n_nodes
 
 
 def run(problem, surface, initial_mesh, config, on_accept=None):
@@ -285,7 +289,7 @@ def run(problem, surface, initial_mesh, config, on_accept=None):
                                       t + tau, tau)
             mesh, u, eta_c_sq, coarsen_iters, nodes_removed = _coarsen(
                 config, work.mesh, u_new, work.u_prev, ind, initial_mesh,
-                protect_from=mesh.n_nodes)
+                len(work.mesh.genealogy.nchild) - len(mesh.genealogy.nchild))
         except SurfheatError as exc:  # the one place an abort names its step
             raise type(exc)(
                 f"{exc} [step {step}, t = {t:.6g}, tau = {tau:.6g}, "

@@ -14,7 +14,8 @@ Coarsening inverts refinement through the genealogy arena: a sibling group
 whose members are all present and all marked collapses back to its recorded
 parent, provided the midpoint nodes that would disappear are not referenced
 anywhere else (this is the good-to-coarsen condition, enforced by a fixed
-point that drops unsafe groups).
+point that drops unsafe groups).  The marks alone say what may coarsen; no
+node range is protected.
 """
 
 from collections import namedtuple
@@ -161,12 +162,6 @@ _TABLES = {
 }
 
 
-def is_count(value):
-    """Whether ``value`` is an integer >= 0 (a numpy one too), but no bool."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool) and value >= 0)
-
-
 def _element_ids(marks, n_triangles):
     """Marked triangle ids as an int64 array, checked against the mesh."""
     ids = np.asarray(marks)
@@ -292,15 +287,16 @@ def lift_new_nodes(points, surface):
     return lifted
 
 
-def coarsen(mesh, marks, functions, protect_from=None):
+def coarsen(mesh, marks, functions):
     """Collapse marked sibling groups back to their parents.
 
     A group collapses only if all siblings are present and marked and the
     midpoint nodes that would vanish are referenced by no surviving triangle
-    (good-to-coarsen).  Function values at surviving nodes are carried over
-    unchanged; surviving nodes keep their coordinates and relative order.
-    The genealogy records the refinement, so the coarse mesh keeps
-    ``mesh.strategy``.
+    (good-to-coarsen).  Nothing else protects a node: a caller keeps a group
+    by leaving one of its triangles unmarked.  Function values at surviving
+    nodes are carried over unchanged; surviving nodes keep their coordinates
+    and relative order.  The genealogy records the refinement, so the coarse
+    mesh keeps ``mesh.strategy``.
 
     Parameters
     ----------
@@ -309,9 +305,6 @@ def coarsen(mesh, marks, functions, protect_from=None):
         Ids of the triangles marked for coarsening, any order, repeats allowed.
     functions : list of FeFunction
         Bound to this mesh; restricted nodally onto the coarser mesh.
-    protect_from : int, optional
-        Nodes with index ``>= protect_from`` are never removed; a negative
-        value or a bool raises ``ValueError``.
 
     Returns
     -------
@@ -319,9 +312,6 @@ def coarsen(mesh, marks, functions, protect_from=None):
         The coarsened mesh, the restricted functions, and the number of
         removed nodes.
     """
-    if protect_from is not None and not is_count(protect_from):
-        raise ValueError("protect_from must be None or an integer >= 0, "
-                         f"got {protect_from!r}")
     for u in functions:
         u.check(mesh)
     gen = mesh.genealogy
@@ -348,8 +338,6 @@ def coarsen(mesh, marks, functions, protect_from=None):
     # uses it; every child pattern holds all of its parent's vertices, so
     # dropping a group only adds its children's vertices to ``blocked``
     blocked = np.zeros(n_nodes, dtype=bool)
-    if protect_from is not None:
-        blocked[protect_from:] = True
     blocked[tri[~coll_tris].ravel()] = True
     blocked[gen.verts[collapsing].ravel()] = True
     ct = np.nonzero(coll_tris)[0]

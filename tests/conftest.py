@@ -1,6 +1,8 @@
 """Terminal summary of the acceptance suite: one ``[criterion NN]`` line per
 criterion, recorded by ``test_acceptance.report`` as a ``criterion`` user
-property, so the lines show under pytest's default output capture.
+property, and one ``[bounds]`` line per run of ``test_bounds``, recorded as a
+``bounds`` user property, each kind in its own section, so the lines show
+under pytest's default output capture.
 
 BLAS runs on one thread, as in CI and perfbench: threaded OpenBLAS slows the
 suite on a 2-core machine and starves the sweep's worker thread.  pytest
@@ -13,12 +15,16 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 
+SECTIONS = {"criterion": "acceptance criteria", "bounds": "estimator bounds"}
+
+
 def pytest_terminal_summary(terminalreporter):
-    lines = sorted(value for reports in terminalreporter.stats.values()
-                   for rep in reports if getattr(rep, "when", None) == "call"
-                   for name, value in rep.user_properties
-                   if name == "criterion")
-    if lines:
-        terminalreporter.section("acceptance criteria")
-        for line in lines:
-            terminalreporter.write_line(line)
+    for kind, title in SECTIONS.items():
+        lines = sorted(value for reports in terminalreporter.stats.values()
+                       for rep in reports
+                       if getattr(rep, "when", None) == "call"
+                       for name, value in rep.user_properties if name == kind)
+        if lines:
+            terminalreporter.section(title)
+            for line in lines:
+                terminalreporter.write_line(line)

@@ -599,8 +599,9 @@ class TestCoarseningModes:
         assert log.final_dofs == sizes[-1]
 
     def test_matching_protects_the_step_tail(self, monkeypatch):
-        # every pass protects the nodes made in its step: those past the
-        # previous accepted mesh's node count, less what the step removed
+        # a pass offers no triangle of the step: none with a node past the
+        # previous accepted mesh's node count, less what the step removed,
+        # and none without a parent row made in the run
         problem = get_problem("moving-peak-timing")
         initial = icosphere(3)
         config = AdaptiveConfig(tol=0.4, tau0=0.02, t_end=0.05, theta=0.8,
@@ -609,13 +610,15 @@ class TestCoarseningModes:
         tails = []
         coarsen = adaptive.coarsen
 
-        def checked(mesh, marks, functions, protect_from=None):
-            assert protect_from == state["n_prev"] - state["removed"]
-            out, restricted, removed = coarsen(mesh, marks, functions,
-                                               protect_from=protect_from)
-            tail = mesh.n_nodes - protect_from
+        def checked(mesh, marks, functions):
+            tail_from = state["n_prev"] - state["removed"]
+            assert (mesh.triangles[marks] < tail_from).all()
+            rows = mesh.tri_parent[marks]
+            assert ((rows >= 0) & (rows < len(mesh.genealogy.nchild))).all()
+            out, restricted, removed = coarsen(mesh, marks, functions)
+            tail = mesh.n_nodes - tail_from
             assert (out.nodes[out.n_nodes - tail:].tobytes()
-                    == mesh.nodes[protect_from:].tobytes())
+                    == mesh.nodes[tail_from:].tobytes())
             state["removed"] += removed
             tails.append((tail, removed))
             return out, restricted, removed
@@ -628,6 +631,25 @@ class TestCoarseningModes:
                   on_accept=on_accept)
         assert sum(r.nodes_removed for r in log.records) > 0
         assert any(tail > 0 and removed > 0 for tail, removed in tails)
+
+    def test_matching_keeps_a_refined_initial_mesh(self):
+        # the initial mesh brings 1,120 genealogy rows of its own, which no
+        # pass may collapse; collapsing them takes this run down to 210 nodes
+        problem = get_problem("sphere-decay")
+        initial = icosphere(2)
+        for _ in range(2):
+            initial, _ = refine(initial, np.arange(initial.n_triangles),
+                                "nvb", problem.surface)
+        assert (initial.n_nodes, len(initial.genealogy.nchild)) == (842, 1120)
+        config = AdaptiveConfig(tol=0.05, tau0=0.05, t_end=0.1, theta=0.5,
+                                theta_star=0.85, coarsening="matching")
+        prefix = initial.nodes.tobytes()
+        kept = []
+        log = run(problem, problem.surface, initial, config,
+                  on_accept=lambda r, m, u: kept.append(
+                      m.nodes[:initial.n_nodes].tobytes() == prefix))
+        assert sum(r.nodes_removed for r in log.records) > 0
+        assert kept and all(kept)
 
     def test_none_never_removes_and_grows_monotonically(self):
         problem = fast_decay()

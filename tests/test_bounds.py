@@ -19,6 +19,7 @@ theta* 0.2, T = 0.5) takes 7 steps, global 5.87, local 1.69 / 3.70 / 5.47.
 """
 
 import math
+import statistics
 
 import pytest
 
@@ -59,10 +60,15 @@ def measured():
 
 
 @pytest.mark.parametrize("name", RUNS)
-def test_global_effectivity_in_band(measured, name):
+def test_global_effectivity_in_band(measured, name, record_property):
     # the global upper bound: the estimator neither undershoots the error
-    # nor overshoots it by more than a modest constant
-    assert 2.0 <= measured[name][0] <= 10.0
+    # nor overshoots it by more than a modest constant.  Both bands go to
+    # the terminal summary (tests/conftest.py)
+    glob, local = measured[name]
+    record_property("bounds", f"[bounds] {name}: global {glob:.2f}, local "
+                    f"min/median/max {min(local):.2f}/"
+                    f"{statistics.median(local):.2f}/{max(local):.2f}")
+    assert 2.0 <= glob <= 10.0
 
 
 def test_global_effectivity_agrees_across_runs(measured):

@@ -549,29 +549,6 @@ class TestCoarsen:
         assert removed == 0
         assert back is fine
 
-    def test_protect_from_blocks_removal(self):
-        # the midpoints are the tail from m.n_nodes on
-        m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
-        kept, _, removed = coarsen(fine, all_marks(fine), [],
-                                   protect_from=m.n_nodes)
-        assert removed == 0
-        assert kept is fine
-        for protect_from in (None, fine.n_nodes):
-            undone, _, removed = coarsen(fine, all_marks(fine), [],
-                                         protect_from=protect_from)
-            assert removed == fine.n_nodes - m.n_nodes
-
-    @pytest.mark.parametrize("protect_from", [-1, 2.0, "12", True])
-    def test_protect_from_must_be_a_nonnegative_integer(self, protect_from):
-        # -1 as a slice start protected only the last node: 57 of the 60
-        # midpoints went; True would protect every node from index 1 on
-        m = icosphere(1)
-        fine, _ = refine(m, all_marks(m), "nvb", NO_LIFT)
-        with pytest.raises(ValueError, match=r"^protect_from must be None or "
-                           rf"an integer >= 0, got {protect_from!r}$"):
-            coarsen(fine, all_marks(fine), [], protect_from=protect_from)
-
     def test_without_genealogy_is_noop(self):
         m = icosphere(1)
         back, fns, removed = coarsen(m, all_marks(m), [])
@@ -727,8 +704,9 @@ def test_refine_matches_reference_on_graded_meshes(strategy):
 def reference_coarsen(mesh, marks, functions, protect_from=None):
     """Reference coarsening that recomputes the collapsing triangles, the
     externally referenced and parent nodes and the (k, 3, 3) parent-vertex
-    comparison on every pass of the fixed point.  Returns the result of
-    ``coarsen`` and the number of passes."""
+    comparison on every pass of the fixed point, and never removes a node
+    from ``protect_from`` on.  Returns the result and the number of
+    passes."""
     gen = mesh.genealogy
     m_tris, n_nodes = mesh.n_triangles, mesh.n_nodes
     marks = np.asarray(marks, dtype=np.int64)
@@ -791,9 +769,15 @@ def reference_coarsen(mesh, marks, functions, protect_from=None):
 
 
 def assert_same_coarsening(mesh, marks, functions, protect_from):
-    """``coarsen`` against the recomputing reference, bitwise; returns the
-    result and the reference's number of passes."""
-    new, restricted, removed = coarsen(mesh, marks, functions, protect_from)
+    """``coarsen`` of the offered marks, those with no node from
+    ``protect_from`` on, against the recomputing reference of all ``marks``
+    that protects those nodes, bitwise; returns the result and the
+    reference's number of passes."""
+    marks = np.asarray(marks, dtype=np.int64)
+    offered = marks
+    if protect_from is not None:
+        offered = marks[(mesh.triangles[marks] < protect_from).all(axis=1)]
+    new, restricted, removed = coarsen(mesh, offered, functions)
     (ref, ref_functions, ref_removed), passes = reference_coarsen(
         mesh, marks, functions, protect_from)
     assert removed == ref_removed
@@ -824,7 +808,9 @@ def test_coarsen_matches_recomputing_reference(strategy, protect):
     # coarsening (with marks of varying density) is checked bitwise.  A
     # birth oracle (the step that made each node) rides along as a nodal
     # function: it stays nondecreasing in node index, so "made at step
-    # - 2 or later" is the tail from its searchsorted index on
+    # - 2 or later" is the tail from its searchsorted index on.  Leaving
+    # the triangles that touch the tail unmarked keeps the same nodes as
+    # protecting them, since a node is never newer than its triangles
     rng = np.random.default_rng(21 if strategy == "nvb" else 22)
     surface = unit_sphere()
     mesh = icosphere(1)
